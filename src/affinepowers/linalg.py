@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Solving, kernels and ranks all run through one fraction-free (Bareiss)
+Solving, kernels and ranks here all run through one fraction-free (Bareiss)
 elimination on an integer matrix obtained by clearing denominators row by
 row, which keeps intermediate entries to determinant size instead of letting
 naive rational elimination blow up.  Division back to rationals happens only
 in the final substitution step.  Pivoting is deterministic (first nonzero
-entry in column order), so kernels and solutions are reproducible.
+entry in column order), so kernels and solutions are reproducible.  The
+minimal-equation search in sde works modulo a prime instead and calls
+kernel only as its fallback.
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ from typing import Sequence
 from .errors import ZeroPolynomial
 from .unipoly import UniPoly
 
+# Prime for modular screens and elimination (sde.find_min_sde, poly_gcd_int).
+_PRIME = (1 << 61) - 1
+
 # -- integer polynomial helpers (dense int lists, lowest degree first) --
 
 
@@ -75,9 +78,23 @@ def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def poly_gcd_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials (primitive remainder chain)."""
+    """Primitive gcd of two integer polynomials (primitive remainder chain).
+
+    A constant gcd modulo a prime not dividing one leading coefficient
+    proves the inputs coprime (reduction cannot lower the degree of their
+    gcd), which skips the chain for the common coprime case.  The screen
+    runs only on coefficients wider than p^2: on narrower ones the chain's
+    arithmetic is no wider than the screen's and costs about the same.
+    """
     a = _primitive(a)
     b = _primitive(b)
+    if (
+        a and b
+        and max(map(abs, a + b)) > _PRIME * _PRIME
+        and (a[-1] % _PRIME or b[-1] % _PRIME)
+        and len(_poly_gcd_mod(a, b, _PRIME)) == 1
+    ):
+        return [1]
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -125,20 +142,22 @@ def _is_prime(n: int) -> bool:
 
 
 def _poly_gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """A gcd of a and b modulo the prime p, up to a unit factor.  The
+    remainders are scaled by the divisor's leading coefficient instead of
+    dividing by it, which saves a modular inverse per step."""
     a = _strip([c % p for c in a])
     b = _strip([c % p for c in b])
     while b:
-        inv = pow(b[-1], p - 2, p)
-        b = [c * inv % p for c in b]
-        r = list(a)
-        while True:
-            r = _strip(r)
-            if len(r) < len(b):
-                break
+        lb = b[-1]
+        r = a
+        while len(r) >= len(b):
+            top = r[-1]
             shift = len(r) - len(b)
-            top = r.pop()
-            for j in range(len(b) - 1):
-                r[shift + j] = (r[shift + j] - top * b[j]) % p
+            # lb * r - top * x^shift * b, whose leading term cancels
+            r = _strip(
+                [lb * c % p for c in r[:shift]]
+                + [(lb * c - top * d) % p for c, d in zip(r[shift:-1], b)]
+            )
         a, b = b, r
     return a
 
@@ -181,7 +200,6 @@ def _is_root(cs: Sequence[int], cand: Fraction) -> bool:
     """Exact test cs(cand) == 0 via the homogenized integer form."""
     p, q = cand.numerator, cand.denominator
     n = len(cs) - 1
-    total = 0
     qpow = 1
     # evaluate sum c_i p^i q^(n-i) from the top down
     acc = cs[n]

@@ -7,15 +7,24 @@ an equation exactly when the polynomials x^j * f^(i) (0 <= i <= k,
 computation on an integer matrix.  The solution space of a fixed equation
 restricted to polynomials has dimension at most k.
 
-All searches are deterministic: elimination pivots in a fixed order and the
-returned equation is scaled to primitive integer coefficients with positive
-first nonzero coefficient.
+The minimal-order search makes one modular pass.  The order-k matrix is the
+order-(k-1) matrix with columns appended, so its columns are eliminated one
+at a time modulo a prime until the first one, fc, that depends on those
+before it.  The earlier columns are then independent over Q as well; the
+dependency ending at fc is lifted p-adically (Dixon), rationally
+reconstructed and checked exactly against the integer matrix, which proves
+fc is the first free column and the vector is the one a Bareiss kernel
+returns there.  An unlucky prime (fc independent over Q) falls back to the
+per-order Bareiss kernels, which remain the reference path.
+
+All searches are deterministic and the returned equation is scaled to
+primitive integer coefficients with positive first nonzero coefficient.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,8 +33,6 @@ from typing import Sequence
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
 from .unipoly import ONE, ZERO, UniPoly
-
-_SCREEN_PRIME = (1 << 61) - 1
 
 _parallelism = 1
 
@@ -126,42 +133,163 @@ def wronskian(fs: Sequence[UniPoly]) -> UniPoly:
 # -- minimal-order search -------------------------------------------------
 
 
-def _rank_mod_p(rows: list[list[int]]) -> int:
-    p = _SCREEN_PRIME
-    m = [[v % p for v in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
-        for i in range(rank + 1, n_rows):
-            factor = m[i][c] * inv % p
-            if factor:
-                row_i, row_r = m[i], m[rank]
-                for j in range(c, n_cols):
-                    row_i[j] = (row_i[j] - factor * row_r[j]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def _column(d: list[int], j: int, n_rows: int) -> list[int]:
+    """Coefficients of x^j * d, padded to n_rows."""
+    col = [0] * n_rows
+    col[j : j + len(d)] = d
+    return col
 
 
 def _dependency_matrix(derivs: list[list[int]], k: int, shift: int, n_rows: int) -> list[list[int]]:
     """Rows indexed by x-degree, columns by (i, j) with j <= i + shift,
     holding the coefficients of x^j * f^(i)."""
-    cols: list[list[int]] = []
-    for i in range(k + 1):
-        d = derivs[i] if i < len(derivs) else []
-        for j in range(i + shift + 1):
-            col = [0] * n_rows
-            for deg, c in enumerate(d):
-                col[deg + j] = c
-            cols.append(col)
+    cols = [_column(derivs[i], j, n_rows) for i in range(k + 1) for j in range(i + shift + 1)]
     return [[col[r] for col in cols] for r in range(n_rows)]
+
+
+class _ModularProfile:
+    """Column-by-column elimination modulo p.
+
+    Column c is written as sum_{t<=c} upper[c][t] * reduced[t], where
+    reduced[t] is 1 at its pivot row, 0 at the pivot rows chosen before it
+    and upper[c][c] is nonzero (its inverse, which normalized reduced[c],
+    is kept in inverses[c]).  On the pivot rows this is an LU factorization
+    of the columns added so far, which solver() reuses.  The reduced
+    columns are stored by row: by_row[r][t] = reduced[t][r].
+    """
+
+    def __init__(self, p: int, n_rows: int):
+        self.p = p
+        self.pivot_rows: list[int] = []
+        self.lower: list[list[int]] = []  # lower[t][s] = reduced[s][pivot_rows[t]], s < t
+        self.upper: list[list[int]] = []
+        self.inverses: list[int] = []
+        self.by_row: list[list[int]] = [[] for _ in range(n_rows)]
+
+    def _coords(self, y: Sequence[int]) -> list[int]:
+        """Forward substitution: coordinates on the reduced columns of a
+        vector whose entries on the pivot rows are y, in pivot order."""
+        p = self.p
+        z: list[int] = []
+        for yt, low in zip(y, self.lower):
+            z.append((yt - sum(map(operator.mul, low, z))) % p)
+        return z
+
+    def add(self, col: Sequence[int]) -> bool:
+        """Append a column; False (and nothing stored) when it is dependent
+        on the columns before it modulo p."""
+        p = self.p
+        coords = self._coords([col[r] for r in self.pivot_rows])
+        res = [(x - sum(map(operator.mul, row, coords))) % p for x, row in zip(col, self.by_row)]
+        piv = next((r for r, x in enumerate(res) if x), None)
+        if piv is None:
+            return False
+        inv = pow(res[piv], -1, p)
+        coords.append(res[piv])
+        self.upper.append(coords)
+        self.inverses.append(inv)
+        self.lower.append(list(self.by_row[piv]))
+        self.pivot_rows.append(piv)
+        for row, x in zip(self.by_row, res):
+            row.append(x * inv % p)
+        return True
+
+    def solver(self):
+        """y -> B^-1 y mod p, for B the added columns restricted to the
+        pivot rows (rows and y in pivot order)."""
+        p = self.p
+        m = len(self.pivot_rows)
+        upper = [[self.upper[c2][c] for c2 in range(c + 1, m)] for c in range(m)]
+        inv = self.inverses
+
+        def solve(y: Sequence[int]) -> list[int]:
+            z = self._coords(y)
+            x = [0] * m
+            for c in range(m - 1, -1, -1):
+                x[c] = (z[c] - sum(map(operator.mul, upper[c], x[c + 1 :]))) * inv[c] % p
+            return x
+
+        return solve
+
+
+def _reconstruct_vector(xs: Sequence[int], modulus: int) -> list[int] | None:
+    """Integers proportional to the rationals congruent to xs, one common
+    denominator carried along so later entries reconstruct cheaply."""
+    bound = math.isqrt(modulus // 2)
+    den = 1
+    parts: list[tuple[int, int]] = []
+    for x in xs:
+        q = ratroots._rational_reconstruct(x * den % modulus, modulus, bound, bound // den)
+        if q is None:
+            return None
+        den *= q.denominator
+        parts.append((q.numerator, den))
+    return [n * (den // d) for n, d in parts] + [den]
+
+
+def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[int] | None:
+    """Integer v with sum_c v[c] * cols[c] = 0 and v[-1] > 0, found by
+    Dixon's p-adic lifting of the square system on the pivot rows of
+    profile (whose columns are cols[:-1]) and checked exactly on all rows.
+
+    Candidates are reconstructed at doubling step counts.  Once the modulus
+    exceeds 2 H^2, H the Hadamard bound of the system, reconstruction has
+    found its unique solution; if that fails the check, no such v exists
+    and the result is None.
+    """
+    p = profile.p
+    rows = profile.pivot_rows
+    m = len(rows)
+    bmat = [[cols[c][r] for c in range(m)] for r in rows]
+    res = [-cols[m][r] for r in rows]
+    h2 = 1
+    for c in range(m + 1):
+        h2 *= max(1, sum(cols[c][r] ** 2 for r in rows))
+    solve = profile.solver()
+    acc = [0] * m
+    modulus, steps, attempt = 1, 0, 1
+    while True:
+        x = solve(res)
+        acc = [a + modulus * xi for a, xi in zip(acc, x)]
+        res = [(r - sum(map(operator.mul, row, x))) // p for r, row in zip(res, bmat)]
+        modulus *= p
+        steps += 1
+        if steps < attempt:
+            continue
+        attempt *= 2
+        vec = _reconstruct_vector(acc, modulus)
+        if vec is not None and _annihilates(vec, cols):
+            return vec
+        if modulus > 2 * h2:
+            return None
+
+
+def _annihilates(vec: Sequence[int], cols: list[list[int]]) -> bool:
+    return not any(
+        sum(v * col[r] for v, col in zip(vec, cols) if v) for r in range(len(cols[0]))
+    )
+
+
+def _bareiss_search(derivs: list[list[int]], shift: int, n_rows: int, k_start: int, max_order: int) -> SDE | None:
+    """Reference search: the canonical first kernel vector of the
+    dependency matrix at the first order from k_start that has one."""
+    for k in range(k_start, max_order + 1):
+        basis = linalg.kernel(linalg.QMatrix.from_rows(_dependency_matrix(derivs, k, shift, n_rows)))
+        if basis:
+            return _split_sde(basis[0], k, shift)
+    return None
+
+
+def _split_sde(vec: Sequence, order: int, shift: int) -> SDE:
+    """SDE from its coefficients in (i, j) column order; entries missing
+    at the end are zeros."""
+    polys = []
+    pos = 0
+    for i in range(order + 1):
+        width = i + shift + 1
+        polys.append(UniPoly(vec[pos : pos + width]))
+        pos += width
+    return SDE(order=order, shift=shift, polys=tuple(polys))
 
 
 def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | None:
@@ -170,8 +298,9 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | 
     which always succeeds).
 
     The returned equation is the canonical kernel vector of the dependency
-    matrix at the minimal order: deterministic pivoting, primitive integer
-    scaling, positive first nonzero coefficient.
+    matrix at the minimal order: the one supported on the columns up to
+    its first dependent column, scaled to primitive integers with positive
+    first nonzero coefficient.
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial satisfies every equation")
@@ -182,29 +311,29 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | 
     if max_order < 1:
         return None
 
-    f_int = ratroots.to_primitive_int(f)
-    derivs = [f_int]
-    for i in range(1, max_order + 1):
+    derivs = [ratroots.to_primitive_int(f)]
+    for _ in range(max_order):
         derivs.append(ratroots._deriv(derivs[-1]))
     n_rows = f.degree + shift + 1
 
-    for k in range(1, max_order + 1):
-        rows = _dependency_matrix(derivs, k, shift, n_rows)
-        n_cols = len(rows[0])
-        if _rank_mod_p(rows) == n_cols:
-            continue  # provably full column rank, no equation at this order
-        basis = linalg.kernel(linalg.QMatrix.from_rows(rows))
-        if not basis:
-            continue
-        vec = basis[0]
-        polys = []
-        pos = 0
-        for i in range(k + 1):
-            width = i + shift + 1
-            polys.append(UniPoly(vec[pos : pos + width]))
-            pos += width
-        return SDE(order=k, shift=shift, polys=tuple(polys))
-    return None
+    # The order-k matrix is the order-(k-1) one with columns appended, so
+    # one pass over the columns finds the first dependent one, fc.
+    profile = _ModularProfile(ratroots._PRIME, n_rows)
+    cols: list[list[int]] = []
+    for k, j in ((k, j) for k in range(max_order + 1) for j in range(k + shift + 1)):
+        cols.append(_column(derivs[k], j, n_rows))
+        if not profile.add(cols[-1]):
+            break
+    else:
+        return None  # independent mod p up to max_order, hence over Q
+
+    # The columns before fc are independent over Q; an exact dependency
+    # ending at fc proves fc is the first free column of the order-k matrix.
+    vec = _lift_dependency(profile, cols)
+    if vec is None:  # fc is independent over Q: p was unlucky
+        return _bareiss_search(derivs, shift, n_rows, k, max_order)
+    # columns past fc carry zeros, which _split_sde leaves implicit
+    return _split_sde(linalg._canonical_int_vector(vec), k, shift)
 
 
 # -- power solutions ------------------------------------------------------
@@ -292,6 +421,9 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
     exponents = range(e_min, e_max + 1)
     out: list[tuple[Fraction, int]] = []
     if _parallelism > 1:
+        # imported on first use: the module adds about 0.5 MB to every process
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=_parallelism) as pool:
             for chunk in pool.map(lambda e: _power_solutions_at(s, q, e), exponents):
                 out.extend(chunk)

@@ -59,7 +59,6 @@ from .sde import (
     canonical_sde,
     find_min_sde,
     power_solutions,
-    set_parallelism,
     shifted_poly_solutions,
     wronskian,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "power_solutions",
     "project_to_axis",
     "rational_roots",
-    "set_parallelism",
     "shifted_poly_solutions",
     "sparsest_shift",
     "waring_decompose",

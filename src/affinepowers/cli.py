@@ -109,8 +109,6 @@ _ALGORITHMS = {
 
 def _cmd_decompose(args) -> int:
     f = _parse_poly(args.poly)
-    if args.threads > 1:
-        sde.set_parallelism(args.threads)
     stats: list[dict] | None = [] if args.stats else None
     started = time.perf_counter()
     if args.algorithm == "auto":
@@ -264,8 +262,6 @@ def _cmd_sparsest(args) -> int:
 def _cmd_multi(args) -> int:
     poly = serialize.multipoly_from_json(_read_json_arg(args.input))
     bb = multivariate.BlackBox.from_multipoly(poly)
-    if args.threads > 1:
-        sde.set_parallelism(args.threads)
     md = multivariate.multi_build(
         bb, rng_seed=args.seed, backend=args.backend, retries=args.retries
     )
@@ -315,7 +311,6 @@ def _build_parser() -> _Parser:
         help="skip the final re-expansion check",
     )
     p.add_argument("--stats", action="store_true", help="print timing/iteration stats")
-    p.add_argument("--threads", type=int, default=1, help="exponent-scan worker threads")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("generate", help="generate a certified random instance")
@@ -365,7 +360,6 @@ def _build_parser() -> _Parser:
         default="distinct_nodes",
     )
     p.add_argument("--retries", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_multi)
 

@@ -211,9 +211,13 @@ def _verify(dec: Decomposition, f: UniPoly) -> Decomposition:
     return dec
 
 
-def _require_distinct_nodes(dec: Decomposition) -> Decomposition:
+def _has_distinct_nodes(dec: Decomposition) -> bool:
     nodes = [t.node for t in dec.terms]
-    if len(set(nodes)) != len(nodes):
+    return len(set(nodes)) == len(nodes)
+
+
+def _require_distinct_nodes(dec: Decomposition) -> Decomposition:
+    if not _has_distinct_nodes(dec):
         raise ReconstructionFailed(
             "recovered terms repeat a node, outside this algorithm's regime"
         )
@@ -403,11 +407,12 @@ def decompose_small_intervals(
 
 # -- dispatcher -----------------------------------------------------------
 
+# big_exponents is big_gaps plus the distinct-node check, so one big_gaps
+# run answers for both
 _STRATEGIES: tuple[tuple[str, Callable[[UniPoly], Decomposition]], ...] = (
-    ("big_exponents", decompose_big_exponents),
     ("big_gaps", decompose_big_gaps),
     ("distinct_nodes", decompose_distinct_nodes),
-    ("small_intervals", lambda f: decompose_small_intervals(f, None)),
+    ("small_intervals", decompose_small_intervals),
 )
 
 
@@ -416,20 +421,26 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
     with automatic width; return the first verified decomposition and the
     name of the strategy that produced it.
 
-    If every strategy fails and any of them detected an irrational node,
-    that error wins (the input decomposes only over an extension field);
-    otherwise ReconstructionFailed.
+    big_exponents and big_gaps share one run: its answer is tagged
+    big_exponents when the nodes are distinct and big_gaps otherwise, and
+    its error counts for both.  If every strategy fails and any of them
+    detected an irrational node, that error wins (the input decomposes only
+    over an extension field); otherwise ReconstructionFailed.
     """
     _require_nonzero(f)
     irrational: IrrationalNodeDetected | None = None
     last: ReconstructionFailed | None = None
     for tag, fn in _STRATEGIES:
         try:
-            return fn(f), tag
+            dec = fn(f)
         except IrrationalNodeDetected as exc:
             irrational = exc
         except ReconstructionFailed as exc:
             last = exc
+        else:
+            if tag == "big_gaps" and _has_distinct_nodes(dec):
+                tag = "big_exponents"
+            return dec, tag
     if irrational is not None:
         raise irrational
     raise ReconstructionFailed("no strategy produced a verified decomposition") from last

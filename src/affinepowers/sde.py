@@ -17,6 +17,14 @@ fc is the first free column and the vector is the one a Bareiss kernel
 returns there.  An unlucky prime (fc independent over Q) falls back to the
 per-order Bareiss kernels, which remain the reference path.
 
+Solutions at a node c are found in the node's basis y = x - c.  There the
+equation maps y^m to sum_i m!/(m-i)! * y^(m-i) * P_i(y + c), a window of at
+most order+shift+1 coefficients on the exponents m-order..m+shift, so a
+solution R(x) * (x - c)^e costs a kernel of order+shift+deg(R)+1 rows
+instead of one row per degree of x.  The same window with c left symbolic
+gives the conditions whose common roots are the nodes of the pure-power
+solutions (x - c)^e.
+
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
 """
@@ -33,17 +41,6 @@ from typing import Sequence
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
 from .unipoly import ONE, ZERO, UniPoly
-
-_parallelism = 1
-
-
-def set_parallelism(threads: int) -> None:
-    """Number of worker threads used by the exponent scans (default 1)."""
-    global _parallelism
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    _parallelism = threads
-
 
 @dataclass(frozen=True)
 class SDE:
@@ -352,33 +349,35 @@ def _shifted_coeff_polys(p_int: list[list[int]]) -> list[list[list[int]]]:
     return out
 
 
-def _power_conditions(q, order: int, shift: int, e: int) -> list[list[int]]:
-    """Condition polynomials in b whose common roots are the nodes b with
-    (x - b)^e a solution; written in the basis y = x - b."""
+def _at_node(q: list[list[list[int]]], node: Fraction) -> list[list[list[int]]]:
+    """q evaluated at b = node = a/d, as one-entry lists, all scaled by the
+    same factor d^D (D the largest degree of a P_i) so they are integers."""
+    a, d = node.numerator, node.denominator
+    top = max(len(q_i) for q_i in q) - 1
+    weights = [a**j * d ** (top - j) for j in range(top + 1)]
+    return [[[sum(map(operator.mul, qit, weights))] for qit in q_i] for q_i in q]
+
+
+def _window(q: list[list[list[int]]], e: int) -> dict[int, list[int]]:
+    """L((x - b)^e) in the basis y = x - b, as {m: coefficients in b of the
+    y^m part}.  With P_i(y + b) = sum_t q[i][t] y^t the image is
+    sum_i e!/(e-i)! * y^(e-i) * P_i(y + b), so m runs over e-order..e+shift."""
     acc: dict[int, list[int]] = {}
-    for i in range(min(order, e) + 1):
+    for i in range(min(len(q) - 1, e) + 1):
         fall = math.perm(e, i)
-        if fall == 0 or i >= len(q):
-            continue
         for t, qit in enumerate(q[i]):
-            if not qit:
-                continue
-            m = e - i + t
-            slot = acc.setdefault(m, [])
+            slot = acc.setdefault(e - i + t, [])
             if len(slot) < len(qit):
                 slot.extend([0] * (len(qit) - len(slot)))
             for idx, c in enumerate(qit):
                 slot[idx] += fall * c
-    polys = []
-    for m in sorted(acc):
-        cs = ratroots._strip(acc[m])
-        if cs:
-            polys.append(cs)
-    return polys
+    return acc
 
 
 def _power_solutions_at(s: SDE, q, e: int) -> list[tuple[Fraction, int]]:
-    conditions = _power_conditions(q, s.order, s.shift, e)
+    # the nodes b with (x - b)^e a solution are the common roots of the
+    # window's coefficients
+    conditions = [cs for _, cs in sorted(_window(q, e).items()) if ratroots._strip(cs)]
     if not conditions:
         raise ValueError(
             f"every node solves the equation at exponent {e}; "
@@ -418,18 +417,9 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
     if e_min > e_max:
         return []
     q = _shifted_coeff_polys(s.int_polys())
-    exponents = range(e_min, e_max + 1)
     out: list[tuple[Fraction, int]] = []
-    if _parallelism > 1:
-        # imported on first use: the module adds about 0.5 MB to every process
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_parallelism) as pool:
-            for chunk in pool.map(lambda e: _power_solutions_at(s, q, e), exponents):
-                out.extend(chunk)
-    else:
-        for e in exponents:
-            out.extend(_power_solutions_at(s, q, e))
+    for e in range(e_min, e_max + 1):
+        out.extend(_power_solutions_at(s, q, e))
     out.sort(key=lambda be: (be[1], be[0]))
     return out
 
@@ -437,11 +427,42 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
 # -- solutions of the form R(x) * (x - c)^e -------------------------------
 
 
+def _keep_if_independent(
+    vec: dict[int, Fraction], registry: dict[int, dict[int, Fraction]]
+) -> bool:
+    """Reduce the sparse vector vec against registry (rows keyed by their
+    lowest index, normalized to 1 there); store it and return True when it
+    is not in their span."""
+    while vec:
+        m = min(vec)
+        row = registry.get(m)
+        if row is None:
+            inv = 1 / vec[m]
+            registry[m] = {k: v * inv for k, v in vec.items()}
+            return True
+        factor = vec[m]
+        for k, v in row.items():
+            rest = vec.get(k, 0) - factor * v
+            if rest:
+                vec[k] = rest
+            else:
+                vec.pop(k, None)
+    return False
+
+
 def shifted_poly_solutions(
     s: SDE, node, delta: int, e_min: int, e_max: int
 ) -> list[UniPoly]:
     """Basis of the solutions R(x) * (x - node)^e with deg(R) <= delta and
     e_min <= e <= e_max, each scaled to primitive integer coefficients.
+
+    The search runs in the node's basis y = x - node, where the equation
+    maps y^m to the window sum_i m!/(m-i)! * y^(m-i) * P_i(y + node) on the
+    exponents m-order..m+shift.  The candidates at exponent e are the kernel
+    of the window matrix with one column per y^(e+t), t <= delta, and
+    order+shift+delta+1 rows; a kept candidate is expanded to x once.  The
+    change of basis is invertible, so kernels, independence and hence the
+    output are those of the same computation on dense expansions in x.
 
     The basis order is deterministic: candidates are scanned by increasing
     exponent and kept when independent of everything kept so far.
@@ -453,51 +474,22 @@ def shifted_poly_solutions(
     if e_min > e_max:
         return []
     c = Fraction(node)
-    top = e_max + delta
-    powers: dict[int, UniPoly] = {}
-    applied: dict[int, UniPoly] = {}
-    pw = UniPoly.affine_power(1, c, e_min)
-    step = UniPoly((-c, 1))
-    for m in range(e_min, top + 1):
-        powers[m] = pw
-        applied[m] = apply_sde(s, pw)
-        if m < top:
-            pw = pw * step
-
+    q = _at_node(_shifted_coeff_polys(s.int_polys()), c)
+    windows = [
+        {k: cs[0] for k, cs in _window(q, m).items()}
+        for m in range(e_min, e_max + delta + 1)
+    ]
     kept: list[UniPoly] = []
-    registry: list[tuple[int, list[Fraction]]] = []  # (pivot index, reduced row)
-
-    def try_keep(poly: UniPoly) -> None:
-        vec = list(poly.coeffs)
-        for pivot, row in registry:
-            if pivot < len(vec) and vec[pivot]:
-                factor = vec[pivot]
-                for j in range(pivot, len(row)):
-                    if j < len(vec):
-                        vec[j] -= factor * row[j]
-                    elif row[j]:
-                        vec.extend([Fraction(0)] * (j + 1 - len(vec)))
-                        vec[j] -= factor * row[j]
-        pivot = next((i for i, v in enumerate(vec) if v), None)
-        if pivot is None:
-            return
-        inv = 1 / vec[pivot]
-        registry.append((pivot, [v * inv for v in vec]))
-        kept.append(UniPoly(ratroots.to_primitive_int(poly)))
-
+    registry: dict[int, dict[int, Fraction]] = {}
     for e in range(e_min, e_max + 1):
-        rows_needed = max(applied[e + t].degree for t in range(delta + 1)) + 1
-        if rows_needed <= 0:
-            rows_needed = 1
-        mat = [
-            [applied[e + t].coeff(r) for t in range(delta + 1)]
-            for r in range(rows_needed)
-        ]
+        cols = windows[e - e_min : e - e_min + delta + 1]
+        rows = range(max(e - s.order, 0), e + delta + s.shift + 1)
+        mat = [[col.get(m, 0) for col in cols] for m in rows]
         for vec in linalg.kernel(linalg.QMatrix.from_rows(mat)):
-            combo = ZERO
-            for t, coef in enumerate(vec):
-                if coef:
-                    combo = combo + powers[e + t].scale(coef)
-            if not combo.is_zero():
-                try_keep(combo)
+            if _keep_if_independent({e + t: v for t, v in enumerate(vec) if v}, registry):
+                combo = ZERO
+                for t, coef in enumerate(vec):
+                    if coef:
+                        combo = combo + UniPoly.affine_power(coef, c, e + t)
+                kept.append(UniPoly(ratroots.to_primitive_int(combo)))
     return kept

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from affinepowers import UniPoly, set_parallelism
+from affinepowers import UniPoly
 from affinepowers.cli import main
 from affinepowers.serialize import (
     decomposition_from_json,
@@ -122,14 +122,6 @@ class TestDecompose:
         poly = format_unipoly(UniPoly.affine_power(1, 2, 7))
         code, out, _ = run(capsys, "decompose", poly, "--no-verify")
         assert code == 0
-
-    def test_threads_flag(self, capsys):
-        try:
-            poly = format_unipoly(UniPoly.affine_power(1, 2, 7))
-            code, _, _ = run(capsys, "decompose", poly, "--threads", "2")
-            assert code == 0
-        finally:
-            set_parallelism(1)
 
     def test_algorithmic_failure_exits_two(self, capsys):
         code, _, err = run(capsys, "decompose", "0,1,1")  # x^2 + x

@@ -342,6 +342,54 @@ class TestAuto:
         with pytest.raises(IrrationalNodeDetected):
             decompose_auto(IRRATIONAL_13)
 
+    def test_matches_running_every_strategy(self, monkeypatch):
+        # the dispatcher shares one big_gaps run between big_exponents and
+        # big_gaps; the outcome must be that of trying all four in turn
+        def every_strategy(f):
+            irrational = last = None
+            for tag, fn in (
+                ("big_exponents", decompose_big_exponents),
+                ("big_gaps", decompose_big_gaps),
+                ("distinct_nodes", decompose_distinct_nodes),
+                ("small_intervals", decompose_small_intervals),
+            ):
+                try:
+                    return fn(f), tag
+                except IrrationalNodeDetected as exc:
+                    irrational = exc
+                except ReconstructionFailed as exc:
+                    last = exc
+            if irrational is not None:
+                raise irrational
+            raise ReconstructionFailed("no strategy produced a verified decomposition") from last
+
+        def outcome(solver, f):
+            try:
+                return solver(f)
+            except (IrrationalNodeDetected, ReconstructionFailed) as exc:
+                cause = exc.__cause__
+                return type(exc), str(exc), type(cause), str(cause)
+
+        inputs = [
+            UniPoly.affine_power(1, 2, 7),
+            D((1, 1, 25), (1, 1, 11)).expand(),
+            generate_instance(InstanceSpec(s=3, seed=1), "distinct_nodes")[0],
+            generate_instance(InstanceSpec(s=2, seed=2), "small_intervals", groups=1, delta=1)[0],
+            P(0, 1, 1),
+            P(*range(1, 12)),
+            IRRATIONAL_13,
+        ]
+        import affinepowers.decompose as dmod
+
+        single = dmod._single_pass
+        calls = []
+        monkeypatch.setattr(dmod, "_single_pass", lambda f: calls.append(f) or single(f))
+        for f in inputs:
+            calls.clear()
+            got = outcome(decompose_auto, f)
+            assert len(calls) == 1
+            assert got == outcome(every_strategy, f)
+
     def test_result_always_verifies(self):
         rng = random.Random(229)
         for _ in range(5):

@@ -14,7 +14,6 @@ from affinepowers import (
     canonical_sde,
     find_min_sde,
     power_solutions,
-    set_parallelism,
     shifted_poly_solutions,
     wronskian,
 )
@@ -254,17 +253,6 @@ class TestPowerSolutions:
         s = find_min_sde(f, 0)
         for node, e in power_solutions(s, 5, 20):
             assert apply_sde(s, UniPoly.affine_power(1, node, e)).is_zero()
-
-    def test_parallel_matches_serial(self):
-        f = UniPoly.affine_power(1, 1, 13) + UniPoly.affine_power(2, -2, 11)
-        s = find_min_sde(f, 0)
-        serial = power_solutions(s, 5, 20)
-        set_parallelism(2)
-        try:
-            parallel = power_solutions(s, 5, 20)
-        finally:
-            set_parallelism(1)
-        assert parallel == serial
 
 
 class TestShiftedPolySolutions:

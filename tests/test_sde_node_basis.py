@@ -1,0 +1,228 @@
+"""shifted_poly_solutions in the node basis against the dense computation.
+
+shifted_poly_solutions solves each exponent's kernel on the window of
+L((x - c)^m) in the basis y = x - c.  The reference below is the dense
+computation in x: the equation applied to expanded powers (x - c)^m, one
+kernel per exponent over all x-degrees, and the independence test on dense
+rational coefficient vectors.  Both must return the same list.  A sympy
+check (optional) confirms the solutions and the dimension independently.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from affinepowers import (
+    SDE,
+    UniPoly,
+    apply_sde,
+    find_min_sde,
+    linalg,
+    rational_roots,
+    ratroots,
+    sde,
+    shifted_poly_solutions,
+)
+from affinepowers.generate import InstanceSpec, generate_instance
+
+F = Fraction
+
+
+def dense_reference(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[UniPoly]:
+    """The same basis from dense expansions of (x - node)^m in x."""
+    if e_min > e_max:
+        return []
+    c = F(node)
+    powers = {m: UniPoly.affine_power(1, c, m) for m in range(e_min, e_max + delta + 1)}
+    applied = {m: apply_sde(s, p) for m, p in powers.items()}
+    kept: list[UniPoly] = []
+    registry: list[tuple[int, list[Fraction]]] = []  # (pivot, row normalized there)
+    for e in range(e_min, e_max + 1):
+        n_rows = max(1, max(applied[e + t].degree for t in range(delta + 1)) + 1)
+        mat = [[applied[e + t].coeff(r) for t in range(delta + 1)] for r in range(n_rows)]
+        for vec in linalg.kernel(linalg.QMatrix.from_rows(mat)):
+            combo = UniPoly()
+            for t, coef in enumerate(vec):
+                combo = combo + powers[e + t].scale(coef)
+            row = list(combo.coeffs)
+            for pivot, kept_row in registry:
+                if pivot < len(row) and row[pivot]:
+                    factor = row[pivot]
+                    row += [F(0)] * (len(kept_row) - len(row))
+                    for j in range(pivot, len(kept_row)):
+                        row[j] -= factor * kept_row[j]
+            pivot = next((i for i, v in enumerate(row) if v), None)
+            if pivot is None:
+                continue
+            registry.append((pivot, [v / row[pivot] for v in row]))
+            kept.append(UniPoly(ratroots.to_primitive_int(combo)))
+    return kept
+
+
+def small_intervals_cases(groups: int, delta: int, seeds):
+    """(equation, node, e_min, e_max, planted) as decompose_small_intervals
+    builds them, with the exponent window cut to 12 exponents around the
+    planted ones to keep the dense reference fast."""
+    out = []
+    for seed in seeds:
+        f, planted = generate_instance(
+            InstanceSpec(s=groups + delta, seed=seed),
+            "small_intervals",
+            groups=groups,
+            delta=delta,
+        )
+        eq = find_min_sde(f, delta)
+        nodes = {t.node for t in planted}
+        candidates = sorted(rational_roots(eq.polys[eq.order]))
+        assert nodes <= set(candidates)
+        for c in candidates:
+            low = min(t.exponent for t in planted if t.node == c or c not in nodes) - delta - 2
+            out.append((eq, c, low, low + 11, c in nodes))
+    return out
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
+def test_matches_dense_on_small_intervals_equations(groups, delta):
+    seeds = range(40 + 10 * delta, 42 + 10 * delta)
+    for eq, c, e_min, e_max, planted in small_intervals_cases(groups, delta, seeds):
+        got = shifted_poly_solutions(eq, c, delta, e_min, e_max)
+        assert bool(got) == planted
+        assert got == dense_reference(eq, c, delta, e_min, e_max)
+
+
+def test_matches_dense_on_full_window():
+    # the exponent window decompose_small_intervals uses, uncut
+    f, planted = generate_instance(InstanceSpec(s=2, seed=3), "small_intervals", groups=1, delta=1)
+    eq = find_min_sde(f, 1)
+    span = 4
+    e_min = (eq.order + 1) ** 2 * span // 2 + 1
+    e_max = math.ceil(F(f.degree) + F(eq.order**2 * span, 2)) - 1
+    c = planted.terms[0].node
+    got = shifted_poly_solutions(eq, c, 1, e_min, e_max)
+    assert got == dense_reference(eq, c, 1, e_min, e_max)
+    assert got
+
+
+@pytest.mark.parametrize("nodes", [(F(3, 2), F(-2, 5)), (F(-7, 3), F(1, 4))])
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_nodes_with_denominators(nodes, delta):
+    a, b = nodes
+    f = (
+        UniPoly((1, 2, F(1, 3))[: delta + 1]) * UniPoly.affine_power(3, a, 14)
+        + UniPoly.affine_power(F(-5, 7), b, 13)
+    )
+    eq = find_min_sde(f, delta)
+    for c in (a, b, F(1, 3)):
+        got = shifted_poly_solutions(eq, c, delta, 9, 18)
+        assert got == dense_reference(eq, c, delta, 9, 18)
+        if c != F(1, 3):
+            assert got
+
+
+# L = (x-1)^2 g'' - 6 (x-1) g' + 12 g maps (x-1)^m to (m-3)(m-4) (x-1)^m
+EULER = SDE(2, 0, (UniPoly((12,)), UniPoly((6, -6)), UniPoly((1, -2, 1))))
+# P_1 = 0 and shift 1: (x-1)^2 (x-5) g'' - 6 (x-5) g maps (x-1)^m to
+# (m^2 - m - 6) (x-1)^m (x-5)
+GAPPED = SDE(2, 1, (UniPoly((30, -6)), UniPoly(), UniPoly((-5, 11, -7, 1))))
+
+
+@pytest.mark.parametrize("s", [EULER, GAPPED])
+@pytest.mark.parametrize("node", [F(1), F(5), F(0), F(1, 2)])
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_low_exponents_and_zero_coefficients(s, node, delta):
+    # e_min = 1 <= order: the falling factorials m!/(m-i)! vanish for i > m
+    got = shifted_poly_solutions(s, node, delta, 1, 9)
+    assert got == dense_reference(s, node, delta, 1, 9)
+    for g in got:
+        assert apply_sde(s, g).is_zero()
+
+
+def test_gapped_equation_solutions():
+    assert shifted_poly_solutions(GAPPED, 1, 1, 1, 9) == [UniPoly.affine_power(1, 1, 3)]
+    assert shifted_poly_solutions(GAPPED, 5, 1, 1, 9) == []
+
+
+def test_empty_and_full_kernels(monkeypatch):
+    sizes = []
+    kernel = linalg.kernel
+
+    def spy(m):
+        basis = kernel(m)
+        sizes.append((m.cols, len(basis)))
+        return basis
+
+    monkeypatch.setattr(sde.linalg, "kernel", spy)
+    got = shifted_poly_solutions(EULER, 1, 1, 2, 6)
+    # (x-1)^3 and (x-1)^4 solve: the window at e = 3 is all zero
+    assert got == [UniPoly.affine_power(1, 1, 3), UniPoly.affine_power(1, 1, 4)]
+    assert (2, 2) in sizes  # full kernel
+    assert (2, 0) in sizes  # empty kernel
+    monkeypatch.setattr(sde.linalg, "kernel", kernel)
+    assert got == dense_reference(EULER, 1, 1, 2, 6)
+
+
+def test_window_matches_dense_application():
+    # the window of L((x - c)^m) is the dense image read in the basis x - c
+    eq = find_min_sde(UniPoly.affine_power(2, F(1, 3), 9) + UniPoly.affine_power(1, -2, 8), 1)
+    q = sde._shifted_coeff_polys(eq.int_polys())
+    for c in (F(1, 3), F(-2), F(5, 7)):
+        scale = F(c.denominator) ** (max(len(q_i) for q_i in q) - 1)
+        at_c = sde._at_node(q, c)
+        for m in (1, 2, 7, 9):
+            window = {k: F(cs[0]) / scale for k, cs in sde._window(at_c, m).items()}
+            dense = apply_sde(eq, UniPoly.affine_power(1, c, m)).taylor_shift(c)
+            assert min(window) >= m - eq.order and max(window) <= m + eq.shift
+            assert [window.get(k, 0) for k in range(len(dense.coeffs))] == list(dense.coeffs)
+            assert not any(window.get(k, 0) for k in range(len(dense.coeffs), m + eq.shift + 1))
+
+
+def test_sympy_dimension_and_annihilation():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def rat(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    cases = [(EULER, F(1), 1, 1, 7), (GAPPED, F(1), 2, 1, 7)]
+    f, planted = generate_instance(InstanceSpec(s=3, seed=11), "small_intervals", groups=1, delta=2)
+    eq = find_min_sde(f, 2)
+    low = min(t.exponent for t in planted) - 4
+    cases.append((eq, planted.terms[0].node, 2, low, low + 8))
+    f = UniPoly((1, F(1, 2))) * UniPoly.affine_power(1, F(3, 2), 10)
+    f = f + UniPoly.affine_power(2, -1, 9)
+    eq = find_min_sde(f, 1)
+    cases += [(eq, F(3, 2), 1, 5, 12), (eq, F(-1), 1, 5, 12)]
+    for s, c, delta, e_min, e_max in cases:
+        polys = [
+            sympy.Add(*(rat(v) * x**k for k, v in enumerate(p.coeffs)))
+            for p in s.polys
+        ]
+
+        def apply(g):
+            return sum(
+                (p * sympy.diff(g, x, i) for i, p in enumerate(polys)),
+                sympy.Integer(0),
+            )
+
+        got = shifted_poly_solutions(s, c, delta, e_min, e_max)
+        for g in got:
+            expr = sum(sympy.Integer(int(v)) * x**k for k, v in enumerate(g.coeffs))
+            assert sympy.expand(apply(expr)) == 0
+        # the span of the solutions in every window, from sympy nullspaces
+        cs = rat(c)
+        top = e_max + delta
+        vectors = []
+        for e in range(e_min, e_max + 1):
+            cols = [
+                sympy.Poly(sympy.expand(apply((x - cs) ** (e + t))), x) for t in range(delta + 1)
+            ]
+            rows = max([p.degree() for p in cols if not p.is_zero], default=0) + 1
+            mat = sympy.Matrix(rows, delta + 1, lambda r, t: cols[t].coeff_monomial(x**r))
+            for v in mat.nullspace():
+                g = sum(v[t] * (x - cs) ** (e + t) for t in range(delta + 1))
+                g = sympy.Poly(sympy.expand(g), x)
+                vectors.append([g.coeff_monomial(x**k) for k in range(top + 1)])
+        dim = sympy.Matrix(vectors).rank() if vectors else 0
+        assert len(got) == dim

@@ -25,11 +25,7 @@ from .errors import (
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, rational_roots
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .unipoly import UniPoly, _frac, rational_roots
 
 
 @dataclass(frozen=True)
@@ -407,9 +403,10 @@ def decompose_small_intervals(
 
 # -- dispatcher -----------------------------------------------------------
 
-# big_exponents is big_gaps plus the distinct-node check, so one big_gaps
-# run answers for both
+# The one table of solver names, in the order decompose_auto tries them;
+# the command line and multi_build take their names from it.
 _STRATEGIES: tuple[tuple[str, Callable[[UniPoly], Decomposition]], ...] = (
+    ("big_exponents", decompose_big_exponents),
     ("big_gaps", decompose_big_gaps),
     ("distinct_nodes", decompose_distinct_nodes),
     ("small_intervals", decompose_small_intervals),
@@ -431,6 +428,9 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
     irrational: IrrationalNodeDetected | None = None
     last: ReconstructionFailed | None = None
     for tag, fn in _STRATEGIES:
+        if tag == "big_exponents":
+            # big_gaps plus the distinct-node check: the big_gaps run answers
+            continue
         try:
             dec = fn(f)
         except IrrationalNodeDetected as exc:

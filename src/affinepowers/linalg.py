@@ -18,10 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, Inconsistent
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .unipoly import _clear_denominators, _frac
 
 
 @dataclass(frozen=True)
@@ -70,14 +67,9 @@ def _int_rows(m: QMatrix, extra: Sequence[Fraction] | None = None) -> list[list[
 
     Row scaling preserves both the null space and solution sets.
     """
-    out = []
-    for i in range(m.rows):
-        row = list(m.entries[i]) + ([extra[i]] if extra is not None else [])
-        lcm = 1
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        out.append([int(v * lcm) for v in row])
-    return out
+    if extra is None:
+        return [_clear_denominators(row) for row in m.entries]
+    return [_clear_denominators(row + (e,)) for row, e in zip(m.entries, extra)]
 
 
 def _bareiss(mat: list[list[int]], pivot_width: int) -> list[int]:
@@ -110,13 +102,8 @@ def _bareiss(mat: list[list[int]], pivot_width: int) -> list[int]:
 
 def _canonical_int_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to primitive integers with positive first nonzero entry."""
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    ints = _clear_denominators(vec)
+    g = math.gcd(*ints)
     if g == 0:
         return tuple(Fraction(0) for _ in ints)
     first = next(v for v in ints if v)

@@ -12,10 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .unipoly import _frac
 
 
 class MultiPoly:
@@ -126,10 +123,6 @@ class MultiPoly:
     def __repr__(self) -> str:
         items = sorted(self.terms.items())
         return f"MultiPoly(n={self.n}, terms={dict(items)!r})"
-
-
-def multi_eval(p: MultiPoly, point: Sequence) -> Fraction:
-    return p.evaluate(point)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import linalg
-from .decompose import (
-    Decomposition,
-    decompose_auto,
-    decompose_big_exponents,
-    decompose_big_gaps,
-    decompose_distinct_nodes,
-    decompose_small_intervals,
-)
+from . import decompose, linalg
+from .decompose import Decomposition
 from .errors import (
     ExactAlgebraError,
     Inconsistent,
@@ -33,15 +26,11 @@ from .errors import (
     ZeroPolynomial,
 )
 from .multipoly import LinearForm, MultiPoly
-from .unipoly import UniPoly, interpolate
+from .unipoly import UniPoly, _frac, interpolate
 
 _COORD_BOUND = 1 << 32  # substitution entries are drawn from 1..2^32
 _CHECK_RANGE = 10**6  # verification points come from [-10^6, 10^6]^n
 _CHECK_POINTS = 50
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -249,15 +238,6 @@ def project_to_axis(bb: BlackBox, change: AffineChange, axis: int) -> UniPoly:
     return interpolate(points)
 
 
-_BACKENDS: dict[str, Callable[[UniPoly], Decomposition]] = {
-    "auto": lambda f: decompose_auto(f)[0],
-    "big_exponents": decompose_big_exponents,
-    "big_gaps": decompose_big_gaps,
-    "distinct_nodes": decompose_distinct_nodes,
-    "small_intervals": lambda f: decompose_small_intervals(f, None),
-}
-
-
 def _assemble(
     bb: BlackBox,
     change: AffineChange,
@@ -325,13 +305,17 @@ def multi_build(
 ) -> MultiDecomposition:
     """Reconstruct a sum of powers of affine forms from a black box.
 
-    Runs up to retries + 1 attempts, each with a fresh random substitution,
-    and accepts the first assembly that matches the box at 50 random
-    points.  Deterministic for a fixed rng_seed.
+    The backend is "auto" or a name in decompose._STRATEGIES.  Runs up to
+    retries + 1 attempts, each with a fresh random substitution, and
+    accepts the first assembly that matches the box at 50 random points.
+    Deterministic for a fixed rng_seed.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    backend_fn = _BACKENDS[backend]
+    if backend == "auto":
+        backend_fn = lambda f: decompose.decompose_auto(f)[0]
+    else:
+        backend_fn = dict(decompose._STRATEGIES).get(backend)
+        if backend_fn is None:
+            raise ValueError(f"unknown backend {backend!r}")
     rng = random.Random(rng_seed)
     last: ExactAlgebraError | None = None
     for _ in range(max(retries, 0) + 1):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ZeroPolynomial
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _clear_denominators
 
 # Prime for modular screens and elimination (sde.find_min_sde, poly_gcd_int).
 _PRIME = (1 << 61) - 1
@@ -31,20 +31,11 @@ def _strip(cs: list[int]) -> list[int]:
     return cs
 
 
-def _content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _primitive(cs: Sequence[int]) -> list[int]:
     out = _strip(list(cs))
     if not out:
         return []
-    g = _content(out)
+    g = math.gcd(*out)
     if out[-1] < 0:
         g = -g
     return [c // g for c in out]
@@ -105,12 +96,7 @@ def poly_gcd_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def to_primitive_int(f: UniPoly) -> list[int]:
     """Primitive integer coefficient list proportional to f (positive lead)."""
-    if f.is_zero():
-        return []
-    denom_lcm = 1
-    for c in f.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    return _primitive([int(c * denom_lcm) for c in f.coeffs])
+    return _primitive(_clear_denominators(f.coeffs))
 
 
 # -- modular machinery ---------------------------------------------------

@@ -69,22 +69,8 @@ class SDE:
 def canonical_sde(order: int, shift: int, polys: Sequence[UniPoly]) -> SDE:
     """Build an SDE from arbitrary rational coefficient polynomials by
     applying the global canonical scaling."""
-    flat: list[Fraction] = []
-    for p in polys:
-        flat.extend(p.coeffs)
-    lcm = 1
-    for c in flat:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in flat]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g:
-        first = next(v for v in ints if v)
-        if first < 0:
-            g = -g
-    scale = Fraction(lcm, g) if g else Fraction(1)
-    return SDE(order, shift, tuple(p.scale(scale) for p in polys))
+    scaled = iter(linalg._canonical_int_vector([c for p in polys for c in p.coeffs]))
+    return SDE(order, shift, tuple(UniPoly([next(scaled) for _ in p.coeffs]) for p in polys))
 
 
 def apply_sde(s: SDE, f: UniPoly) -> UniPoly:

@@ -14,13 +14,21 @@ from typing import Iterable, Sequence
 
 from .errors import DuplicateAbscissa, ZeroPolynomial
 
-Rat = Fraction
+
+# -- rational-to-integer layer, shared with the other modules -----------
 
 
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
+    """values times the lcm of their denominators, the least positive
+    integer that makes every entry integral."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values]
 
 
 class UniPoly:
@@ -230,7 +238,6 @@ class UniPoly:
         return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
 
-X = UniPoly((0, 1))
 ZERO = UniPoly()
 ONE = UniPoly((1,))
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from affinepowers import UniPoly
+from affinepowers import BlackBox, Decomposition, UniPoly, decompose, multi_build
 from affinepowers.cli import main
 from affinepowers.serialize import (
     decomposition_from_json,
+    decomposition_to_json,
     format_unipoly,
     multipoly_to_json,
 )
@@ -118,11 +119,6 @@ class TestDecompose:
         )
         assert isinstance(doc["seconds"], float)
 
-    def test_no_verify_flag(self, capsys):
-        poly = format_unipoly(UniPoly.affine_power(1, 2, 7))
-        code, out, _ = run(capsys, "decompose", poly, "--no-verify")
-        assert code == 0
-
     def test_algorithmic_failure_exits_two(self, capsys):
         code, _, err = run(capsys, "decompose", "0,1,1")  # x^2 + x
         assert code == 2
@@ -157,6 +153,88 @@ class TestDecompose:
         code, _, err = run_exit(capsys, "decompose", f"@{tmp_path}/absent.txt")
         assert code == 1
         assert "cannot read" in err
+
+
+# inputs that every strategy solves
+SOLVED_BY_ALL = [
+    UniPoly.affine_power(1, 2, 7),
+    UniPoly.affine_power(1, 1, 25) + UniPoly.affine_power(2, -2, 11),
+]
+SOLVER_NAMES = ["auto"] + [name for name, _ in decompose._STRATEGIES]
+
+
+class TestSolverTable:
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_cli_matches_direct_call_in_both_spellings(self, capsys, name):
+        for f in SOLVED_BY_ALL:
+            if name == "auto":
+                dec, tag = decompose.decompose_auto(f)
+            else:
+                dec, tag = dict(decompose._STRATEGIES)[name](f), name
+            expected = decomposition_to_json(dec)["terms"]
+            for spelling in (name, name.replace("_", "-")):
+                code, out, _ = run(
+                    capsys, "decompose", format_unipoly(f), "--algorithm", spelling, "--json"
+                )
+                assert code == 0
+                doc = json.loads(out)
+                assert doc["terms"] == expected
+                assert doc["algorithm"] == tag
+                assert doc["verified"] is True
+
+    def test_multi_build_accepts_every_name(self):
+        x1 = MultiPoly.variable(2, 0)
+        x2 = MultiPoly.variable(2, 1)
+        f = (x1 + 2 * x2 + MultiPoly.constant(2, 1)) ** 7
+        for name in SOLVER_NAMES:
+            md = multi_build(BlackBox.from_multipoly(f), backend=name)
+            assert md.expand() == f
+
+    def test_multi_backend_takes_either_spelling(self, capsys, tmp_path):
+        src = tmp_path / "poly.json"
+        x1 = MultiPoly.variable(2, 0)
+        src.write_text(json.dumps(multipoly_to_json((x1 + MultiPoly.constant(2, 3)) ** 5)))
+        for spelling in ("big_exponents", "big-exponents"):
+            code, out, _ = run(capsys, "multi", str(src), "--backend", spelling)
+            assert code == 0
+            assert "verified: true" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--algorithm", "big-exp"),
+            ("--algorithm", "nope"),
+            ("--no-verify",),
+        ],
+    )
+    def test_retired_spellings_exit_one(self, capsys, argv):
+        code, _, err = run_exit(capsys, "decompose", "-1,3,-3,1", *argv)
+        assert code == 1
+        assert "error" in err
+
+
+class TestOneVerification:
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_solver_refusal_exits_two(self, capsys, monkeypatch, name):
+        for f in SOLVED_BY_ALL:
+            monkeypatch.setattr(Decomposition, "expand", lambda self, f=f: f + UniPoly((1,)))
+            code, out, err = run(capsys, "decompose", format_unipoly(f), "--algorithm", name)
+            assert code == 2
+            assert out == ""
+            assert "ReconstructionFailed" in err or "DeltaExhausted" in err
+
+    def test_refusal_reports_the_re_expansion(self, capsys, monkeypatch):
+        f = SOLVED_BY_ALL[1]
+        monkeypatch.setattr(Decomposition, "expand", lambda self: f + UniPoly((1,)))
+        argvs = [
+            ("--algorithm", "big_exponents"),
+            ("--algorithm", "distinct_nodes", "--stats"),
+            ("--algorithm", "small_intervals", "--delta", "0", "--json"),
+        ]
+        for argv in argvs:
+            code, _, err = run(capsys, "decompose", format_unipoly(f), *argv)
+            assert code == 2
+            assert "re-expansion does not reproduce the input" in err
 
 
 class TestGenerate:

@@ -402,6 +402,52 @@ class TestAuto:
             assert dec.expand() == f
 
 
+class TestOneVerification:
+    """The re-expansion in decompose._verify is the only check between a
+    candidate and the caller: with Decomposition.expand made to disagree
+    with the input, no strategy may return an answer."""
+
+    SOLVED_BY_ALL = [
+        UniPoly.affine_power(1, 2, 7),
+        D((1, 1, 25), (2, -2, 11)).expand(),
+    ]
+    MESSAGE = "re-expansion does not reproduce the input"
+
+    def solvers(self):
+        import affinepowers.decompose as dmod
+
+        return list(dmod._STRATEGIES) + [
+            ("small_intervals, delta 0", lambda f: decompose_small_intervals(f, 0)),
+            ("auto", decompose_auto),
+        ]
+
+    def test_inputs_are_solved_without_the_fault(self):
+        for f in self.SOLVED_BY_ALL:
+            for name, fn in self.solvers():
+                dec = fn(f)
+                if name == "auto":
+                    dec = dec[0]
+                assert dec.expand() == f, name
+
+    def test_every_solver_refuses_a_failed_re_expansion(self, monkeypatch):
+        calls = []
+        for f in self.SOLVED_BY_ALL:
+            monkeypatch.setattr(
+                Decomposition, "expand", lambda dec, wrong=f + P(1): calls.append(dec) or wrong
+            )
+            for name, fn in self.solvers():
+                calls.clear()
+                with pytest.raises(ReconstructionFailed) as info:
+                    fn(f)
+                assert calls, name
+                if name in ("small_intervals", "auto"):
+                    # the width scan and the dispatcher raise their own
+                    # summary, chained to the last failure they saw
+                    assert isinstance(info.value.__cause__, ReconstructionFailed), name
+                else:
+                    assert str(info.value) == self.MESSAGE, name
+
+
 class TestOutputInvariants:
     def test_exponents_within_degree_plus_half_square(self):
         cases = [

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sde as sde_mod
-from .decompose import _solve_in_basis
-from .errors import IrrationalNodeDetected, ReconstructionFailed, ZeroPolynomial
+from .decompose import Decomposition, _fit, _verify
+from .errors import IrrationalNodeDetected, ZeroPolynomial
 from .unipoly import UniPoly
 from .ratroots import rational_roots_with_cofactor
 
@@ -42,10 +42,7 @@ class WaringResult:
 def expand_waring(res: WaringResult) -> UniPoly:
     if res.terms is None:
         raise ValueError("cannot expand an above-threshold result")
-    total = UniPoly()
-    for c, b in res.terms:
-        total = total + UniPoly.affine_power(c, b, res.degree)
-    return total
+    return Decomposition.of((c, b, res.degree) for c, b in res.terms).expand()
 
 
 def waring_decompose(f: UniPoly) -> WaringResult:
@@ -74,13 +71,9 @@ def waring_decompose(f: UniPoly) -> WaringResult:
     pairs = sde_mod.power_solutions(eq, d, d)
     if len(pairs) < k:
         return WaringResult(d, None)
-    basis = [UniPoly.affine_power(1, b, d) for b, _ in pairs]
-    coords = _solve_in_basis(f, basis)
-    terms = tuple((c, b) for c, (b, _) in zip(coords, pairs) if c)
-    res = WaringResult(d, terms)
-    if expand_waring(res) != f:
-        raise ReconstructionFailed("re-expansion does not reproduce the input")
-    return res
+    dec = _verify(_fit(f, [(b, {d: 1}) for b, _ in pairs]), f)
+    # one exponent, so the terms are in node order
+    return WaringResult(d, tuple((t.coeff, t.node) for t in dec))
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,7 @@ class SparsestResult:
 def expand_sparsest(res: SparsestResult) -> UniPoly:
     if res.shift is None or res.support is None:
         raise ValueError("cannot expand an above-threshold result")
-    total = UniPoly()
-    for e, c in res.support:
-        total = total + UniPoly.affine_power(c, res.shift, e)
-    return total
+    return Decomposition.of((c, res.shift, e) for e, c in res.support).expand()
 
 
 def sparsest_shift(f: UniPoly) -> SparsestResult:
@@ -141,10 +131,8 @@ def sparsest_shift(f: UniPoly) -> SparsestResult:
         if best_support is None or len(support) < len(best_support):
             best_shift, best_support = a, support
     if best_support is not None and len(best_support) ** 2 <= d:
-        res = SparsestResult(best_shift, best_support)
-        if expand_sparsest(res) != f:
-            raise ReconstructionFailed("re-expansion does not reproduce the input")
-        return res
+        _verify(Decomposition.of((c, best_shift, e) for e, c in best_support), f)
+        return SparsestResult(best_shift, best_support)
     if cofactor_deg > 0:
         raise IrrationalNodeDetected(
             "the sparsest shift below the threshold, if any, is irrational"

@@ -201,6 +201,25 @@ def _solve_in_basis(target: UniPoly, basis: Sequence[UniPoly]) -> list[Fraction]
     return list(res.vector)
 
 
+def _fit(
+    f: UniPoly, candidates: Sequence[tuple[Fraction, dict[int, Fraction]]]
+) -> Decomposition:
+    """Solve f in the basis of the candidates, each a polynomial
+    sum_k coeff_k (x - node)^k given as (node, {k: coeff_k}), and read the
+    answer off as affine-power terms: equal (node, exponent) keys merge and
+    zero coefficients drop."""
+    basis = [
+        sum((UniPoly.affine_power(c, node, k) for k, c in part.items()), UniPoly())
+        for node, part in candidates
+    ]
+    coords = _solve_in_basis(f, basis)
+    return Decomposition.of(
+        (coord * c, node, k)
+        for coord, (node, part) in zip(coords, candidates)
+        for k, c in part.items()
+    )
+
+
 def _verify(dec: Decomposition, f: UniPoly) -> Decomposition:
     if dec.expand() != f:
         raise ReconstructionFailed("re-expansion does not reproduce the input")
@@ -236,12 +255,7 @@ def _single_pass(f: UniPoly) -> Decomposition:
     pairs = sde_mod.power_solutions(s=eq, e_min=e_min, e_max=e_max) if e_min <= e_max else []
     if not pairs:
         raise ReconstructionFailed("no admissible power solutions in range")
-    basis = [UniPoly.affine_power(1, b, e) for b, e in pairs]
-    coords = _solve_in_basis(f, basis)
-    dec = Decomposition.of(
-        (c, b, e) for c, (b, e) in zip(coords, pairs) if c
-    )
-    return _verify(dec, f)
+    return _verify(_fit(f, [(b, {e: 1}) for b, e in pairs]), f)
 
 
 def decompose_big_exponents(f: UniPoly) -> Decomposition:
@@ -338,31 +352,37 @@ def decompose_distinct_nodes(
 # -- clustered exponents within short windows -----------------------------
 
 
-def decompose_small_intervals(
-    f: UniPoly, delta: int | None = None, *, delta_max: int = 4
-) -> Decomposition:
+# Widest interval the automatic width search of decompose_small_intervals tries.
+_DELTA_MAX = 4
+
+
+def decompose_small_intervals(f: UniPoly, delta: int | None = None) -> Decomposition:
     """Recover f = sum_i Q_i(x) (x - a_i)^{e_i} with deg(Q_i) <= delta,
     emitted as individual affine-power terms.
 
     Guaranteed when the base exponents satisfy e_i >= 5 t^2 (delta+1)^2 / 2
     for t distinct nodes.  With delta=None the width is searched upward from
-    0 to delta_max, keeping the first verified answer (DeltaExhausted when
-    none verifies).  The candidate nodes are the rational roots of the top
-    coefficient of the minimal shift-delta equation; per node, a basis of
-    equation solutions Q(x) (x - a)^e over the admissible exponent window is
-    assembled, f is solved in the union basis, and each node's component is
-    re-read through a Taylor shift.
+    0 to 4, keeping the first verified answer (DeltaExhausted, naming each
+    width's failure, when none verifies).  The candidate nodes are the
+    rational roots of the top coefficient of the minimal shift-delta
+    equation; per node, a basis of equation solutions Q(x) (x - a)^e over
+    the admissible exponent window is found in the node's basis x - a, f is
+    solved in the union basis, and the terms are read off those node-basis
+    coefficients.
     """
     _require_nonzero(f)
     if delta is None:
         last: ReconstructionFailed | None = None
-        for width in range(delta_max + 1):
+        reasons = []
+        for width in range(_DELTA_MAX + 1):
             try:
                 return decompose_small_intervals(f, width)
             except ReconstructionFailed as exc:
                 last = exc
+                reasons.append(f"width {width}: {exc}")
         raise DeltaExhausted(
-            f"no interval width up to {delta_max} yielded a verified decomposition"
+            f"no interval width up to {_DELTA_MAX} yielded a verified "
+            f"decomposition ({'; '.join(reasons)})"
         ) from last
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -376,29 +396,15 @@ def decompose_small_intervals(
     top = eq.polys[r]
     if top.degree < 1:
         raise ReconstructionFailed("top equation coefficient has no roots")
-    candidates = sorted(rational_roots(top))
-    if not candidates:
+    nodes = sorted(rational_roots(top))
+    if not nodes:
         raise ReconstructionFailed("top equation coefficient has no rational roots")
-    basis: list[UniPoly] = []
-    owner: list[Fraction] = []
-    for c in candidates:
-        for sol in sde_mod.shifted_poly_solutions(eq, c, delta, e_min, e_max):
-            basis.append(sol)
-            owner.append(c)
-    coords = _solve_in_basis(f, basis)
-    terms: list[tuple[Fraction, Fraction, int]] = []
-    for c in candidates:
-        part = UniPoly()
-        for coef, own, p in zip(coords, owner, basis):
-            if own == c and coef:
-                part = part + p.scale(coef)
-        if part.is_zero():
-            continue
-        shifted = part.taylor_shift(c)
-        for exp, coef in enumerate(shifted.coeffs):
-            if coef:
-                terms.append((coef, c, exp))
-    return _verify(Decomposition.of(terms), f)
+    candidates = [
+        (c, sol)
+        for c in nodes
+        for sol in sde_mod.shifted_poly_solutions(eq, c, delta, e_min, e_max)
+    ]
+    return _verify(_fit(f, candidates), f)
 
 
 # -- dispatcher -----------------------------------------------------------

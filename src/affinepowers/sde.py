@@ -17,13 +17,13 @@ fc is the first free column and the vector is the one a Bareiss kernel
 returns there.  An unlucky prime (fc independent over Q) falls back to the
 per-order Bareiss kernels, which remain the reference path.
 
-Solutions at a node c are found in the node's basis y = x - c.  There the
-equation maps y^m to sum_i m!/(m-i)! * y^(m-i) * P_i(y + c), a window of at
-most order+shift+1 coefficients on the exponents m-order..m+shift, so a
-solution R(x) * (x - c)^e costs a kernel of order+shift+deg(R)+1 rows
-instead of one row per degree of x.  The same window with c left symbolic
-gives the conditions whose common roots are the nodes of the pure-power
-solutions (x - c)^e.
+Solutions at a node c are found, and returned, in the node's basis
+y = x - c.  There the equation maps y^m to sum_i m!/(m-i)! * y^(m-i) *
+P_i(y + c), a window of at most order+shift+1 coefficients on the exponents
+m-order..m+shift, so a solution R(x) * (x - c)^e costs a kernel of
+order+shift+deg(R)+1 rows instead of one row per degree of x.  The same
+window with c left symbolic gives the conditions whose common roots are the
+nodes of the pure-power solutions (x - c)^e.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -438,17 +438,19 @@ def _keep_if_independent(
 
 def shifted_poly_solutions(
     s: SDE, node, delta: int, e_min: int, e_max: int
-) -> list[UniPoly]:
+) -> list[dict[int, Fraction]]:
     """Basis of the solutions R(x) * (x - node)^e with deg(R) <= delta and
-    e_min <= e <= e_max, each scaled to primitive integer coefficients.
+    e_min <= e <= e_max, each given in the node's basis as
+    {k: coefficient of (x - node)^k}, zeros left out.
 
-    The search runs in the node's basis y = x - node, where the equation
-    maps y^m to the window sum_i m!/(m-i)! * y^(m-i) * P_i(y + node) on the
-    exponents m-order..m+shift.  The candidates at exponent e are the kernel
-    of the window matrix with one column per y^(e+t), t <= delta, and
-    order+shift+delta+1 rows; a kept candidate is expanded to x once.  The
-    change of basis is invertible, so kernels, independence and hence the
-    output are those of the same computation on dense expansions in x.
+    The search runs in the basis y = x - node, where the equation maps y^m
+    to the window sum_i m!/(m-i)! * y^(m-i) * P_i(y + node) on the exponents
+    m-order..m+shift.  The candidates at exponent e are the kernel of the
+    window matrix with one column per y^(e+t), t <= delta, and
+    order+shift+delta+1 rows; each solution is such a kernel vector, in
+    primitive integer form with positive first nonzero entry.  The change of
+    basis is invertible, so kernels and independence, hence which candidates
+    are kept, are those of the same computation on dense expansions in x.
 
     The basis order is deterministic: candidates are scanned by increasing
     exponent and kept when independent of everything kept so far.
@@ -459,23 +461,19 @@ def shifted_poly_solutions(
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
-    c = Fraction(node)
-    q = _at_node(_shifted_coeff_polys(s.int_polys()), c)
+    q = _at_node(_shifted_coeff_polys(s.int_polys()), Fraction(node))
     windows = [
         {k: cs[0] for k, cs in _window(q, m).items()}
         for m in range(e_min, e_max + delta + 1)
     ]
-    kept: list[UniPoly] = []
+    kept: list[dict[int, Fraction]] = []
     registry: dict[int, dict[int, Fraction]] = {}
     for e in range(e_min, e_max + 1):
         cols = windows[e - e_min : e - e_min + delta + 1]
         rows = range(max(e - s.order, 0), e + delta + s.shift + 1)
         mat = [[col.get(m, 0) for col in cols] for m in rows]
         for vec in linalg.kernel(linalg.QMatrix.from_rows(mat)):
-            if _keep_if_independent({e + t: v for t, v in enumerate(vec) if v}, registry):
-                combo = ZERO
-                for t, coef in enumerate(vec):
-                    if coef:
-                        combo = combo + UniPoly.affine_power(coef, c, e + t)
-                kept.append(UniPoly(ratroots.to_primitive_int(combo)))
+            sol = {e + t: v for t, v in enumerate(vec) if v}
+            if _keep_if_independent(dict(sol), registry):
+                kept.append(sol)
     return kept

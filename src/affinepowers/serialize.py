@@ -96,13 +96,13 @@ def multipoly_to_json(p: MultiPoly) -> dict:
 
 def multipoly_from_json(data: dict) -> MultiPoly:
     n = int(data["n"])
-    total = MultiPoly.constant(n, 0)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for t in data["terms"]:
         exps = tuple(int(e) for e in t["exps"])
         if len(exps) != n:
             raise ValueError("term arity does not match n")
-        total = total + MultiPoly(n, {exps: _parse_frac(t["coeff"])})
-    return total
+        terms[exps] = terms.get(exps, 0) + _parse_frac(t["coeff"])
+    return MultiPoly(n, terms)
 
 
 def multidec_to_json(md: MultiDecomposition) -> dict:

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from affinepowers import (
+    Decomposition,
     IrrationalNodeDetected,
+    ReconstructionFailed,
     SparsestResult,
     UniPoly,
     WaringResult,
@@ -55,6 +57,20 @@ class TestWaring:
         res = waring_decompose(f)
         assert res.terms == ((F(-1), F(-4)), (F(2), F(3)))
         assert expand_waring(res) == f
+
+    def test_terms_in_node_order(self):
+        planted = [(F(7), F(5)), (F(-1, 2), F(-1, 2)), (F(3), F(0)), (F(2, 9), F(-3))]
+        f = UniPoly()
+        for c, b in planted:
+            f = f + UniPoly.affine_power(c, b, 24)
+        res = waring_decompose(f)
+        assert res.terms == (
+            (F(2, 9), F(-3)),
+            (F(-1, 2), F(-1, 2)),
+            (F(3), F(0)),
+            (F(7), F(5)),
+        )
+        assert all(type(v) is Fraction for term in res.terms for v in term)
 
     def test_agrees_with_general_decomposition(self):
         f = UniPoly.affine_power(2, 3, 11) + UniPoly.affine_power(-1, -4, 11)
@@ -190,3 +206,13 @@ class TestSparsestShift:
             assert res.shift == shift
             assert expand_sparsest(res) == g
             assert res.size == len(set(exps))
+
+
+def test_both_solvers_refuse_a_failed_re_expansion(monkeypatch):
+    # waring_decompose and sparsest_shift certify through decompose._verify
+    f = UniPoly.affine_power(3, F(1, 2), 9)
+    assert waring_decompose(f).terms and sparsest_shift(f).support
+    monkeypatch.setattr(Decomposition, "expand", lambda dec: f + P(1))
+    for solver in (waring_decompose, sparsest_shift):
+        with pytest.raises(ReconstructionFailed, match="^re-expansion does not reproduce the input$"):
+            solver(f)

@@ -1,5 +1,6 @@
 """Tests for the univariate decomposition algorithms and admission checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,10 @@ from affinepowers import (
     decompose_distinct_nodes,
     decompose_small_intervals,
     expand,
+    find_min_sde,
     generate_instance,
+    rational_roots,
+    shifted_poly_solutions,
 )
 
 F = Fraction
@@ -288,10 +292,21 @@ class TestSmallIntervals:
         with pytest.raises(ReconstructionFailed):
             decompose_small_intervals(P(0, 1, 1))
 
-    def test_delta_max_zero_limits_search(self):
-        f = UniPoly.affine_power(2, 1, 13) + UniPoly.affine_power(3, 1, 12)
-        with pytest.raises(DeltaExhausted):
-            decompose_small_intervals(f, None, delta_max=0)
+    def test_exhaustion_names_every_width(self, monkeypatch):
+        # width 0 solves f, so its refusal of the disagreeing re-expansion
+        # must not be lost behind the last width's error
+        f = UniPoly.affine_power(1, 2, 7)
+        monkeypatch.setattr(Decomposition, "expand", lambda dec: f + P(1))
+        with pytest.raises(DeltaExhausted) as info:
+            decompose_small_intervals(f)
+        message = str(info.value)
+        assert message.startswith(
+            "no interval width up to 4 yielded a verified decomposition "
+            "(width 0: re-expansion does not reproduce the input; width 1: "
+        )
+        last = info.value.__cause__
+        assert isinstance(last, ReconstructionFailed)
+        assert message.endswith(f"; width 4: {last})")
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -313,6 +328,107 @@ class TestSmallIntervals:
         f, planted = generate_instance(spec, "small_intervals", groups=2, delta=1)
         out = decompose_small_intervals(f, 1)
         assert out == planted
+
+
+def taylor_reread(f: UniPoly, delta: int | None = None) -> Decomposition:
+    """decompose_small_intervals as it was before the fit in node
+    coordinates: each solution expanded to x and scaled to primitive
+    integers, f solved in that basis, and each node's part summed in x and
+    re-read through a Taylor shift."""
+    import affinepowers.decompose as dmod
+    from affinepowers.ratroots import to_primitive_int
+
+    if delta is None:
+        last, reasons = None, []
+        for width in range(5):
+            try:
+                return taylor_reread(f, width)
+            except ReconstructionFailed as exc:
+                last = exc
+                reasons.append(f"width {width}: {exc}")
+        raise DeltaExhausted(
+            "no interval width up to 4 yielded a verified decomposition "
+            f"({'; '.join(reasons)})"
+        ) from last
+    eq = find_min_sde(f, delta)
+    r = eq.order
+    span = (delta + 1) ** 2
+    e_min = math.floor(F((r + 1) ** 2 * span, 2)) + 1
+    e_max = math.ceil(F(f.degree) + F(r * r * span, 2)) - 1
+    top = eq.polys[r]
+    if top.degree < 1:
+        raise ReconstructionFailed("top equation coefficient has no roots")
+    candidates = sorted(rational_roots(top))
+    if not candidates:
+        raise ReconstructionFailed("top equation coefficient has no rational roots")
+    basis, owner = [], []
+    for c in candidates:
+        for sol in shifted_poly_solutions(eq, c, delta, e_min, e_max):
+            combo = UniPoly()
+            for k, coef in sol.items():
+                combo = combo + UniPoly.affine_power(coef, c, k)
+            basis.append(UniPoly(to_primitive_int(combo)))
+            owner.append(c)
+    coords = dmod._solve_in_basis(f, basis)
+    terms = []
+    for c in candidates:
+        part = UniPoly()
+        for coef, own, p in zip(coords, owner, basis):
+            if own == c and coef:
+                part = part + p.scale(coef)
+        for exp, coef in enumerate(part.taylor_shift(c).coeffs):
+            if coef:
+                terms.append((coef, c, exp))
+    return dmod._verify(Decomposition.of(terms), f)
+
+
+class TestNodeBasisFit:
+    """decompose_small_intervals reads its terms off the node-basis
+    solutions; answers and refusals must be those of the Taylor re-read."""
+
+    @staticmethod
+    def outcome(solver, f, delta):
+        try:
+            return solver(f, delta)
+        except ReconstructionFailed as exc:
+            cause = exc.__cause__
+            return type(exc), str(exc), type(cause), str(cause)
+
+    @staticmethod
+    def inputs():
+        for groups in (1, 2):
+            for delta in (0, 1, 2):
+                for seed in (5, 6):
+                    spec = InstanceSpec(s=groups + delta, seed=seed)
+                    f, planted = generate_instance(
+                        spec, "small_intervals", groups=groups, delta=delta
+                    )
+                    yield f
+                # the same shape with nodes that have denominators
+                yield Decomposition.of(
+                    (t.coeff, t.node / 2 + F(1, 3), t.exponent) for t in planted
+                ).expand()
+        for a, b in ((F(3, 2), F(-2, 5)), (F(-7, 3), F(1, 4))):
+            for delta in (0, 1, 2):
+                yield (
+                    UniPoly((1, 2, F(1, 3))[: delta + 1]) * UniPoly.affine_power(3, a, 14)
+                    + UniPoly.affine_power(F(-5, 7), b, 13)
+                )
+
+    def test_matches_taylor_reread(self):
+        answered, refusals = set(), 0
+        for f in self.inputs():
+            for delta in (None, 0, 1, 2):
+                got = self.outcome(decompose_small_intervals, f, delta)
+                assert got == self.outcome(taylor_reread, f, delta), (f, delta)
+                if isinstance(got, Decomposition):
+                    fractional = any(t.node.denominator > 1 for t in got)
+                    answered.add((delta, fractional))
+                else:
+                    refusals += 1
+        # answers at every width, with and without denominators, and refusals
+        assert answered == {(d, n) for d in (None, 0, 1, 2) for n in (False, True)}
+        assert refusals >= 20
 
 
 class TestAuto:

@@ -19,12 +19,25 @@ from affinepowers import (
 )
 from affinepowers.linalg import QMatrix, rank, solve
 from affinepowers.errors import Inconsistent
+from affinepowers.ratroots import to_primitive_int
 
 F = Fraction
 
 
 def P(*coeffs) -> UniPoly:
     return UniPoly(coeffs)
+
+
+def solutions_in_x(s, node, delta, e_min, e_max) -> list[UniPoly]:
+    """shifted_poly_solutions expanded from the node basis to x, each
+    scaled to primitive integer coefficients."""
+    out = []
+    for sol in shifted_poly_solutions(s, node, delta, e_min, e_max):
+        combo = UniPoly()
+        for k, coef in sol.items():
+            combo = combo + UniPoly.affine_power(coef, node, k)
+        out.append(UniPoly(to_primitive_int(combo)))
+    return out
 
 
 def coeff_rank(fs) -> int:
@@ -260,7 +273,7 @@ class TestShiftedPolySolutions:
     TWO_POWER_SDE = SDE(2, 0, (P(156), P(24, -24), P(1, -2, 1)))
 
     def test_recovers_both_powers(self):
-        sols = shifted_poly_solutions(self.TWO_POWER_SDE, F(1), 1, 10, 15)
+        sols = solutions_in_x(self.TWO_POWER_SDE, F(1), 1, 10, 15)
         assert len(sols) == 2
         expected = {
             UniPoly.affine_power(1, 1, 12).coeffs,
@@ -269,12 +282,12 @@ class TestShiftedPolySolutions:
         assert {g.coeffs for g in sols} == expected
 
     def test_solutions_solve_equation(self):
-        sols = shifted_poly_solutions(self.TWO_POWER_SDE, F(1), 1, 10, 15)
+        sols = solutions_in_x(self.TWO_POWER_SDE, F(1), 1, 10, 15)
         for g in sols:
             assert apply_sde(self.TWO_POWER_SDE, g).is_zero()
 
     def test_basis_members_independent(self):
-        sols = shifted_poly_solutions(self.TWO_POWER_SDE, F(1), 1, 10, 15)
+        sols = solutions_in_x(self.TWO_POWER_SDE, F(1), 1, 10, 15)
         assert coeff_rank(sols) == len(sols)
 
     def test_minimal_sde_solution_space_contains_input(self):
@@ -283,7 +296,9 @@ class TestShiftedPolySolutions:
         f = UniPoly.affine_power(2, 1, 13) + UniPoly.affine_power(3, 1, 12)
         s = find_min_sde(f, 0)
         assert s.order == 2
-        sols = shifted_poly_solutions(s, F(1), 1, 10, 15)
+        # in the node basis: {k: coefficient of (x - 1)^k}, primitive
+        assert shifted_poly_solutions(s, F(1), 1, 10, 15) == [{12: 3, 13: 2}]
+        sols = solutions_in_x(s, F(1), 1, 10, 15)
         assert len(sols) == 1
         deg = max(sols[0].degree, f.degree)
         a = QMatrix.from_rows([[sols[0].coeff(k)] for k in range(deg + 1)])
@@ -292,21 +307,21 @@ class TestShiftedPolySolutions:
 
     def test_non_root_node_yields_nothing(self):
         s = SDE(1, 0, (P(5), P(2, -1)))
-        assert shifted_poly_solutions(s, F(3), 0, 4, 8) == []
+        assert solutions_in_x(s, F(3), 0, 4, 8) == []
 
     def test_empty_range(self):
-        assert shifted_poly_solutions(self.TWO_POWER_SDE, F(1), 1, 15, 10) == []
+        assert solutions_in_x(self.TWO_POWER_SDE, F(1), 1, 15, 10) == []
 
     def test_exponent_cap_respected(self):
         # e bounds the base power; the degree-<=delta factor may still add
         # to the total degree, so (x-1)^13 = (x-1)*(x-1)^12 appears at e=12
-        sols = shifted_poly_solutions(self.TWO_POWER_SDE, F(1), 1, 10, 12)
+        sols = solutions_in_x(self.TWO_POWER_SDE, F(1), 1, 10, 12)
         assert {g.coeffs for g in sols} == {
             UniPoly.affine_power(1, 1, 12).coeffs,
             UniPoly.affine_power(1, 1, 13).coeffs,
         }
         # capping at e = 11 leaves only (x-1)^12 reachable
-        sols = shifted_poly_solutions(self.TWO_POWER_SDE, F(1), 1, 10, 11)
+        sols = solutions_in_x(self.TWO_POWER_SDE, F(1), 1, 10, 11)
         assert len(sols) == 1
         assert sols[0] == UniPoly.affine_power(1, 1, 12)
 
@@ -314,7 +329,7 @@ class TestShiftedPolySolutions:
 class TestSolutionSpaceDimension:
     def test_dimension_bounded_by_order(self):
         # the solution space of an order-k equation has dimension <= k
-        sols = shifted_poly_solutions(
+        sols = solutions_in_x(
             TestShiftedPolySolutions.TWO_POWER_SDE, F(1), 1, 5, 30
         )
         assert len(sols) <= 2

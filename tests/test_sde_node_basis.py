@@ -1,11 +1,13 @@
 """shifted_poly_solutions in the node basis against the dense computation.
 
 shifted_poly_solutions solves each exponent's kernel on the window of
-L((x - c)^m) in the basis y = x - c.  The reference below is the dense
-computation in x: the equation applied to expanded powers (x - c)^m, one
-kernel per exponent over all x-degrees, and the independence test on dense
-rational coefficient vectors.  Both must return the same list.  A sympy
-check (optional) confirms the solutions and the dimension independently.
+L((x - c)^m) in the basis y = x - c and returns the solutions there.  The
+reference below is the dense computation in x: the equation applied to
+expanded powers (x - c)^m, one kernel per exponent over all x-degrees, and
+the independence test on dense rational coefficient vectors.  Expanded to x
+and scaled to primitive integers (solutions_in_x), the solutions must equal
+the reference list.  A sympy check (optional) confirms the solutions and the
+dimension independently.
 """
 
 import math
@@ -27,6 +29,18 @@ from affinepowers import (
 from affinepowers.generate import InstanceSpec, generate_instance
 
 F = Fraction
+
+
+def solutions_in_x(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[UniPoly]:
+    """shifted_poly_solutions expanded from the node basis to x, each
+    scaled to primitive integer coefficients."""
+    out = []
+    for sol in shifted_poly_solutions(s, node, delta, e_min, e_max):
+        combo = UniPoly()
+        for k, coef in sol.items():
+            combo = combo + UniPoly.affine_power(coef, node, k)
+        out.append(UniPoly(ratroots.to_primitive_int(combo)))
+    return out
 
 
 def dense_reference(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[UniPoly]:
@@ -87,7 +101,7 @@ def small_intervals_cases(groups: int, delta: int, seeds):
 def test_matches_dense_on_small_intervals_equations(groups, delta):
     seeds = range(40 + 10 * delta, 42 + 10 * delta)
     for eq, c, e_min, e_max, planted in small_intervals_cases(groups, delta, seeds):
-        got = shifted_poly_solutions(eq, c, delta, e_min, e_max)
+        got = solutions_in_x(eq, c, delta, e_min, e_max)
         assert bool(got) == planted
         assert got == dense_reference(eq, c, delta, e_min, e_max)
 
@@ -100,7 +114,7 @@ def test_matches_dense_on_full_window():
     e_min = (eq.order + 1) ** 2 * span // 2 + 1
     e_max = math.ceil(F(f.degree) + F(eq.order**2 * span, 2)) - 1
     c = planted.terms[0].node
-    got = shifted_poly_solutions(eq, c, 1, e_min, e_max)
+    got = solutions_in_x(eq, c, 1, e_min, e_max)
     assert got == dense_reference(eq, c, 1, e_min, e_max)
     assert got
 
@@ -115,7 +129,7 @@ def test_nodes_with_denominators(nodes, delta):
     )
     eq = find_min_sde(f, delta)
     for c in (a, b, F(1, 3)):
-        got = shifted_poly_solutions(eq, c, delta, 9, 18)
+        got = solutions_in_x(eq, c, delta, 9, 18)
         assert got == dense_reference(eq, c, delta, 9, 18)
         if c != F(1, 3):
             assert got
@@ -133,15 +147,17 @@ GAPPED = SDE(2, 1, (UniPoly((30, -6)), UniPoly(), UniPoly((-5, 11, -7, 1))))
 @pytest.mark.parametrize("delta", [0, 1, 2])
 def test_low_exponents_and_zero_coefficients(s, node, delta):
     # e_min = 1 <= order: the falling factorials m!/(m-i)! vanish for i > m
-    got = shifted_poly_solutions(s, node, delta, 1, 9)
+    got = solutions_in_x(s, node, delta, 1, 9)
     assert got == dense_reference(s, node, delta, 1, 9)
     for g in got:
         assert apply_sde(s, g).is_zero()
 
 
 def test_gapped_equation_solutions():
-    assert shifted_poly_solutions(GAPPED, 1, 1, 1, 9) == [UniPoly.affine_power(1, 1, 3)]
-    assert shifted_poly_solutions(GAPPED, 5, 1, 1, 9) == []
+    # each solution is its kernel vector on the powers (x - node)^k
+    assert shifted_poly_solutions(GAPPED, 1, 1, 1, 9) == [{3: 1}]
+    assert solutions_in_x(GAPPED, 1, 1, 1, 9) == [UniPoly.affine_power(1, 1, 3)]
+    assert solutions_in_x(GAPPED, 5, 1, 1, 9) == []
 
 
 def test_empty_and_full_kernels(monkeypatch):
@@ -154,7 +170,7 @@ def test_empty_and_full_kernels(monkeypatch):
         return basis
 
     monkeypatch.setattr(sde.linalg, "kernel", spy)
-    got = shifted_poly_solutions(EULER, 1, 1, 2, 6)
+    got = solutions_in_x(EULER, 1, 1, 2, 6)
     # (x-1)^3 and (x-1)^4 solve: the window at e = 3 is all zero
     assert got == [UniPoly.affine_power(1, 1, 3), UniPoly.affine_power(1, 1, 4)]
     assert (2, 2) in sizes  # full kernel
@@ -206,7 +222,7 @@ def test_sympy_dimension_and_annihilation():
                 sympy.Integer(0),
             )
 
-        got = shifted_poly_solutions(s, c, delta, e_min, e_max)
+        got = solutions_in_x(s, c, delta, e_min, e_max)
         for g in got:
             expr = sum(sympy.Integer(int(v)) * x**k for k, v in enumerate(g.coeffs))
             assert sympy.expand(apply(expr)) == 0

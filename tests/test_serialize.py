@@ -131,6 +131,21 @@ class TestMultiPolyJson:
         with pytest.raises(ValueError):
             multipoly_from_json(doc)
 
+    def test_duplicate_terms_add_up(self):
+        doc = {
+            "n": 2,
+            "terms": [
+                {"exps": [1, 0], "coeff": "1/2"},
+                {"exps": [0, 2], "coeff": "3"},
+                {"exps": [1, 0], "coeff": "1/3"},
+                {"exps": [0, 2], "coeff": "-3"},
+            ],
+        }
+        # the x1 pair adds up, the x2^2 pair cancels and disappears
+        p = multipoly_from_json(doc)
+        assert p.terms == {(1, 0): F(5, 6)}
+        assert p == MultiPoly(2, {(1, 0): F(5, 6)})
+
     def test_terms_sorted_for_stable_output(self):
         x1 = MultiPoly.variable(2, 0)
         x2 = MultiPoly.variable(2, 1)

@@ -25,7 +25,7 @@ from .errors import (
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, _frac, rational_roots
+from .unipoly import UniPoly, _clear_denominators, _frac, rational_roots
 
 
 @dataclass(frozen=True)
@@ -184,14 +184,14 @@ def _solve_in_basis(target: UniPoly, basis: Sequence[UniPoly]) -> list[Fraction]
     system to be uniquely solvable."""
     if not basis:
         raise ReconstructionFailed("no candidate terms to combine")
-    n_rows = max([target.degree] + [p.degree for p in basis]) + 1
-    n_rows = max(n_rows, 1)
-    mat = linalg.QMatrix.from_rows(
-        [[p.coeff(r) for p in basis] for r in range(n_rows)]
-    )
-    rhs = [target.coeff(r) for r in range(n_rows)]
+    n_rows = max([target.degree, 0] + [p.degree for p in basis]) + 1
+    rows = [
+        _clear_denominators([p.coeff(r) for p in basis] + [target.coeff(r)])
+        for r in range(n_rows)
+    ]
+    mat = linalg.IntMatrix.from_rows(row[:-1] for row in rows)
     try:
-        res = linalg.solve(mat, rhs)
+        res = linalg.solve(mat, [row[-1] for row in rows])
     except Inconsistent as exc:
         raise ReconstructionFailed(
             "input is not a combination of the candidate terms"

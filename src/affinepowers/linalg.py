@@ -1,75 +1,51 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer matrices.
 
-Solving, kernels and ranks here all run through one fraction-free (Bareiss)
-elimination on an integer matrix obtained by clearing denominators row by
-row, which keeps intermediate entries to determinant size instead of letting
-naive rational elimination blow up.  Division back to rationals happens only
-in the final substitution step.  Pivoting is deterministic (first nonzero
-entry in column order), so kernels and solutions are reproducible.  The
-minimal-equation search in sde works modulo a prime instead and calls
-kernel only as its fallback.
+kernel and solve take an IntMatrix; callers holding rationals clear each
+row's denominators together with its right-hand-side entry
+(unipoly._clear_denominators), which keeps null spaces and solution sets.
+Both run one fraction-free (Bareiss) elimination, so intermediate entries
+stay at determinant size, and divide only in the final substitution.
+Pivoting is deterministic (first nonzero entry in column order).  Results
+are checked in integers: A v = 0 for a kernel vector, A (D x) = D b for a
+solution x with common denominator D.  The minimal-equation search in sde
+works modulo a prime and calls kernel only as its fallback.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, Inconsistent
-from .unipoly import _clear_denominators, _frac
+from .unipoly import _clear_denominators
 
 
 @dataclass(frozen=True)
-class QMatrix:
-    """Immutable rational matrix, row-major."""
+class IntMatrix:
+    """Immutable integer matrix, row-major."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "QMatrix":
-        data = tuple(tuple(_frac(v) for v in row) for row in rows)
-        if not data:
-            return cls(0, 0, ())
-        width = len(data[0])
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
+        data = tuple(map(tuple, rows))
+        width = len(data[0]) if data else 0
         if any(len(r) != width for r in data):
             raise DimensionMismatch("ragged rows")
+        if not all(type(v) is int for r in data for v in r):
+            raise TypeError("IntMatrix entries must be int")
         return cls(len(data), width, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    def mul_vec(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length != column count")
-        return [sum((r[j] * vec[j] for j in range(self.cols)), Fraction(0)) for r in self.entries]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
 
 @dataclass(frozen=True)
 class SolveResult:
     vector: tuple[Fraction, ...]
     unique: bool
-
-
-def _int_rows(m: QMatrix, extra: Sequence[Fraction] | None = None) -> list[list[int]]:
-    """Clear denominators per row; appends the extra column when given.
-
-    Row scaling preserves both the null space and solution sets.
-    """
-    if extra is None:
-        return [_clear_denominators(row) for row in m.entries]
-    return [_clear_denominators(row + (e,)) for row, e in zip(m.entries, extra)]
 
 
 def _bareiss(mat: list[list[int]], pivot_width: int) -> list[int]:
@@ -112,29 +88,13 @@ def _canonical_int_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v // g) for v in ints)
 
 
-def rank(m: QMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    mat = _int_rows(m)
-    return len(_bareiss(mat, m.cols))
-
-
-def kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:
+def kernel(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column.
 
     Each vector is in primitive integer form with positive first nonzero
     entry; the basis order follows the free columns left to right.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for j in range(m.cols):
-            v = [Fraction(0)] * m.cols
-            v[j] = Fraction(1)
-            basis.append(tuple(v))
-        return basis
-    mat = _int_rows(m)
+    mat = [list(r) for r in m.entries]
     pivots = _bareiss(mat, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
@@ -150,26 +110,29 @@ def kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:
             x[pc] = -s / mat[i][pc]
         basis.append(_canonical_int_vector(x))
     for vec in basis:
-        if any(m.mul_vec(list(vec))):
+        ints = [v.numerator for v in vec]
+        if any(sum(map(operator.mul, row, ints)) for row in m.entries):
             raise RuntimeError("kernel verification failed")
     return basis
 
 
-def solve(m: QMatrix, rhs: Sequence) -> SolveResult:
-    """Solve m @ x = rhs exactly.
+def solve(m: IntMatrix, rhs: Sequence[int]) -> SolveResult:
+    """Solve m @ x = rhs exactly for an integer rhs.
 
     Underdetermined systems get free variables set to zero and are flagged
     non-unique; inconsistent systems raise Inconsistent.  The result is
     verified by multiplication before being returned.
     """
-    b = [_frac(v) for v in rhs]
+    b = list(rhs)
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length != row count")
+    if not all(type(v) is int for v in b):
+        raise TypeError("rhs entries must be int")
     if m.cols == 0:
         if any(b):
             raise Inconsistent("nonzero rhs with no unknowns")
         return SolveResult((), True)
-    mat = _int_rows(m, extra=b)
+    mat = [[*r, v] for r, v in zip(m.entries, b)]
     pivots = _bareiss(mat, m.cols)
     for i in range(len(pivots), m.rows):
         if mat[i][m.cols]:
@@ -182,6 +145,8 @@ def solve(m: QMatrix, rhs: Sequence) -> SolveResult:
             if mat[i][j] and x[j]:
                 s -= mat[i][j] * x[j]
         x[pc] = s / mat[i][pc]
-    if m.mul_vec(x) != b:
+    # clearing x together with 1 gives D x and the common denominator D
+    *dx, d = _clear_denominators([*x, 1])
+    if any(sum(map(operator.mul, row, dx)) != d * v for row, v in zip(m.entries, b)):
         raise RuntimeError("solve verification failed")
     return SolveResult(tuple(x), unique=len(pivots) == m.cols)

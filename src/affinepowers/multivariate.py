@@ -26,7 +26,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .multipoly import LinearForm, MultiPoly
-from .unipoly import UniPoly, _frac, interpolate
+from .unipoly import UniPoly, _clear_denominators, _frac, interpolate
 
 _COORD_BOUND = 1 << 32  # substitution entries are drawn from 1..2^32
 _CHECK_RANGE = 10**6  # verification points come from [-10^6, 10^6]^n
@@ -74,12 +74,15 @@ class AffineChange:
     @classmethod
     def of(cls, rows: Sequence[Sequence], offset: Sequence) -> "AffineChange":
         n = len(offset)
-        mat = linalg.QMatrix.from_rows([[_frac(v) for v in row] for row in rows])
+        matrix = tuple(tuple(_frac(v) for v in row) for row in rows)
+        # a trailing 1 makes each cleared row end in its scale l_i
+        cleared = [_clear_denominators([*row, 1]) for row in matrix]
+        mat = linalg.IntMatrix.from_rows(row[:-1] for row in cleared)
         if mat.rows != n or mat.cols != n:
             raise ValueError("matrix shape does not match offset length")
         inv_cols = []
         for j in range(n):
-            unit = [Fraction(i == j) for i in range(n)]
+            unit = [row[-1] if i == j else 0 for i, row in enumerate(cleared)]
             try:
                 res = linalg.solve(mat, unit)
             except Inconsistent:
@@ -91,7 +94,7 @@ class AffineChange:
             tuple(inv_cols[j][i] for j in range(n)) for i in range(n)
         )
         return cls(
-            matrix=tuple(tuple(_frac(v) for v in row) for row in rows),
+            matrix=matrix,
             offset=tuple(_frac(v) for v in offset),
             inverse=inverse,
         )

@@ -257,7 +257,7 @@ def _bareiss_search(derivs: list[list[int]], shift: int, n_rows: int, k_start: i
     """Reference search: the canonical first kernel vector of the
     dependency matrix at the first order from k_start that has one."""
     for k in range(k_start, max_order + 1):
-        basis = linalg.kernel(linalg.QMatrix.from_rows(_dependency_matrix(derivs, k, shift, n_rows)))
+        basis = linalg.kernel(linalg.IntMatrix.from_rows(_dependency_matrix(derivs, k, shift, n_rows)))
         if basis:
             return _split_sde(basis[0], k, shift)
     return None
@@ -472,7 +472,7 @@ def shifted_poly_solutions(
         cols = windows[e - e_min : e - e_min + delta + 1]
         rows = range(max(e - s.order, 0), e + delta + s.shift + 1)
         mat = [[col.get(m, 0) for col in cols] for m in rows]
-        for vec in linalg.kernel(linalg.QMatrix.from_rows(mat)):
+        for vec in linalg.kernel(linalg.IntMatrix.from_rows(mat)):
             sol = {e + t: v for t, v in enumerate(vec) if v}
             if _keep_if_independent(dict(sol), registry):
                 kept.append(sol)

@@ -22,9 +22,16 @@ def _fmt(v: Fraction) -> str:
 
 
 def _parse_frac(v) -> Fraction:
-    if isinstance(v, float):
-        raise ValueError(f"refusing float {v!r}; use a rational string")
+    if isinstance(v, (bool, float)):
+        raise ValueError(f"refusing {type(v).__name__} {v!r}; use a rational string")
     return Fraction(v)
+
+
+def _parse_int(v) -> int:
+    """A JSON integer or a string spelling one; int() would take 3.5 or true."""
+    if isinstance(v, (bool, float)):
+        raise ValueError(f"refusing {type(v).__name__} {v!r}; expected an integer")
+    return int(v)
 
 
 def format_unipoly(f: UniPoly) -> str:
@@ -63,7 +70,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 def decomposition_from_json(data: dict) -> Decomposition:
     return Decomposition.of(
-        (_parse_frac(t["coeff"]), _parse_frac(t["node"]), int(t["exponent"]))
+        (_parse_frac(t["coeff"]), _parse_frac(t["node"]), _parse_int(t["exponent"]))
         for t in data["terms"]
     )
 
@@ -78,8 +85,8 @@ def sde_to_json(s: SDE) -> dict:
 
 def sde_from_json(data: dict) -> SDE:
     return SDE(
-        int(data["order"]),
-        int(data["shift"]),
+        _parse_int(data["order"]),
+        _parse_int(data["shift"]),
         tuple(UniPoly([_parse_frac(c) for c in p]) for p in data["polys"]),
     )
 
@@ -95,10 +102,10 @@ def multipoly_to_json(p: MultiPoly) -> dict:
 
 
 def multipoly_from_json(data: dict) -> MultiPoly:
-    n = int(data["n"])
+    n = _parse_int(data["n"])
     terms: dict[tuple[int, ...], Fraction] = {}
     for t in data["terms"]:
-        exps = tuple(int(e) for e in t["exps"])
+        exps = tuple(_parse_int(e) for e in t["exps"])
         if len(exps) != n:
             raise ValueError("term arity does not match n")
         terms[exps] = terms.get(exps, 0) + _parse_frac(t["coeff"])
@@ -121,7 +128,7 @@ def multidec_to_json(md: MultiDecomposition) -> dict:
 
 
 def multidec_from_json(data: dict) -> MultiDecomposition:
-    n = int(data["n"])
+    n = _parse_int(data["n"])
     return MultiDecomposition.of(
         n,
         (
@@ -131,7 +138,7 @@ def multidec_from_json(data: dict) -> MultiDecomposition:
                     _parse_frac(t["constant"]),
                     tuple(_parse_frac(c) for c in t["coefficients"]),
                 ),
-                int(t["exponent"]),
+                _parse_int(t["exponent"]),
             )
             for t in data["terms"]
         ),

@@ -370,6 +370,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out) == {"verified": True}
 
+    @pytest.mark.parametrize("exponent", [3.5, True])
+    def test_non_integral_exponent_exits_one(self, capsys, tmp_path, exponent):
+        dec_file = tmp_path / "dec.json"
+        doc = {"terms": [{"coeff": "1", "node": "0", "exponent": exponent}]}
+        dec_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "0,0,0,1", str(dec_file))
+        assert code == 1
+        assert "verified" not in out
+        assert err.startswith("error: ")
+
     def test_stdin_decomposition(self, capsys, monkeypatch):
         doc = json.dumps({"terms": [{"coeff": "1", "node": "0", "exponent": 2}]})
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))

@@ -15,7 +15,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from affinepowers import linalg, ratroots  # noqa: E402
+from affinepowers import AffineChange, ReconstructionFailed, linalg, ratroots  # noqa: E402
+from affinepowers.decompose import _solve_in_basis  # noqa: E402
 from affinepowers.sde import canonical_sde  # noqa: E402
 from affinepowers.unipoly import UniPoly  # noqa: E402
 
@@ -120,6 +121,9 @@ class TestToPrimitiveInt:
 
 
 class TestIntRows:
+    """Callers holding rationals hand linalg.solve each row cleared of its
+    denominators together with its right-hand-side entry."""
+
     @staticmethod
     def assert_cleared(row_out, row):
         """row_out = lam * row for the least positive integer lam making
@@ -130,6 +134,24 @@ class TestIntRows:
         assert lam.denominator == 1 and lam > 0
         assert all(F(o) == lam * v for o, v in zip(row_out, row))
         assert math.gcd(*(int(lam) // v.denominator for v in row)) == 1
+
+    @staticmethod
+    def captured_solves(call) -> list:
+        """The (matrix, rhs) pairs that call() passes to linalg.solve."""
+        seen = []
+        real = linalg.solve
+
+        def spy(m, rhs):
+            seen.append((m, list(rhs)))
+            return real(m, rhs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "solve", spy)
+            try:
+                call()
+            except (ReconstructionFailed, ValueError):
+                pass  # inconsistent or singular draws still record the system
+        return seen
 
     @staticmethod
     @st.composite
@@ -149,14 +171,25 @@ class TestIntRows:
     @given(systems())
     def test_least_integer_scale_per_row(self, system):
         entries, extra = system
-        m = linalg.QMatrix.from_rows(entries)
-        out = linalg._int_rows(m, extra)
-        assert len(out) == len(entries)
+        rhs = extra if extra is not None else [F(0)] * len(entries)
+        # _solve_in_basis reads row r off the x^r coefficients
+        basis = [UniPoly([row[j] for row in entries]) for j in range(len(entries[0]))]
+        ((m, out_rhs),) = self.captured_solves(lambda: _solve_in_basis(UniPoly(rhs), basis))
+        assert m.rows == len(out_rhs) <= len(entries)
         for i, row in enumerate(entries):
-            full = row + ([extra[i]] if extra is not None else [])
-            self.assert_cleared(out[i], full)
+            full = row + [rhs[i]]
+            if i < m.rows:
+                self.assert_cleared([*m.entries[i], out_rhs[i]], full)
+            else:
+                assert not any(full)  # rows past every degree are zero
 
     def test_zero_and_integer_rows(self):
-        m = linalg.QMatrix.from_rows([[0, 0], [3, -6], [F(1, 2), F(1, 3)]])
-        assert linalg._int_rows(m) == [[0, 0], [3, -6], [3, 2]]
-        assert linalg._int_rows(m, [F(1, 4), 0, 1]) == [[0, 0, 1], [3, -6, 0], [3, 2, 6]]
+        # rows [0, 0 | 1/4], [3, -6 | 0], [1/2, 1/3 | 1]
+        basis = [UniPoly([0, 3, F(1, 2)]), UniPoly([0, -6, F(1, 3)])]
+        target = UniPoly([F(1, 4), 0, 1])
+        ((m, rhs),) = self.captured_solves(lambda: _solve_in_basis(target, basis))
+        assert [[*row, v] for row, v in zip(m.entries, rhs)] == [[0, 0, 1], [3, -6, 0], [3, 2, 6]]
+        # AffineChange.of: the same two rows, with rhs l_j e_j per inverse column
+        calls = self.captured_solves(lambda: AffineChange.of([[3, -6], [F(1, 2), F(1, 3)]], [0, 0]))
+        assert [m.entries for m, _ in calls] == [((3, -6), (3, 2))] * 2
+        assert [rhs for _, rhs in calls] == [[1, 0], [0, 6]]

@@ -8,6 +8,8 @@ import pytest
 from affinepowers import (
     AffineChange,
     BlackBox,
+    DimensionMismatch,
+    ExactAlgebraError,
     MultiDecomposition,
     MultiPoly,
     MultiTerm,
@@ -94,6 +96,31 @@ class TestAffineChange:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
             AffineChange.of([[1, 1], [2, 2]], [0, 0])
+
+    def test_singular_matrix_message(self):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            AffineChange.of([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [0, 0, 0])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            AffineChange.of([[1, 2], [3]], [0, 0])
+
+    def test_non_square_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape") as info:
+            AffineChange.of([[1, 2, 3], [4, 5, 6]], [0, 0])
+        assert not isinstance(info.value, ExactAlgebraError)
+        with pytest.raises(ValueError, match="shape"):
+            AffineChange.of([[1, 0], [0, 1]], [0, 0, 0])
+
+    def test_fractional_entries_exact_inverse(self):
+        rows = [[F(1, 2), F(2, 3), 0], [F(-3, 4), 1, F(5, 7)], [2, F(1, 3), F(-1, 5)]]
+        ch = AffineChange.of(rows, [F(1, 2), 0, "-3"])
+        assert ch.matrix == tuple(tuple(F(v) for v in row) for row in rows)
+        assert ch.offset == (F(1, 2), F(0), F(-3))
+        for i in range(3):
+            for j in range(3):
+                prod = sum(ch.matrix[i][k] * ch.inverse[k][j] for k in range(3))
+                assert prod == (i == j)
 
     def test_inverse_roundtrip(self):
         ch = AffineChange.of([[2, 1], [1, 1]], [3, 4])

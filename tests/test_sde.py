@@ -17,9 +17,10 @@ from affinepowers import (
     shifted_poly_solutions,
     wronskian,
 )
-from affinepowers.linalg import QMatrix, rank, solve
+from affinepowers.linalg import IntMatrix, kernel, solve
 from affinepowers.errors import Inconsistent
 from affinepowers.ratroots import to_primitive_int
+from affinepowers.unipoly import _clear_denominators
 
 F = Fraction
 
@@ -41,12 +42,13 @@ def solutions_in_x(s, node, delta, e_min, e_max) -> list[UniPoly]:
 
 
 def coeff_rank(fs) -> int:
-    """Rank of the coefficient matrix of a polynomial family."""
+    """Rank of the coefficient matrix of a polynomial family: its row count
+    less the nullity of its transpose."""
     deg = max((f.degree for f in fs), default=-1)
     if deg < 0:
         return 0
-    rows = [[f.coeff(k) for k in range(deg + 1)] for f in fs]
-    return rank(QMatrix.from_rows(rows))
+    cols = [_clear_denominators([f.coeff(k) for f in fs]) for k in range(deg + 1)]
+    return len(fs) - len(kernel(IntMatrix.from_rows(cols)))
 
 
 class TestWronskian:
@@ -301,8 +303,8 @@ class TestShiftedPolySolutions:
         sols = solutions_in_x(s, F(1), 1, 10, 15)
         assert len(sols) == 1
         deg = max(sols[0].degree, f.degree)
-        a = QMatrix.from_rows([[sols[0].coeff(k)] for k in range(deg + 1)])
-        res = solve(a, [f.coeff(k) for k in range(deg + 1)])
+        rows = [_clear_denominators([sols[0].coeff(k), f.coeff(k)]) for k in range(deg + 1)]
+        res = solve(IntMatrix.from_rows(r[:1] for r in rows), [r[1] for r in rows])
         assert res.unique
 
     def test_non_root_node_yields_nothing(self):

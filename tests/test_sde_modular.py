@@ -29,7 +29,7 @@ def bareiss_reference(f: UniPoly, shift: int, max_order: int | None = None):
     n_rows = f.degree + shift + 1
     for k in range(1, max_order + 1):
         rows = sde._dependency_matrix(derivs, k, shift, n_rows)
-        basis = linalg.kernel(linalg.QMatrix.from_rows(rows))
+        basis = linalg.kernel(linalg.IntMatrix.from_rows(rows))
         if basis:
             return k, [int(v) for v in basis[0]]
     return None
@@ -98,7 +98,7 @@ def test_nullity_above_one_at_minimal_order():
     for _ in range(s.order):
         derivs.append(ratroots._deriv(derivs[-1]))
     rows = sde._dependency_matrix(derivs, s.order, shift, f.degree + shift + 1)
-    assert len(linalg.kernel(linalg.QMatrix.from_rows(rows))) > 1
+    assert len(linalg.kernel(linalg.IntMatrix.from_rows(rows))) > 1
 
 
 @pytest.mark.parametrize("prime", [(1 << 61) - 1, 3, 5, 7])

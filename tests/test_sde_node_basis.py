@@ -27,6 +27,7 @@ from affinepowers import (
     shifted_poly_solutions,
 )
 from affinepowers.generate import InstanceSpec, generate_instance
+from affinepowers.unipoly import _clear_denominators
 
 F = Fraction
 
@@ -55,7 +56,7 @@ def dense_reference(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[Un
     for e in range(e_min, e_max + 1):
         n_rows = max(1, max(applied[e + t].degree for t in range(delta + 1)) + 1)
         mat = [[applied[e + t].coeff(r) for t in range(delta + 1)] for r in range(n_rows)]
-        for vec in linalg.kernel(linalg.QMatrix.from_rows(mat)):
+        for vec in linalg.kernel(linalg.IntMatrix.from_rows(map(_clear_denominators, mat))):
             combo = UniPoly()
             for t, coef in enumerate(vec):
                 combo = combo + powers[e + t].scale(coef)

@@ -192,3 +192,56 @@ class TestMultiDecompositionJson:
     def test_empty(self):
         md = MultiDecomposition.of(2, [])
         assert multidec_from_json(multidec_to_json(md)) == md
+
+
+class TestIntegerFields:
+    """Integer fields must be integers: a float or a bool is not silently
+    truncated, and a string must spell an integer."""
+
+    BAD = (3.5, True, "3.5", "7/2")
+    each_bad = pytest.mark.parametrize("bad", BAD, ids=repr)
+
+    @each_bad
+    def test_decomposition_exponent(self, bad):
+        doc = {"terms": [{"coeff": "1", "node": "0", "exponent": bad}]}
+        with pytest.raises(ValueError):
+            decomposition_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["order", "shift"])
+    @each_bad
+    def test_sde_order_and_shift(self, field, bad):
+        doc = {"order": 1, "shift": 0, "polys": [["1"], ["0", "1"]], field: bad}
+        with pytest.raises(ValueError):
+            sde_from_json(doc)
+
+    @each_bad
+    def test_multipoly_n(self, bad):
+        with pytest.raises(ValueError):
+            multipoly_from_json({"n": bad, "terms": [{"exps": [1], "coeff": "1"}]})
+
+    @each_bad
+    def test_multipoly_exps(self, bad):
+        with pytest.raises(ValueError):
+            multipoly_from_json({"n": 2, "terms": [{"exps": [1, bad], "coeff": "1"}]})
+
+    @pytest.mark.parametrize("field", ["n", "exponent"])
+    @each_bad
+    def test_multidec_n_and_exponent(self, field, bad):
+        term = {"coeff": "1", "constant": "0", "coefficients": ["1", "0"], "exponent": 2}
+        doc = {"n": 2, "terms": [term]}
+        (doc if field == "n" else term)[field] = bad
+        with pytest.raises(ValueError):
+            multidec_from_json(doc)
+
+    def test_rationals_reject_bool(self):
+        with pytest.raises(ValueError):
+            unipoly_from_json({"coeffs": ["1", True]})
+        doc = {"terms": [{"coeff": True, "node": "0", "exponent": 2}]}
+        with pytest.raises(ValueError):
+            decomposition_from_json(doc)
+
+    def test_integral_values_still_accepted(self):
+        doc = {"terms": [{"coeff": "1", "node": "0", "exponent": "3"}]}
+        assert decomposition_from_json(doc) == Decomposition.of([(1, 0, 3)])
+        doc = {"order": 1, "shift": 0, "polys": [["1"], ["0", "1"]]}
+        assert sde_from_json(doc).order == 1

@@ -2,21 +2,33 @@
 
 Terms are kept in a dict mapping exponent tuples (one entry per variable) to
 nonzero Fraction coefficients.  Instances are treated as immutable once
-constructed; operations always build new objects.
+constructed; operations always build new objects.  The rule carries weight:
+the first evaluate() caches an integer form of the terms (coefficients over
+their common denominator, the total degree, each variable's largest
+exponent), and a later change to `terms` would not reach it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .unipoly import _frac
+from .unipoly import _frac, _parse_int
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """[base^0, base^1, ..., base^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
 
 
 class MultiPoly:
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_int_form")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], object] | None = None):
         if n < 1:
@@ -24,7 +36,7 @@ class MultiPoly:
         self.n = n
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(_parse_int(e) for e in exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise DimensionMismatch(f"bad exponent tuple {exps!r} for {n} variables")
             c = _frac(c)
@@ -33,6 +45,7 @@ class MultiPoly:
                 if not clean[exps]:
                     del clean[exps]
         self.terms = clean
+        self._int_form = None  # built by the first evaluate()
 
     @classmethod
     def constant(cls, n: int, c) -> "MultiPoly":
@@ -107,18 +120,48 @@ class MultiPoly:
         return result
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, computed in integers.
+
+        With den the lcm of the coefficient denominators, deg the total
+        degree and the point written as N_j / D over its common denominator,
+        f(point) = sum (c*den) * prod N_j^e_j * D^(deg-|e|) / (den * D^deg).
+        The integer numerators c*den, den, deg and each variable's largest
+        exponent are built on the first call and kept on the instance.
+        """
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
+        if self._int_form is None:
+            self._int_form = self._integer_form()
+        den, deg, tops, monomials = self._int_form
         pt = [_frac(v) for v in point]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exps):
+        if not monomials:
+            return Fraction(0)
+        d = math.lcm(*(x.denominator for x in pt))
+        tables = [
+            _powers(x.numerator * (d // x.denominator), top)
+            for x, top in zip(pt, tops)
+        ]
+        d_pow = _powers(d, deg)
+        total = 0
+        for c, exps, rest in monomials:
+            v = c * d_pow[rest]
+            for table, e in zip(tables, exps):
                 if e:
-                    v *= x**e
+                    v *= table[e]
             total += v
-        return total
+        return Fraction(total, den * d_pow[deg])
+
+    def _integer_form(self):
+        """(den, deg, largest exponent per variable, [(c*den, exps,
+        deg - |exps|)]) with den the lcm of the coefficient denominators."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        deg = self.total_degree()
+        tops = [max((e[j] for e in self.terms), default=0) for j in range(self.n)]
+        monomials = [
+            (c.numerator * (den // c.denominator), exps, deg - sum(exps))
+            for exps, c in self.terms.items()
+        ]
+        return den, deg, tops, monomials
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items())

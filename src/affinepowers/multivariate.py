@@ -11,6 +11,7 @@ back through the substitution.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .multipoly import LinearForm, MultiPoly
+from .multipoly import LinearForm, MultiPoly, _powers
 from .unipoly import UniPoly, _clear_denominators, _frac, interpolate
 
 _COORD_BOUND = 1 << 32  # substitution entries are drawn from 1..2^32
@@ -217,10 +218,43 @@ class MultiDecomposition:
         return total
 
     def expand(self) -> MultiPoly:
-        total = MultiPoly.constant(self.n, 0)
+        """The dense polynomial by the multinomial theorem: with the form
+        b_0 + sum_j b_j x_j written as (B_0 + sum_j B_j x_j) / den over
+        integers, c * form^e is c / den^e times the sum over k_0 + ... +
+        k_n = e of e! / (k_0! ... k_n!) * prod B_j^k_j * x^(k_1, ..., k_n)."""
+        out: dict[tuple[int, ...], Fraction] = {}
         for t in self.terms:
-            total = total + t.form.to_multipoly() ** t.exponent * t.coeff
-        return total
+            e = t.exponent
+            base = (t.form.constant, *t.form.coefficients)
+            den = math.lcm(*(b.denominator for b in base))
+            live = [
+                (j, _powers(b.numerator * (den // b.denominator), e))
+                for j, b in enumerate(base)
+                if b
+            ]
+            fact = [math.factorial(k) for k in range(e + 1)]
+            scale = t.coeff / den**e
+            for ks in _compositions(e, len(live)):
+                v = fact[e]
+                for k in ks:
+                    v //= fact[k]
+                exps = [0] * (self.n + 1)
+                for (j, table), k in zip(live, ks):
+                    v *= table[k]
+                    exps[j] = k
+                key = tuple(exps[1:])
+                out[key] = out.get(key, 0) + scale * v
+        return MultiPoly(self.n, out)
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for k in range(total + 1):
+        for rest in _compositions(total - k, parts - 1):
+            yield (k, *rest)
 
 
 def expand_multi(md: MultiDecomposition) -> MultiPoly:

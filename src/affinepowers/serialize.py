@@ -14,7 +14,7 @@ from .decompose import Decomposition
 from .multipoly import LinearForm, MultiPoly
 from .multivariate import MultiDecomposition
 from .sde import SDE
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _parse_int
 
 
 def _fmt(v: Fraction) -> str:
@@ -25,13 +25,6 @@ def _parse_frac(v) -> Fraction:
     if isinstance(v, (bool, float)):
         raise ValueError(f"refusing {type(v).__name__} {v!r}; use a rational string")
     return Fraction(v)
-
-
-def _parse_int(v) -> int:
-    """A JSON integer or a string spelling one; int() would take 3.5 or true."""
-    if isinstance(v, (bool, float)):
-        raise ValueError(f"refusing {type(v).__name__} {v!r}; expected an integer")
-    return int(v)
 
 
 def format_unipoly(f: UniPoly) -> str:

@@ -24,6 +24,19 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
+def _parse_int(value) -> int:
+    """An integer, or a string spelling one.  int() alone would take 3.5,
+    True or Fraction(7, 2)."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"refusing {type(value).__name__} {value!r}; expected an integer")
+    out = int(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"refusing {value!r}; expected an integer")
+    return out
+
+
 def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
     """values times the lcm of their denominators, the least positive
     integer that makes every entry integral."""

@@ -1,0 +1,141 @@
+"""Tests of MultiPoly.evaluate, the integer evaluation of the black box.
+
+The reference is a copy of the plain Fraction loop that evaluate replaced:
+one Fraction x**e per monomial per point.  Fractions are normalized, so
+equal values are equal Fractions and the comparisons below are exact.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from affinepowers import AffineChange, BlackBox, MultiPoly, project_to_axis  # noqa: E402
+
+F = Fraction
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+def fraction_loop(p, point):
+    """Value of p at point, monomial by monomial in Fractions."""
+    pt = [F(v) for v in point]
+    total = F(0)
+    for exps, c in p.terms.items():
+        v = c
+        for x, e in zip(pt, exps):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+coefficients = st.one_of(
+    st.just(F(0)),
+    st.integers(-30, 30).map(F),
+    st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(F, st.integers(-(10**20), 10**20), st.integers(1, 10**9)),
+)
+coordinates = st.one_of(
+    st.integers(-50, 50).map(F),
+    st.builds(F, st.integers(-50, 50), st.integers(1, 9)),
+    st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**4)),
+)
+
+
+@st.composite
+def polys_and_points(draw):
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 6)] * n)
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=12))
+    points = draw(
+        st.lists(st.lists(coordinates, min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+    return MultiPoly(n, terms), points
+
+
+class TestAgainstFractionLoop:
+    @PROPERTY
+    @given(polys_and_points())
+    @example((MultiPoly(3), [[F(1, 2), F(-3), F(5, 7)]]))  # zero polynomial
+    @example((MultiPoly.constant(2, F(-7, 3)), [[F(1, 2), F(2, 3)], [F(0), F(0)]]))
+    @example(
+        # mixed denominators, negative coordinates, one variable absent
+        (
+            MultiPoly(4, {(3, 0, 1, 0): F(5, 6), (0, 2, 0, 0): F(-1, 4), (0, 0, 0, 0): 2}),
+            [[F(-3, 4), F(5, 6), F(-7, 10), F(11, 15)], [F(-1), F(2), F(-3), F(4)]],
+        )
+    )
+    def test_equal_fractions(self, case):
+        p, points = case
+        # the same instance at several points reuses one integer form
+        for point in points:
+            got = p.evaluate(point)
+            assert isinstance(got, Fraction)
+            assert got == fraction_loop(p, point)
+
+    def test_integer_and_string_coordinates(self):
+        p = MultiPoly(2, {(2, 1): F(3, 4), (0, 3): -1, (0, 0): F(1, 9)})
+        for point in ([2, -5], ["1/3", "-2/5"], [F(7, 2), 0]):
+            assert p.evaluate(point) == fraction_loop(p, point)
+
+
+class TestSympyOracle:
+    def test_poly_eval_on_seeded_polynomials(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2024)
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            terms = {}
+            for _ in range(rng.randint(1, 15)):
+                exps = tuple(rng.randint(0, 7) for _ in range(n))
+                terms[exps] = F(rng.randint(-99, 99), rng.randint(1, 30))
+            p = MultiPoly(n, terms)
+            if p.is_zero():
+                continue
+            point = [F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(n)]
+            gens = sympy.symbols(f"x0:{n}")
+            poly = sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+                gens,
+                domain="QQ",
+            )
+            want = poly(*(sympy.Rational(v.numerator, v.denominator) for v in point))
+            assert p.evaluate(point) == F(int(want.p), int(want.q))
+
+
+class TestCachedForm:
+    def test_box_built_before_first_evaluate(self, monkeypatch):
+        built = []
+        integer_form = MultiPoly._integer_form
+
+        def spy(self):
+            built.append(self)
+            return integer_form(self)
+
+        monkeypatch.setattr(MultiPoly, "_integer_form", spy)
+        p = MultiPoly(
+            3, {(4, 1, 0): F(2, 3), (0, 2, 3): F(-5, 7), (1, 1, 1): 4, (0, 0, 0): F(1, 2)}
+        )
+        twin = MultiPoly(3, p.terms)
+        box = BlackBox.from_multipoly(p)  # binds p.evaluate before any call
+        assert built == []
+        rng = random.Random(5)
+        points = [[F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(3)] for _ in range(6)]
+        assert [box.eval(pt) for pt in points] == [fraction_loop(twin, pt) for pt in points]
+        change = AffineChange.of([[1, 2, 0], [0, 1, 3], [F(1, 2), 0, 1]], [1, F(-2, 3), 5])
+        proj = project_to_axis(box, change, 1)
+        for t in range(-2, 3):
+            assert proj.evaluate(F(t)) == fraction_loop(twin, change.apply([0, t, 0]))
+        assert [p.evaluate(pt) for pt in points] == [box.eval(pt) for pt in points]
+        assert built == [p]
+
+    def test_cache_leaves_equality_and_hash(self):
+        p = MultiPoly(2, {(1, 2): F(3, 5), (0, 0): 1})
+        q = MultiPoly(2, {(1, 2): F(3, 5), (0, 0): 1})
+        p.evaluate([F(1, 2), 3])
+        assert p == q
+        assert hash(p) == hash(q)

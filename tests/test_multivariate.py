@@ -68,6 +68,27 @@ class TestMultiPoly:
         x1, x2 = vars2()
         assert hash(x1 + x2) == hash(x2 + x1)
 
+    @pytest.mark.parametrize(
+        "exps", [(1.5, 0), (True, 2), (0, False), (2.0, 1), (F(3, 2), 0), (1, F(-1, 2))]
+    )
+    def test_non_integral_or_bool_exponent_rejected(self, exps):
+        # int() would read 1.5 as 1 and True as 1
+        with pytest.raises(ValueError):
+            MultiPoly(2, {exps: 1})
+
+    def test_truncating_exponents_rejected_together(self):
+        with pytest.raises(ValueError, match="expected an integer"):
+            MultiPoly(2, {(1.5, 0): 1, (True, 2): 3})
+
+    def test_integral_exponents_kept(self):
+        p = MultiPoly(2, {(F(2), 1): 3, ("1", 0): 1})
+        assert p.terms == {(2, 1): F(3), (1, 0): F(1)}
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 2, 0), (-1, 0)])
+    def test_bad_tuple_still_dimension_mismatch(self, exps):
+        with pytest.raises(DimensionMismatch):
+            MultiPoly(2, {exps: 1})
+
 
 class TestLinearForm:
     def test_of_and_evaluate(self):
@@ -256,6 +277,35 @@ class TestMultiDecomposition:
         for _ in range(5):
             pt = [F(rng.randint(-9, 9)) for _ in range(2)]
             assert md.evaluate(pt) == p.evaluate(pt)
+
+    def test_expand_equals_repeated_multiplication(self):
+        # the multinomial expansion against powers taken by MultiPoly.__pow__
+        rng = random.Random(60)
+
+        def frac():
+            return F(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.8 else F(0)
+
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            items = []
+            for _ in range(rng.randint(1, 3)):
+                coeffs = [frac() for _ in range(n)]
+                if not any(coeffs):
+                    coeffs[rng.randrange(n)] = F(rng.randint(1, 5), rng.randint(1, 3))
+                items.append((frac() or F(1), LinearForm.of(frac(), coeffs), rng.randint(1, 8)))
+            md = MultiDecomposition.of(n, items)
+            want = MultiPoly.constant(n, 0)
+            for t in md.terms:
+                want = want + t.form.to_multipoly() ** t.exponent * t.coeff
+            assert md.expand() == want
+
+    def test_expand_drops_cancelled_monomials(self):
+        # (x + y)^2 - (x - y)^2 = 4xy
+        md = MultiDecomposition.of(
+            2, [(F(1), LinearForm.of(0, [1, 1]), 2), (F(-1), LinearForm.of(0, [1, -1]), 2)]
+        )
+        assert md.expand().terms == {(1, 1): F(4)}
+        assert MultiDecomposition(3, ()).expand() == MultiPoly(3)
 
 
 class TestMultiBuild:

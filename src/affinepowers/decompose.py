@@ -25,7 +25,7 @@ from .errors import (
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, _clear_denominators, _frac, rational_roots
+from .unipoly import UniPoly, _clear_denominators, _frac, _parse_int, _powers, rational_roots
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class AffineTerm:
     def __post_init__(self):
         object.__setattr__(self, "coeff", _frac(self.coeff))
         object.__setattr__(self, "node", _frac(self.node))
+        object.__setattr__(self, "exponent", _parse_int(self.exponent))
         if not self.coeff:
             raise ValueError("term coefficient must be nonzero")
         if self.exponent < 0:
@@ -74,7 +75,7 @@ class Decomposition:
             else:
                 c, a, e = item
             c, a = _frac(c), _frac(a)
-            key = (a, int(e))
+            key = (a, _parse_int(e))
             merged[key] = merged.get(key, Fraction(0)) + c
         return cls(
             tuple(
@@ -179,43 +180,53 @@ def _require_nonzero(f: UniPoly) -> None:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
 
 
-def _solve_in_basis(target: UniPoly, basis: Sequence[UniPoly]) -> list[Fraction]:
-    """Coordinates of target in the given polynomial basis; requires the
-    system to be uniquely solvable."""
-    if not basis:
+def _coords(
+    f: UniPoly, candidates: Sequence[tuple[Fraction, dict[int, Fraction]]]
+) -> list[Fraction]:
+    """Coordinates of f in the basis of the candidates, each a polynomial
+    sum_k coeff_k (x - node)^k given as (node, {k: coeff_k}); requires a
+    unique solution.  For node a/d, top k K and q the common denominator of
+    the coeff_k, the column is q d^K times the candidate, which is
+    sum_k (q coeff_k) d^(K-k) (d x - a)^k in integers; the right-hand side
+    is f times its common denominator."""
+    if not candidates:
         raise ReconstructionFailed("no candidate terms to combine")
-    n_rows = max([target.degree, 0] + [p.degree for p in basis]) + 1
-    rows = [
-        _clear_denominators([p.coeff(r) for p in basis] + [target.coeff(r)])
-        for r in range(n_rows)
-    ]
-    mat = linalg.IntMatrix.from_rows(row[:-1] for row in rows)
+    n_rows = max(f.degree, *(max(part) for _, part in candidates)) + 1
+    cols, scales = [], []
+    for node, part in candidates:
+        a, d, top = node.numerator, node.denominator, max(part)
+        q = math.lcm(*(c.denominator for c in part.values()))
+        d_pow, a_pow = _powers(d, top), _powers(-a, top)
+        col = [0] * n_rows
+        for k, c in part.items():
+            scale = c.numerator * (q // c.denominator) * d_pow[top - k]
+            for i in range(k + 1):
+                col[i] += scale * math.comb(k, i) * d_pow[i] * a_pow[k - i]
+        cols.append(col)
+        scales.append(q * d_pow[top])
+    rhs = _clear_denominators([f.coeff(r) for r in range(n_rows)])
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    mat = linalg.IntMatrix.from_rows(zip(*cols))
     try:
-        res = linalg.solve(mat, [row[-1] for row in rows])
+        res = linalg.solve(mat, rhs)
     except Inconsistent as exc:
         raise ReconstructionFailed(
             "input is not a combination of the candidate terms"
         ) from exc
     if not res.unique:
         raise ReconstructionFailed("candidate terms are linearly dependent")
-    return list(res.vector)
+    return [y * s / den for y, s in zip(res.vector, scales)]
 
 
 def _fit(
     f: UniPoly, candidates: Sequence[tuple[Fraction, dict[int, Fraction]]]
 ) -> Decomposition:
-    """Solve f in the basis of the candidates, each a polynomial
-    sum_k coeff_k (x - node)^k given as (node, {k: coeff_k}), and read the
+    """Solve f in the basis of the candidates (see _coords) and read the
     answer off as affine-power terms: equal (node, exponent) keys merge and
     zero coefficients drop."""
-    basis = [
-        sum((UniPoly.affine_power(c, node, k) for k, c in part.items()), UniPoly())
-        for node, part in candidates
-    ]
-    coords = _solve_in_basis(f, basis)
     return Decomposition.of(
         (coord * c, node, k)
-        for coord, (node, part) in zip(coords, candidates)
+        for coord, (node, part) in zip(_coords(f, candidates), candidates)
         for k, c in part.items()
     )
 
@@ -333,11 +344,7 @@ def decompose_distinct_nodes(
         d_r = pairs[r_pick - 1][1]
         j = d_r - (r_pick * r_pick) // 2
         target = residual.derivative(j)
-        basis = [
-            UniPoly.affine_power(math.perm(e, j), b, e - j)
-            for b, e in pairs[:r_pick]
-        ]
-        betas = _solve_in_basis(target, basis)
+        betas = _coords(target, [(b, {e - j: math.perm(e, j)}) for b, e in pairs[:r_pick]])
         partial = UniPoly()
         for beta, (b, e) in zip(betas, pairs[:r_pick]):
             if beta:

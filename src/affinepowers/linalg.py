@@ -1,14 +1,11 @@
 """Exact linear algebra on integer matrices.
 
-kernel and solve take an IntMatrix; callers holding rationals clear each
-row's denominators together with its right-hand-side entry
-(unipoly._clear_denominators), which keeps null spaces and solution sets.
-Both run one fraction-free (Bareiss) elimination, so intermediate entries
-stay at determinant size, and divide only in the final substitution.
-Pivoting is deterministic (first nonzero entry in column order).  Results
-are checked in integers: A v = 0 for a kernel vector, A (D x) = D b for a
-solution x with common denominator D.  The minimal-equation search in sde
-works modulo a prime and calls kernel only as its fallback.
+kernel is the one elimination: fraction-free (Bareiss), so intermediate
+entries stay at determinant size, dividing only in the final substitution,
+with deterministic pivoting (first nonzero entry in column order) and every
+basis vector checked A v = 0 in integers.  solve reads the kernel of
+[m | -rhs].  The minimal-equation search in sde works modulo a prime and
+calls kernel only as its fallback.
 """
 
 from __future__ import annotations
@@ -48,15 +45,14 @@ class SolveResult:
     unique: bool
 
 
-def _bareiss(mat: list[list[int]], pivot_width: int) -> list[int]:
-    """In-place fraction-free elimination; pivots only in the first
-    pivot_width columns.  Returns the pivot column indices."""
+def _bareiss(mat: list[list[int]]) -> list[int]:
+    """In-place fraction-free elimination; returns the pivot columns."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(pivot_width):
+    for c in range(cols):
         pr = next((i for i in range(r, rows) if mat[i][c]), None)
         if pr is None:
             continue
@@ -95,7 +91,7 @@ def kernel(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     entry; the basis order follows the free columns left to right.
     """
     mat = [list(r) for r in m.entries]
-    pivots = _bareiss(mat, m.cols)
+    pivots = _bareiss(mat)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -119,34 +115,19 @@ def kernel(m: IntMatrix) -> list[tuple[Fraction, ...]]:
 def solve(m: IntMatrix, rhs: Sequence[int]) -> SolveResult:
     """Solve m @ x = rhs exactly for an integer rhs.
 
-    Underdetermined systems get free variables set to zero and are flagged
-    non-unique; inconsistent systems raise Inconsistent.  The result is
-    verified by multiplication before being returned.
+    The system is consistent exactly when the last column of [m | -rhs] is
+    free; its kernel vector, divided by its last entry, is the solution
+    with the other free variables set to zero, flagged non-unique when
+    there are any.  Inconsistent systems raise Inconsistent.
     """
     b = list(rhs)
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length != row count")
     if not all(type(v) is int for v in b):
         raise TypeError("rhs entries must be int")
-    if m.cols == 0:
-        if any(b):
-            raise Inconsistent("nonzero rhs with no unknowns")
-        return SolveResult((), True)
-    mat = [[*r, v] for r, v in zip(m.entries, b)]
-    pivots = _bareiss(mat, m.cols)
-    for i in range(len(pivots), m.rows):
-        if mat[i][m.cols]:
-            raise Inconsistent("no solution exists")
-    x = [Fraction(0)] * m.cols
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        s = Fraction(mat[i][m.cols])
-        for j in range(pc + 1, m.cols):
-            if mat[i][j] and x[j]:
-                s -= mat[i][j] * x[j]
-        x[pc] = s / mat[i][pc]
-    # clearing x together with 1 gives D x and the common denominator D
-    *dx, d = _clear_denominators([*x, 1])
-    if any(sum(map(operator.mul, row, dx)) != d * v for row, v in zip(m.entries, b)):
-        raise RuntimeError("solve verification failed")
-    return SolveResult(tuple(x), unique=len(pivots) == m.cols)
+    aug = tuple((*r, -v) for r, v in zip(m.entries, b))
+    basis = kernel(IntMatrix(m.rows, m.cols + 1, aug))
+    if not basis or not basis[-1][-1]:
+        raise Inconsistent("nonzero rhs with no unknowns" if m.cols == 0 else "no solution exists")
+    *x, d = basis[-1]
+    return SolveResult(tuple(v / d for v in x), unique=len(basis) == 1)

@@ -16,15 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .unipoly import _frac, _parse_int
-
-
-def _powers(base: int, top: int) -> list[int]:
-    """[base^0, base^1, ..., base^top]."""
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
+from .unipoly import _frac, _parse_int, _powers
 
 
 class MultiPoly:

@@ -20,14 +20,14 @@ from typing import Callable, Sequence
 from . import decompose, linalg
 from .decompose import Decomposition
 from .errors import (
+    DimensionMismatch,
     ExactAlgebraError,
-    Inconsistent,
     IrrationalNodeDetected,
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .multipoly import LinearForm, MultiPoly, _powers
-from .unipoly import UniPoly, _clear_denominators, _frac, interpolate
+from .multipoly import LinearForm, MultiPoly
+from .unipoly import UniPoly, _clear_denominators, _frac, _parse_int, _powers, interpolate
 
 _COORD_BOUND = 1 << 32  # substitution entries are drawn from 1..2^32
 _CHECK_RANGE = 10**6  # verification points come from [-10^6, 10^6]^n
@@ -76,23 +76,23 @@ class AffineChange:
     def of(cls, rows: Sequence[Sequence], offset: Sequence) -> "AffineChange":
         n = len(offset)
         matrix = tuple(tuple(_frac(v) for v in row) for row in rows)
+        # with L the row scales l_i, the kernel of [L M | -L] is {(x, M x)}:
+        # M is invertible exactly when the j-th basis vector ends in a
+        # nonzero multiple of e_j, the j-th inverse column over that entry;
         # a trailing 1 makes each cleared row end in its scale l_i
         cleared = [_clear_denominators([*row, 1]) for row in matrix]
-        mat = linalg.IntMatrix.from_rows(row[:-1] for row in cleared)
-        if mat.rows != n or mat.cols != n:
+        mat = linalg.IntMatrix.from_rows(
+            [*row[:-1], *(-row[-1] if k == i else 0 for k in range(n))]
+            for i, row in enumerate(cleared)
+        )
+        if mat.rows != n or mat.cols != 2 * n:
             raise ValueError("matrix shape does not match offset length")
-        inv_cols = []
-        for j in range(n):
-            unit = [row[-1] if i == j else 0 for i, row in enumerate(cleared)]
-            try:
-                res = linalg.solve(mat, unit)
-            except Inconsistent:
+        basis = linalg.kernel(mat)
+        for j, vec in enumerate(basis):
+            if any(bool(v) != (k == j) for k, v in enumerate(vec[n:])):
                 raise ValueError("matrix is singular")
-            if not res.unique:
-                raise ValueError("matrix is singular")
-            inv_cols.append(res.vector)
         inverse = tuple(
-            tuple(inv_cols[j][i] for j in range(n)) for i in range(n)
+            tuple(vec[i] / vec[n + j] for j, vec in enumerate(basis)) for i in range(n)
         )
         return cls(
             matrix=matrix,
@@ -113,6 +113,8 @@ class AffineChange:
                 continue  # singular draw; vanishingly rare
 
     def apply(self, point: Sequence) -> list[Fraction]:
+        if len(point) != self.n:
+            raise DimensionMismatch("point length != variable count")
         vec = [_frac(v) for v in point]
         return [
             sum((row[j] * vec[j] for j in range(self.n)), self.offset[i])
@@ -131,6 +133,7 @@ class MultiTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", _frac(self.coeff))
+        object.__setattr__(self, "exponent", _parse_int(self.exponent))
         if not self.coeff:
             raise ValueError("term coefficient must be nonzero")
         if self.exponent < 1:
@@ -143,12 +146,14 @@ def _normalize_term(coeff: Fraction, form: LinearForm, exponent: int) -> MultiTe
     lead = next((c for c in form.coefficients if c), None)
     if lead is None:
         raise ValueError("term form must involve a variable")
-    if lead != 1:
-        coeff = coeff * lead**exponent
-        form = LinearForm(
-            form.constant / lead, tuple(c / lead for c in form.coefficients)
-        )
-    return MultiTerm(_frac(coeff), form, exponent)
+    term = MultiTerm(coeff, form, exponent)
+    if lead == 1:
+        return term
+    return MultiTerm(
+        term.coeff * lead**term.exponent,
+        LinearForm(form.constant / lead, tuple(c / lead for c in form.coefficients)),
+        term.exponent,
+    )
 
 
 def _form_key(form: LinearForm):
@@ -188,7 +193,7 @@ class MultiDecomposition:
                 c, form, e = item.coeff, item.form, item.exponent
             else:
                 c, form, e = item
-            t = _normalize_term(_frac(c), form, int(e))
+            t = _normalize_term(_frac(c), form, e)
             key = (_form_key(t.form), t.exponent)
             if key in merged:
                 prev_c, _, _ = merged[key]

@@ -37,6 +37,14 @@ def _parse_int(value) -> int:
     return out
 
 
+def _powers(base: int, top: int) -> list[int]:
+    """[base^0, base^1, ..., base^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
 def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
     """values times the lcm of their denominators, the least positive
     integer that makes every entry integral."""

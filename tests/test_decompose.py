@@ -11,6 +11,7 @@ from affinepowers import (
     Criterion,
     Decomposition,
     DeltaExhausted,
+    Inconsistent,
     InstanceSpec,
     IrrationalNodeDetected,
     ReconstructionFailed,
@@ -25,9 +26,11 @@ from affinepowers import (
     expand,
     find_min_sde,
     generate_instance,
+    linalg,
     rational_roots,
     shifted_poly_solutions,
 )
+from affinepowers.unipoly import _clear_denominators
 
 F = Fraction
 
@@ -59,6 +62,15 @@ class TestAffineTerm:
         with pytest.raises(ValueError):
             AffineTerm(1, 1, -1)
 
+    @pytest.mark.parametrize("exponent", [3.5, 2.0, True, F(7, 2), "2.5"])
+    def test_non_integral_exponent_rejected(self, exponent):
+        # int() would read 3.5 as 3 and True as 1
+        with pytest.raises(ValueError):
+            AffineTerm(1, 0, exponent)
+
+    def test_integer_string_exponent_parsed(self):
+        assert AffineTerm(1, 0, "3").exponent == 3
+
     def test_expand(self):
         assert AffineTerm(2, 1, 2).expand() == P(2, -4, 2)
         assert AffineTerm(F(1, 2), 0, 0).expand() == P(F(1, 2))
@@ -85,6 +97,14 @@ class TestDecomposition:
         d = D((1, 2, 3), (-1, 2, 3), (7, 0, 1))
         assert len(d) == 1
         assert d.terms[0] == AffineTerm(7, 0, 1)
+
+    @pytest.mark.parametrize("exponent", [2.7, True, F(5, 2)])
+    def test_of_rejects_non_integral_exponent(self, exponent):
+        with pytest.raises(ValueError):
+            D((1, 0, exponent), (2, 1, 1))
+
+    def test_of_merges_integer_string_exponent(self):
+        assert D((1, 2, "3"), (4, 2, 3)) == D((5, 2, 3))
 
     def test_empty(self):
         d = D()
@@ -330,6 +350,29 @@ class TestSmallIntervals:
         assert out == planted
 
 
+def solve_in_basis(target: UniPoly, basis: list[UniPoly]) -> list[Fraction]:
+    """The coordinate solve as it was before the integer columns: each row
+    of the basis matrix cleared of its denominators together with its
+    target entry, then linalg.solve."""
+    if not basis:
+        raise ReconstructionFailed("no candidate terms to combine")
+    n_rows = max([target.degree, 0] + [p.degree for p in basis]) + 1
+    rows = [
+        _clear_denominators([p.coeff(r) for p in basis] + [target.coeff(r)])
+        for r in range(n_rows)
+    ]
+    mat = linalg.IntMatrix.from_rows(row[:-1] for row in rows)
+    try:
+        res = linalg.solve(mat, [row[-1] for row in rows])
+    except Inconsistent as exc:
+        raise ReconstructionFailed(
+            "input is not a combination of the candidate terms"
+        ) from exc
+    if not res.unique:
+        raise ReconstructionFailed("candidate terms are linearly dependent")
+    return list(res.vector)
+
+
 def taylor_reread(f: UniPoly, delta: int | None = None) -> Decomposition:
     """decompose_small_intervals as it was before the fit in node
     coordinates: each solution expanded to x and scaled to primitive
@@ -369,7 +412,7 @@ def taylor_reread(f: UniPoly, delta: int | None = None) -> Decomposition:
                 combo = combo + UniPoly.affine_power(coef, c, k)
             basis.append(UniPoly(to_primitive_int(combo)))
             owner.append(c)
-    coords = dmod._solve_in_basis(f, basis)
+    coords = solve_in_basis(f, basis)
     terms = []
     for c in candidates:
         part = UniPoly()
@@ -429,6 +472,67 @@ class TestNodeBasisFit:
         # answers at every width, with and without denominators, and refusals
         assert answered == {(d, n) for d in (None, 0, 1, 2) for n in (False, True)}
         assert refusals >= 20
+
+
+class TestCoords:
+    """The coordinate solve on integer columns against the row-cleared
+    solve of the expanded candidates: equal coordinates, or the same
+    refusal."""
+
+    @staticmethod
+    def outcome(solver, f, basis):
+        try:
+            return solver(f, basis)
+        except ReconstructionFailed as exc:
+            return type(exc), str(exc), type(exc.__cause__)
+
+    @staticmethod
+    def cases():
+        rng = random.Random(8)
+
+        def rat(bound=9):
+            return F(rng.randint(-bound, bound), rng.randint(1, bound))
+
+        yield P(1, 2), []
+        for _ in range(400):
+            cands = []
+            for _ in range(rng.randint(1, 4)):
+                node = rat() if rng.random() < 0.7 else F(rng.randint(-3, 3))
+                ks = rng.sample(range(7), rng.randint(1, 3))
+                cands.append((node, {k: rat() for k in ks}))
+            roll = rng.random()
+            if roll < 0.2:
+                cands.append(rng.choice(cands))  # dependent
+            expanded = [
+                sum((UniPoly.affine_power(c, node, k) for k, c in part.items()), UniPoly())
+                for node, part in cands
+            ]
+            if roll < 0.7:
+                f = sum((p.scale(rat()) for p in expanded), UniPoly())
+            else:
+                f = UniPoly([rat() for _ in range(rng.randint(0, 8))])
+            yield f, cands
+        yield UniPoly(), [(F(1, 2), {3: F(2, 3)})]
+        yield P(0, 1), [(F(0), {1: F(1)}), (F(1), {1: F(0)})]
+
+    def test_matches_row_cleared_solve(self):
+        import affinepowers.decompose as dmod
+
+        seen = set()
+        for f, cands in self.cases():
+            expanded = [
+                sum((UniPoly.affine_power(c, node, k) for k, c in part.items()), UniPoly())
+                for node, part in cands
+            ]
+            got = self.outcome(dmod._coords, f, cands)
+            assert got == self.outcome(solve_in_basis, f, expanded), (f, cands)
+            seen.add(got[1] if isinstance(got, tuple) else "solved")
+        assert seen == {
+            "solved",
+            "no candidate terms to combine",
+            "input is not a combination of the candidate terms",
+            "candidate terms are linearly dependent",
+        }
 
 
 class TestAuto:

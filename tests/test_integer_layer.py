@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from affinepowers import AffineChange, ReconstructionFailed, linalg, ratroots  # noqa: E402
-from affinepowers.decompose import _solve_in_basis  # noqa: E402
+from affinepowers.decompose import _coords  # noqa: E402
 from affinepowers.sde import canonical_sde  # noqa: E402
 from affinepowers.unipoly import UniPoly  # noqa: E402
 
@@ -120,76 +120,127 @@ class TestToPrimitiveInt:
         assert ratroots.to_primitive_int(UniPoly((5, -3))) == [-5, 3]
 
 
-class TestIntRows:
-    """Callers holding rationals hand linalg.solve each row cleared of its
-    denominators together with its right-hand-side entry."""
+def spy_calls(monkeypatch, name) -> list:
+    """The argument tuples of every call to linalg.<name>, which still runs."""
+    seen = []
+    real = getattr(linalg, name)
 
-    @staticmethod
-    def assert_cleared(row_out, row):
-        """row_out = lam * row for the least positive integer lam making
-        every entry integral."""
-        assert all(type(v) is int for v in row_out)
-        assert len(row_out) == len(row)
-        lam = next((F(o) / v for o, v in zip(row_out, row) if v), F(1))
-        assert lam.denominator == 1 and lam > 0
-        assert all(F(o) == lam * v for o, v in zip(row_out, row))
-        assert math.gcd(*(int(lam) // v.denominator for v in row)) == 1
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
 
-    @staticmethod
-    def captured_solves(call) -> list:
-        """The (matrix, rhs) pairs that call() passes to linalg.solve."""
-        seen = []
-        real = linalg.solve
+    monkeypatch.setattr(linalg, name, spy)
+    return seen
 
-        def spy(m, rhs):
-            seen.append((m, list(rhs)))
-            return real(m, rhs)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "solve", spy)
-            try:
-                call()
-            except (ReconstructionFailed, ValueError):
-                pass  # inconsistent or singular draws still record the system
-        return seen
+class TestIntColumns:
+    """_coords hands linalg.solve one integer column per candidate,
+    proportional to the candidate expanded in Fractions, and f scaled to
+    integers as its right-hand side."""
 
     @staticmethod
     @st.composite
-    def systems(draw):
-        rows = draw(st.integers(1, 4))
-        cols = draw(st.integers(1, 4))
-        entries = [
-            draw(st.lists(rationals, min_size=cols, max_size=cols))
-            for _ in range(rows)
+    def candidates(draw):
+        count = draw(st.integers(1, 4))
+        return [
+            (
+                draw(rationals),
+                draw(st.dictionaries(st.integers(0, 7), rationals, min_size=1, max_size=3)),
+            )
+            for _ in range(count)
         ]
-        extra = draw(
-            st.one_of(st.none(), st.lists(rationals, min_size=rows, max_size=rows))
-        )
-        return entries, extra
 
     @PROPERTY
-    @given(systems())
-    def test_least_integer_scale_per_row(self, system):
-        entries, extra = system
-        rhs = extra if extra is not None else [F(0)] * len(entries)
-        # _solve_in_basis reads row r off the x^r coefficients
-        basis = [UniPoly([row[j] for row in entries]) for j in range(len(entries[0]))]
-        ((m, out_rhs),) = self.captured_solves(lambda: _solve_in_basis(UniPoly(rhs), basis))
-        assert m.rows == len(out_rhs) <= len(entries)
-        for i, row in enumerate(entries):
-            full = row + [rhs[i]]
-            if i < m.rows:
-                self.assert_cleared([*m.entries[i], out_rhs[i]], full)
-            else:
-                assert not any(full)  # rows past every degree are zero
+    @given(candidates(), st.lists(rationals, max_size=9))
+    def test_integral_and_proportional(self, cands, f_coeffs):
+        f = UniPoly(f_coeffs)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_calls(mp, "solve")
+            try:
+                _coords(f, cands)
+            except ReconstructionFailed:
+                pass  # inconsistent or dependent draws still record the system
+        ((m, rhs),) = seen
+        assert m.cols == len(cands)
+        for j, (node, part) in enumerate(cands):
+            expanded = sum(
+                (UniPoly.affine_power(c, node, k) for k, c in part.items()), UniPoly()
+            )
+            assert m.rows > expanded.degree
+            column = [row[j] for row in m.entries]
+            assert all(type(v) is int for v in column)
+            assert_proportional(column, [expanded.coeff(r) for r in range(m.rows)])
+        assert m.rows > f.degree
+        assert all(type(v) is int for v in rhs)
+        assert_proportional(rhs, [f.coeff(r) for r in range(m.rows)])
 
-    def test_zero_and_integer_rows(self):
-        # rows [0, 0 | 1/4], [3, -6 | 0], [1/2, 1/3 | 1]
-        basis = [UniPoly([0, 3, F(1, 2)]), UniPoly([0, -6, F(1, 3)])]
-        target = UniPoly([F(1, 4), 0, 1])
-        ((m, rhs),) = self.captured_solves(lambda: _solve_in_basis(target, basis))
-        assert [[*row, v] for row, v in zip(m.entries, rhs)] == [[0, 0, 1], [3, -6, 0], [3, 2, 6]]
-        # AffineChange.of: the same two rows, with rhs l_j e_j per inverse column
-        calls = self.captured_solves(lambda: AffineChange.of([[3, -6], [F(1, 2), F(1, 3)]], [0, 0]))
-        assert [m.entries for m, _ in calls] == [((3, -6), (3, 2))] * 2
-        assert [rhs for _, rhs in calls] == [[1, 0], [0, 6]]
+    def test_known_columns(self, monkeypatch):
+        # 2/3 (x - 1/2)^2 times q d^K = 3 * 2^2: 2 (2x - 1)^2 = 2 - 8x + 8x^2;
+        # 5 (x + 2) + 1/2 times q d^K = 2 * 1: 10 (x + 2) + 1 = 21 + 10x;
+        # f = 3/2 and 1/3 of them = 15/4 + 2/3 x + x^2, times 12
+        seen = spy_calls(monkeypatch, "solve")
+        f = UniPoly([F(15, 4), F(2, 3), 1])
+        coords = _coords(f, [(F(1, 2), {2: F(2, 3)}), (F(-2), {1: F(5), 0: F(1, 2)})])
+        ((m, rhs),) = seen
+        assert m.entries == ((2, 21), (-8, 10), (8, 0))
+        assert rhs == [45, 8, 12]
+        assert coords == [F(3, 2), F(1, 3)]
+
+
+def det(rows) -> Fraction:
+    """Determinant by Fraction Gaussian elimination."""
+    a = [[F(v) for v in row] for row in rows]
+    n, out = len(a), F(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            out = -out
+        out *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out
+
+
+class TestAffineChangeInverse:
+    """AffineChange.of reads the inverse off one kernel of [L M | -L]."""
+
+    @staticmethod
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 4))
+        entries = st.one_of(st.just(F(0)), small, integral)
+        rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+        if draw(st.booleans()) and n > 1:
+            # a row that is a combination of the others makes M singular
+            lam = draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+            k = draw(st.integers(0, n - 1))
+            others = [r for i, r in enumerate(rows) if i != k]
+            rows[k] = [sum((l * r[j] for l, r in zip(lam, others)), F(0)) for j in range(n)]
+        return rows
+
+    @PROPERTY
+    @given(matrices())
+    def test_inverse_or_singular(self, rows):
+        n = len(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            kernels, solves = spy_calls(mp, "kernel"), spy_calls(mp, "solve")
+            if det(rows) == 0:
+                with pytest.raises(ValueError, match="^matrix is singular$"):
+                    AffineChange.of(rows, [0] * n)
+            else:
+                ch = AffineChange.of(rows, [0] * n)
+                for i in range(n):
+                    for j in range(n):
+                        prod = sum(ch.matrix[i][k] * ch.inverse[k][j] for k in range(n))
+                        assert prod == (i == j)
+        assert len(kernels) == 1 and solves == []
+
+    def test_known_singular_and_zero_rows(self):
+        for rows in ([[0, 0], [0, 0]], [[1, 2], [F(1, 2), 1]], [[0, 1], [0, F(3, 7)]]):
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                AffineChange.of(rows, [0, 0])
+        assert AffineChange.of([], []).inverse == ()

@@ -224,8 +224,8 @@ class TestVerification:
     def corrupt_bareiss(self, monkeypatch):
         real = linalg._bareiss
 
-        def corrupted(mat, pivot_width):
-            pivots = real(mat, pivot_width)
+        def corrupted(mat):
+            pivots = real(mat)
             mat[0][-1] += 1
             return pivots
 
@@ -236,7 +236,7 @@ class TestVerification:
             kernel(M([[1, 2, 3], [4, 5, 6]]))
 
     def test_solve(self, corrupt_bareiss):
-        with pytest.raises(RuntimeError, match="^solve verification failed$"):
+        with pytest.raises(RuntimeError, match="^kernel verification failed$"):
             solve(M([[2, 1], [1, 3]]), [5, 10])
 
 

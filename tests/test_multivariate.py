@@ -155,6 +155,12 @@ class TestAffineChange:
         ]
         assert back == pt
 
+    def test_apply_checks_point_length(self):
+        ch = AffineChange.of([[2, 1], [1, 1]], [3, 4])
+        for point in ([1, 2, 99], [1], []):
+            with pytest.raises(DimensionMismatch, match="^point length != variable count$"):
+                ch.apply(point)
+
     def test_sample_deterministic_and_bounded(self):
         a = AffineChange.sample(random.Random(5), 3)
         b = AffineChange.sample(random.Random(5), 3)
@@ -231,6 +237,15 @@ class TestMultiTerm:
         with pytest.raises(ValueError):
             MultiTerm(F(1), LinearForm.of(0, [1, 0]), 0)
 
+    @pytest.mark.parametrize("exponent", [3.5, 2.0, True, F(7, 2)])
+    def test_non_integral_exponent_rejected(self, exponent):
+        # int() would read 3.5 as 3 and True as 1
+        with pytest.raises(ValueError):
+            MultiTerm(F(1), LinearForm.of(0, [1, 0]), exponent)
+
+    def test_integer_string_exponent_parsed(self):
+        assert MultiTerm(F(1), LinearForm.of(0, [1, 0]), "3").exponent == 3
+
 
 class TestMultiDecomposition:
     def test_normalizes_leading_coefficient(self):
@@ -240,6 +255,13 @@ class TestMultiDecomposition:
         assert t.form.coefficients == (F(1), F(2))
         assert t.form.constant == F(1)
         assert t.coeff == F(8)
+
+    @pytest.mark.parametrize("lead", [1, 2])
+    @pytest.mark.parametrize("exponent", [2.7, True, F(5, 2)])
+    def test_of_rejects_non_integral_exponent(self, lead, exponent):
+        form = LinearForm.of(1, [lead, 3])
+        with pytest.raises(ValueError):
+            MultiDecomposition.of(2, [(F(1), form, exponent)])
 
     def test_merges_equivalent_forms(self):
         items = [

@@ -22,7 +22,7 @@ from .unipoly import UniPoly
 from .ratroots import rational_roots_with_cofactor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaringResult:
     """terms is a tuple of (coeff, node) pairs, all with exponent degree;
     None means the optimum was not certified below the threshold."""
@@ -76,7 +76,7 @@ def waring_decompose(f: UniPoly) -> WaringResult:
     return WaringResult(d, tuple((t.coeff, t.node) for t in dec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparsestResult:
     """shift a and the support map exponent -> coeff of a sparsest
     single-node form; both None when not certified below the threshold."""

@@ -28,7 +28,7 @@ from .errors import (
 from .unipoly import UniPoly, _clear_denominators, _frac, _parse_int, _powers, rational_roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineTerm:
     """coeff * (x - node)^exponent with coeff != 0."""
 
@@ -49,7 +49,7 @@ class AffineTerm:
         return UniPoly.affine_power(self.coeff, self.node, self.exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """Terms sorted by (exponent desc, node asc); (node, exponent) unique."""
 

@@ -23,7 +23,10 @@ P_i(y + c), a window of at most order+shift+1 coefficients on the exponents
 m-order..m+shift, so a solution R(x) * (x - c)^e costs a kernel of
 order+shift+deg(R)+1 rows instead of one row per degree of x.  The same
 window with c left symbolic gives the conditions whose common roots are the
-nodes of the pure-power solutions (x - c)^e.
+nodes of the pure-power solutions (x - c)^e.  For e >= order its lowest entry
+is e!/(e-order)! * P_order(c), so every such node is a root of P_order: when
+those roots are all rational, each one is tested once per exponent instead.
+Every pair found either way is checked once more with apply_sde.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -40,7 +43,7 @@ from typing import Sequence
 
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
-from .unipoly import ONE, ZERO, UniPoly
+from .unipoly import ONE, ZERO, UniPoly, _clear_denominators
 
 @dataclass(frozen=True)
 class SDE:
@@ -62,8 +65,11 @@ class SDE:
                 raise ValueError(f"deg(P_{i}) exceeds {i} + shift")
 
     def int_polys(self) -> list[list[int]]:
-        """Coefficient polynomials as integer lists (canonical scaling)."""
-        return [[int(c) for c in p.coeffs] for p in self.polys]
+        """Coefficient polynomials as integer lists, all scaled by the
+        least common denominator of their coefficients (1 for a canonical
+        equation)."""
+        scaled = iter(_clear_denominators([c for p in self.polys for c in p.coeffs]))
+        return [[next(scaled) for _ in p.coeffs] for p in self.polys]
 
 
 def canonical_sde(order: int, shift: int, polys: Sequence[UniPoly]) -> SDE:
@@ -74,15 +80,24 @@ def canonical_sde(order: int, shift: int, polys: Sequence[UniPoly]) -> SDE:
 
 
 def apply_sde(s: SDE, f: UniPoly) -> UniPoly:
-    """sum P_i * f^(i); the zero polynomial iff f satisfies the equation."""
-    total = ZERO
-    df = f
-    for i, p in enumerate(s.polys):
+    """sum P_i * f^(i); the zero polynomial iff f satisfies the equation.
+
+    Summed in integers: with f = F/d and P_i = p_i/l over common
+    denominators (p_i from int_polys), the image is sum_i p_i * F^(i) / (l*d)."""
+    d = math.lcm(*(c.denominator for c in f.coeffs))
+    l = math.lcm(*(c.denominator for p in s.polys for c in p.coeffs))
+    df = _clear_denominators(f.coeffs)
+    total = [0] * (len(df) + s.shift)
+    for i, p in enumerate(s.int_polys()):
         if i:
-            df = df.derivative()
-        if not p.is_zero() and not df.is_zero():
-            total = total + p * df
-    return total
+            df = [k * df[k] for k in range(1, len(df))]
+        for j, c in enumerate(p):
+            if c:
+                for k, v in enumerate(df, j):
+                    total[k] += c * v
+    if not any(total):
+        return ZERO
+    return UniPoly([Fraction(t, l * d) for t in total])
 
 
 def wronskian(fs: Sequence[UniPoly]) -> UniPoly:
@@ -360,7 +375,7 @@ def _window(q: list[list[list[int]]], e: int) -> dict[int, list[int]]:
     return acc
 
 
-def _power_solutions_at(s: SDE, q, e: int) -> list[tuple[Fraction, int]]:
+def _power_solutions_at(q, e: int) -> list[tuple[Fraction, int]]:
     # the nodes b with (x - b)^e a solution are the common roots of the
     # window's coefficients
     conditions = [cs for _, cs in sorted(_window(q, e).items()) if ratroots._strip(cs)]
@@ -382,12 +397,24 @@ def _power_solutions_at(s: SDE, q, e: int) -> list[tuple[Fraction, int]]:
             f"nodes at exponent {e} satisfy an irreducible condition of "
             f"degree {cofactor_deg} with no rational root"
         )
-    found = []
-    for b in sorted(roots):
-        if not apply_sde(s, UniPoly.affine_power(1, b, e)).is_zero():
-            raise RuntimeError("power solution failed verification")
-        found.append((b, e))
-    return found
+    return [(b, e) for b in sorted(roots)]
+
+
+def _node_conditions(q: list[list[list[int]]], order: int, shift: int, node: Fraction) -> list[list[int]]:
+    """The window of L((x - node)^e) for e >= order, factored by exponent:
+    rows w_j (j = 0..order+shift) with w_j[i] = q[i][i - order + j] at the
+    node, so that the y^(e - order + j) entry of _window(_at_node(q, node), e)
+    is sum_i e!/(e-i)! * w_j[i]; all-zero rows left out."""
+    qb = _at_node(q, node)
+    rows = []
+    for j in range(order + shift + 1):
+        row = [0] * (order + 1)
+        for i, q_i in enumerate(qb):
+            if 0 <= i - order + j < len(q_i):
+                row[i] = q_i[i - order + j][0]
+        if any(row):
+            rows.append(row)
+    return rows
 
 
 def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
@@ -397,15 +424,37 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
     Raises IrrationalNodeDetected when some admissible node is provably
     irrational, i.e. the node condition has a nonconstant factor without
     rational roots.
+
+    For e >= order every node is a root of P_order.  When P_order is
+    nonzero and all its roots are rational, those roots are the only
+    candidates at every such exponent, and each one is kept where the
+    window of L((x - b)^e) vanishes at b.  Exponents below the order, and
+    every exponent when P_order is zero or has a factor without rational
+    roots, take the per-exponent gcd of the symbolic window's conditions.
+    Either way each returned pair is certified once with apply_sde.
     """
     if e_min < 1:
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
     q = _shifted_coeff_polys(s.int_polys())
+    fast_from, candidates = e_max + 1, []
+    if e_max >= max(e_min, s.order) and not s.polys[-1].is_zero():
+        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[-1])
+        if not cofactor_deg:
+            fast_from = max(e_min, s.order)
+            candidates = [(b, _node_conditions(q, s.order, s.shift, b)) for b in sorted(roots)]
     out: list[tuple[Fraction, int]] = []
-    for e in range(e_min, e_max + 1):
-        out.extend(_power_solutions_at(s, q, e))
+    for e in range(e_min, fast_from):
+        out.extend(_power_solutions_at(q, e))
+    for e in range(fast_from, e_max + 1):
+        falls = [math.perm(e, i) for i in range(s.order + 1)]
+        for b, rows in candidates:
+            if not any(sum(map(operator.mul, falls, row)) for row in rows):
+                out.append((b, e))
+    for b, e in out:
+        if not apply_sde(s, UniPoly.affine_power(1, b, e)).is_zero():
+            raise RuntimeError("power solution failed verification")
     out.sort(key=lambda be: (be[1], be[0]))
     return out
 

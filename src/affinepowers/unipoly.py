@@ -80,13 +80,15 @@ class UniPoly:
             raise ValueError("exponent must be nonnegative")
         a = _frac(node)
         c = _frac(coeff)
-        # coefficient of x^k is C(e, k) * (-a)^(e-k)
-        out = [Fraction(0)] * (exponent + 1)
-        power = Fraction(1)
-        for k in range(exponent, -1, -1):
-            out[k] = c * math.comb(exponent, k) * power
-            power *= -a
-        return cls(out)
+        # with c = n/m and node = p/q the coefficient of x^k is
+        # n * C(e, k) * (-p)^(e-k) / (m * q^(e-k))
+        tops = _powers(-a.numerator, exponent)
+        bottoms = _powers(a.denominator, exponent)
+        return cls([
+            Fraction(c.numerator * math.comb(exponent, k) * tops[exponent - k],
+                     c.denominator * bottoms[exponent - k])
+            for k in range(exponent + 1)
+        ])
 
     # -- basic queries ------------------------------------------------
 
@@ -211,15 +213,11 @@ class UniPoly:
         return acc
 
     def derivative(self, order: int = 1) -> "UniPoly":
-        """order-th derivative; order 0 returns self."""
+        """order-th derivative: x^k goes to k!/(k-order)! * x^(k-order)."""
         if order < 0:
             raise ValueError("negative derivative order")
         cs = self.coeffs
-        for _ in range(order):
-            if len(cs) <= 1:
-                return UniPoly()
-            cs = tuple(k * cs[k] for k in range(1, len(cs)))
-        return UniPoly(cs)
+        return UniPoly([math.perm(k, order) * cs[k] for k in range(order, len(cs))])
 
     def taylor_shift(self, a) -> "UniPoly":
         """Coefficients of f(x + a); equally the coordinates of f in the

@@ -1,5 +1,6 @@
 """Tests for the univariate decomposition algorithms and admission checks."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -680,3 +681,17 @@ class TestOutputInvariants:
             s = len(dec)
             e_max = max(t.exponent for t in dec)
             assert 2 * (e_max - f.degree) < s * s or e_max == f.degree
+
+
+class TestSlottedRecords:
+    def test_records_keep_no_instance_dict(self):
+        # results are held by callers in bulk, so they are slotted and stay
+        # frozen
+        from affinepowers.classic import SparsestResult, WaringResult
+
+        term = AffineTerm(2, F(1, 3), 5)
+        records = (term, Decomposition((term,)), WaringResult(5, ((F(2), F(1, 3)),)), SparsestResult(None, None))
+        for rec in records:
+            assert not hasattr(rec, "__dict__"), type(rec).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            term.coeff = F(3)

@@ -120,6 +120,20 @@ class TestSDEContainer:
         s = SDE(1, 0, (P(5), P(2, -1)))
         assert s.int_polys() == [[5], [2, -1]]
 
+    def test_int_polys_clears_one_common_denominator(self):
+        s = SDE(1, 1, (P(F(-3, 2), F(1, 3)), P(F(-1, 2), F(1, 2), 2)))
+        assert s.int_polys() == [[-9, 2], [-3, 3, 12]]
+
+    def test_fractional_equation_finds_its_solutions(self):
+        # -3/2 g + (x - 1)/2 g' annihilates (x - 1)^3; the coefficients
+        # used to be truncated to integers, which lost the solution
+        s = SDE(1, 0, (P(F(-3, 2)), P(F(-1, 2), F(1, 2))))
+        canonical = canonical_sde(1, 0, s.polys)
+        assert apply_sde(s, UniPoly.affine_power(1, 1, 3)).is_zero()
+        assert power_solutions(s, 1, 5) == power_solutions(canonical, 1, 5) == [(F(1), 3)]
+        assert shifted_poly_solutions(s, 1, 0, 1, 5) == shifted_poly_solutions(canonical, 1, 0, 1, 5)
+        assert shifted_poly_solutions(s, 1, 0, 1, 5) == [{3: 1}]
+
 
 class TestCanonicalSDE:
     def test_scaling_invariance(self):
@@ -156,6 +170,27 @@ class TestApplySDE:
     def test_zero_input(self):
         s = SDE(1, 0, (P(5), P(2, -1)))
         assert apply_sde(s, P()).is_zero()
+
+    def test_matches_fraction_sum_on_fractional_equations(self):
+        # the integer sum over common denominators against sum P_i * f^(i)
+        # taken term by term in Fractions
+        rng = random.Random(11)
+
+        def frac():
+            return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+        for _ in range(60):
+            order, shift = rng.randint(0, 4), rng.randint(0, 2)
+            polys = [P(*(frac() for _ in range(rng.randint(0, i + shift + 1)))) for i in range(order + 1)]
+            if all(p.is_zero() for p in polys):
+                polys[-1] = P(frac() or 1)
+            s = SDE(order, shift, tuple(polys))
+            f = P(*(frac() for _ in range(rng.randint(0, 9))))
+            expected, df = P(), f
+            for i, p in enumerate(s.polys):
+                expected = expected + p * df
+                df = df.derivative()
+            assert apply_sde(s, f) == expected
 
 
 class TestFindMinSDE:

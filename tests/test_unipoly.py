@@ -52,10 +52,10 @@ class TestConstruction:
 
     def test_affine_power_matches_repeated_multiplication(self):
         rng = random.Random(42)
-        for _ in range(20):
+        for _ in range(60):
             a = F(rng.randint(-9, 9), rng.randint(1, 5))
             e = rng.randint(0, 12)
-            c = F(rng.randint(1, 9))
+            c = F(rng.randint(-9, 9), rng.randint(1, 7))
             expected = UniPoly.constant(c)
             lin = P(-a, 1)
             for _ in range(e):
@@ -159,6 +159,21 @@ class TestCalculus:
     def test_derivative_order_zero_is_identity(self):
         f = P(1, -2, 3)
         assert f.derivative(0) == f
+
+    def test_higher_derivative_is_repeated_first_derivative(self):
+        # derivative(j) builds k!/(k-j)! * c_k in one pass; j first
+        # derivatives in a row must agree, past the degree too
+        rng = random.Random(11)
+        for _ in range(10):
+            f = P(*[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 9))])
+            step = f
+            for j in range(f.degree + 3):
+                assert f.derivative(j) == step
+                step = step.derivative()
+
+    def test_negative_derivative_order_rejected(self):
+        with pytest.raises(ValueError):
+            P(1, 2, 3).derivative(-1)
 
     def test_third_derivative_of_affine_power(self):
         # ((x-2)^5)''' = 60(x-2)^2 = 60x^2 - 240x + 240

@@ -381,16 +381,19 @@ def decompose_small_intervals(f: UniPoly, delta: int | None = None) -> Decomposi
     if delta is None:
         last: ReconstructionFailed | None = None
         reasons = []
-        for width in range(_DELTA_MAX + 1):
-            try:
-                return decompose_small_intervals(f, width)
-            except ReconstructionFailed as exc:
-                last = exc
-                reasons.append(f"width {width}: {exc}")
-        raise DeltaExhausted(
-            f"no interval width up to {_DELTA_MAX} yielded a verified "
-            f"decomposition ({'; '.join(reasons)})"
-        ) from last
+        try:
+            for width in range(_DELTA_MAX + 1):
+                try:
+                    return decompose_small_intervals(f, width)
+                except ReconstructionFailed as exc:
+                    last = exc
+                    reasons.append(f"width {width}: {exc}")
+            raise DeltaExhausted(
+                f"no interval width up to {_DELTA_MAX} yielded a verified "
+                f"decomposition ({'; '.join(reasons)})"
+            ) from last
+        finally:
+            last = None  # a caught error's traceback holds this frame: drop it on every exit
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     eq = sde_mod.find_min_sde(f, delta)
@@ -440,20 +443,23 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
     _require_nonzero(f)
     irrational: IrrationalNodeDetected | None = None
     last: ReconstructionFailed | None = None
-    for tag, fn in _STRATEGIES:
-        if tag == "big_exponents":
-            # big_gaps plus the distinct-node check: the big_gaps run answers
-            continue
-        try:
-            dec = fn(f)
-        except IrrationalNodeDetected as exc:
-            irrational = exc
-        except ReconstructionFailed as exc:
-            last = exc
-        else:
-            if tag == "big_gaps" and _has_distinct_nodes(dec):
-                tag = "big_exponents"
-            return dec, tag
-    if irrational is not None:
-        raise irrational
-    raise ReconstructionFailed("no strategy produced a verified decomposition") from last
+    try:
+        for tag, fn in _STRATEGIES:
+            if tag == "big_exponents":
+                # big_gaps plus the distinct-node check: the big_gaps run answers
+                continue
+            try:
+                dec = fn(f)
+            except IrrationalNodeDetected as exc:
+                irrational = exc
+            except ReconstructionFailed as exc:
+                last = exc
+            else:
+                if tag == "big_gaps" and _has_distinct_nodes(dec):
+                    tag = "big_exponents"
+                return dec, tag
+        if irrational is not None:
+            raise irrational
+        raise ReconstructionFailed("no strategy produced a verified decomposition") from last
+    finally:
+        irrational = last = None  # a caught error's traceback holds this frame: drop it on every exit

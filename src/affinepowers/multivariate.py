@@ -360,28 +360,31 @@ def multi_build(
             raise ValueError(f"unknown backend {backend!r}")
     rng = random.Random(rng_seed)
     last: ExactAlgebraError | None = None
-    for _ in range(max(retries, 0) + 1):
-        change = AffineChange.sample(rng, bb.n)
-        try:
-            candidate = _assemble(bb, change, backend_fn)
-        except (ReconstructionFailed, IrrationalNodeDetected, ZeroPolynomial) as exc:
-            last = exc
-            continue
-        result = (
-            MultiDecomposition(bb.n, ()) if candidate is None else candidate
-        )
-        ok = True
-        for _ in range(_CHECK_POINTS):
-            point = [
-                Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE))
-                for _ in range(bb.n)
-            ]
-            if bb.eval(point) != result.evaluate(point):
-                ok = False
-                break
-        if ok:
-            return result
-        last = ReconstructionFailed("candidate failed the random spot check")
-    raise ReconstructionFailed(
-        f"no attempt out of {max(retries, 0) + 1} produced a verified decomposition"
-    ) from last
+    try:
+        for _ in range(max(retries, 0) + 1):
+            change = AffineChange.sample(rng, bb.n)
+            try:
+                candidate = _assemble(bb, change, backend_fn)
+            except (ReconstructionFailed, IrrationalNodeDetected, ZeroPolynomial) as exc:
+                last = exc
+                continue
+            result = (
+                MultiDecomposition(bb.n, ()) if candidate is None else candidate
+            )
+            ok = True
+            for _ in range(_CHECK_POINTS):
+                point = [
+                    Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE))
+                    for _ in range(bb.n)
+                ]
+                if bb.eval(point) != result.evaluate(point):
+                    ok = False
+                    break
+            if ok:
+                return result
+            last = ReconstructionFailed("candidate failed the random spot check")
+        raise ReconstructionFailed(
+            f"no attempt out of {max(retries, 0) + 1} produced a verified decomposition"
+        ) from last
+    finally:
+        last = None  # a caught error's traceback holds this frame: drop it on every exit

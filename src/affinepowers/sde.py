@@ -19,14 +19,17 @@ per-order Bareiss kernels, which remain the reference path.
 
 Solutions at a node c are found, and returned, in the node's basis
 y = x - c.  There the equation maps y^m to sum_i m!/(m-i)! * y^(m-i) *
-P_i(y + c), a window of at most order+shift+1 coefficients on the exponents
-m-order..m+shift, so a solution R(x) * (x - c)^e costs a kernel of
-order+shift+deg(R)+1 rows instead of one row per degree of x.  The same
-window with c left symbolic gives the conditions whose common roots are the
-nodes of the pure-power solutions (x - c)^e.  For e >= order its lowest entry
-is e!/(e-order)! * P_order(c), so every such node is a root of P_order: when
-those roots are all rational, each one is tested once per exponent instead.
-Every pair found either way is checked once more with apply_sde.
+P_i(y + c), whose y^(m-order+j) entry is sum_i m!/(m-i)! * w_j[i] for the
+rows w_j (j = 0..order+shift) of one node table per equation: w_j[i] is the
+y^(i-order+j) part of P_i(y + c), a polynomial in c.  At a node the table
+gives windows of order+shift+1 coefficients, so a solution R(x) * (x - c)^e
+costs a kernel of order+shift+deg(R)+1 rows instead of one row per degree
+of x.  With c symbolic, the entries at one exponent are the conditions whose
+common roots are the nodes of the pure-power solutions (x - c)^e.  For
+e >= order the lowest is e!/(e-order)! * P_order(c), so every such node is a
+root of P_order: when those roots are all rational, the table is evaluated
+at each and tested once per exponent instead.  Every pair found either way
+is checked once more with apply_sde.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -337,48 +340,39 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | 
 # -- power solutions ------------------------------------------------------
 
 
-def _shifted_coeff_polys(p_int: list[list[int]]) -> list[list[list[int]]]:
-    """q[i][t] = coefficients (in the node variable b) of the y^t part of
-    P_i(y + b); only depends on the equation, not on the exponent."""
-    out = []
-    for cs in p_int:
-        deg = len(cs) - 1
-        q_i = []
-        for t in range(deg + 1):
-            q_i.append([cs[u] * math.comb(u, t) for u in range(t, deg + 1)])
-        out.append(q_i)
-    return out
+def _node_table(s: SDE) -> list[list[list[int]]]:
+    """L((x - b)^m) in the basis y = x - b, for every m: rows w_j
+    (j = 0..order+shift) with w_j[i] the coefficients in b of the
+    y^(i-order+j) part of P_i(y + b), [] where there is none.  The
+    y^(m-order+j) entry of the image is sum_i perm(m, i) * w_j[i], below the
+    order too (perm(m, i) = 0 for i > m)."""
+    table = [[[] for _ in range(s.order + 1)] for _ in range(s.order + s.shift + 1)]
+    for i, cs in enumerate(s.int_polys()):
+        for t in range(len(cs)):
+            table[s.order - i + t][i] = [cs[u] * math.comb(u, t) for u in range(t, len(cs))]
+    return table
 
 
-def _at_node(q: list[list[list[int]]], node: Fraction) -> list[list[list[int]]]:
-    """q evaluated at b = node = a/d, as one-entry lists, all scaled by the
-    same factor d^D (D the largest degree of a P_i) so they are integers."""
+def _at_node(table: list[list[list[int]]], node: Fraction) -> list[list[int]]:
+    """The table evaluated at b = node = a/d, all entries scaled by the same
+    factor d^D (D the largest degree of a P_i) so they are integers."""
     a, d = node.numerator, node.denominator
-    top = max(len(q_i) for q_i in q) - 1
+    top = max(len(w) for row in table for w in row) - 1
     weights = [a**j * d ** (top - j) for j in range(top + 1)]
-    return [[[sum(map(operator.mul, qit, weights))] for qit in q_i] for q_i in q]
+    return [[sum(map(operator.mul, w, weights)) for w in row] for row in table]
 
 
-def _window(q: list[list[list[int]]], e: int) -> dict[int, list[int]]:
-    """L((x - b)^e) in the basis y = x - b, as {m: coefficients in b of the
-    y^m part}.  With P_i(y + b) = sum_t q[i][t] y^t the image is
-    sum_i e!/(e-i)! * y^(e-i) * P_i(y + b), so m runs over e-order..e+shift."""
-    acc: dict[int, list[int]] = {}
-    for i in range(min(len(q) - 1, e) + 1):
-        fall = math.perm(e, i)
-        for t, qit in enumerate(q[i]):
-            slot = acc.setdefault(e - i + t, [])
-            if len(slot) < len(qit):
-                slot.extend([0] * (len(qit) - len(slot)))
-            for idx, c in enumerate(qit):
-                slot[idx] += fall * c
-    return acc
-
-
-def _power_solutions_at(q, e: int) -> list[tuple[Fraction, int]]:
-    # the nodes b with (x - b)^e a solution are the common roots of the
-    # window's coefficients
-    conditions = [cs for _, cs in sorted(_window(q, e).items()) if ratroots._strip(cs)]
+def _power_solutions_at(table: list[list[list[int]]], e: int) -> list[tuple[Fraction, int]]:
+    # the nodes b of solutions (x - b)^e: common roots of the image's entries
+    falls = [math.perm(e, i) for i in range(min(len(table[0]) - 1, e) + 1)]
+    conditions = []
+    for row in table:
+        cs = [0] * max(map(len, row))
+        for fall, w in zip(falls, row):
+            for k, c in enumerate(w):
+                cs[k] += fall * c
+        if ratroots._strip(cs):
+            conditions.append(cs)
     if not conditions:
         raise ValueError(
             f"every node solves the equation at exponent {e}; "
@@ -400,23 +394,6 @@ def _power_solutions_at(q, e: int) -> list[tuple[Fraction, int]]:
     return [(b, e) for b in sorted(roots)]
 
 
-def _node_conditions(q: list[list[list[int]]], order: int, shift: int, node: Fraction) -> list[list[int]]:
-    """The window of L((x - node)^e) for e >= order, factored by exponent:
-    rows w_j (j = 0..order+shift) with w_j[i] = q[i][i - order + j] at the
-    node, so that the y^(e - order + j) entry of _window(_at_node(q, node), e)
-    is sum_i e!/(e-i)! * w_j[i]; all-zero rows left out."""
-    qb = _at_node(q, node)
-    rows = []
-    for j in range(order + shift + 1):
-        row = [0] * (order + 1)
-        for i, q_i in enumerate(qb):
-            if 0 <= i - order + j < len(q_i):
-                row[i] = q_i[i - order + j][0]
-        if any(row):
-            rows.append(row)
-    return rows
-
-
 def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     """All pairs (b, e) with e_min <= e <= e_max such that (x - b)^e with
     rational b satisfies the equation, sorted by (e, b).
@@ -425,28 +402,29 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
     irrational, i.e. the node condition has a nonconstant factor without
     rational roots.
 
-    For e >= order every node is a root of P_order.  When P_order is
-    nonzero and all its roots are rational, those roots are the only
-    candidates at every such exponent, and each one is kept where the
-    window of L((x - b)^e) vanishes at b.  Exponents below the order, and
-    every exponent when P_order is zero or has a factor without rational
-    roots, take the per-exponent gcd of the symbolic window's conditions.
-    Either way each returned pair is certified once with apply_sde.
+    Both paths read the node table.  For e >= order every node is a root
+    of P_order.  When P_order is nonzero and all its roots are rational,
+    the table is evaluated once at each root, which is kept at the
+    exponents where every row's sum_i perm(e, i) * w_j[i] is zero.
+    Exponents below the order, and every exponent when P_order is zero or
+    has a factor without rational roots, take the per-exponent gcd of
+    those sums with b left symbolic.  Either way each returned pair is
+    certified once with apply_sde.
     """
     if e_min < 1:
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
-    q = _shifted_coeff_polys(s.int_polys())
+    table = _node_table(s)
     fast_from, candidates = e_max + 1, []
     if e_max >= max(e_min, s.order) and not s.polys[-1].is_zero():
         roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[-1])
         if not cofactor_deg:
             fast_from = max(e_min, s.order)
-            candidates = [(b, _node_conditions(q, s.order, s.shift, b)) for b in sorted(roots)]
+            candidates = [(b, [w for w in _at_node(table, b) if any(w)]) for b in sorted(roots)]
     out: list[tuple[Fraction, int]] = []
     for e in range(e_min, fast_from):
-        out.extend(_power_solutions_at(q, e))
+        out.extend(_power_solutions_at(table, e))
     for e in range(fast_from, e_max + 1):
         falls = [math.perm(e, i) for i in range(s.order + 1)]
         for b, rows in candidates:
@@ -492,14 +470,14 @@ def shifted_poly_solutions(
     e_min <= e <= e_max, each given in the node's basis as
     {k: coefficient of (x - node)^k}, zeros left out.
 
-    The search runs in the basis y = x - node, where the equation maps y^m
-    to the window sum_i m!/(m-i)! * y^(m-i) * P_i(y + node) on the exponents
-    m-order..m+shift.  The candidates at exponent e are the kernel of the
-    window matrix with one column per y^(e+t), t <= delta, and
-    order+shift+delta+1 rows; each solution is such a kernel vector, in
-    primitive integer form with positive first nonzero entry.  The change of
-    basis is invertible, so kernels and independence, hence which candidates
-    are kept, are those of the same computation on dense expansions in x.
+    The search runs in the basis y = x - node, where the node table gives
+    the image of y^m, a window on the exponents m-order..m+shift.  The
+    candidates at exponent e are the kernel of the window matrix with one
+    column per y^(e+t), t <= delta, and order+shift+delta+1 rows; each
+    solution is such a kernel vector, in primitive integer form with
+    positive first nonzero entry.  The change of basis is invertible, so
+    kernels and independence, hence which candidates are kept, are those of
+    the same computation on dense expansions in x.
 
     The basis order is deterministic: candidates are scanned by increasing
     exponent and kept when independent of everything kept so far.
@@ -510,17 +488,18 @@ def shifted_poly_solutions(
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
-    q = _at_node(_shifted_coeff_polys(s.int_polys()), Fraction(node))
-    windows = [
-        {k: cs[0] for k, cs in _window(q, m).items()}
-        for m in range(e_min, e_max + delta + 1)
-    ]
+    rows = _at_node(_node_table(s), Fraction(node))
+    # windows[m - e_min][j]: the y^(m-order+j) entry of L((x - node)^m)
+    windows = []
+    for m in range(e_min, e_max + delta + 1):
+        falls = [math.perm(m, i) for i in range(s.order + 1)]
+        windows.append([sum(map(operator.mul, falls, row)) for row in rows])
     kept: list[dict[int, Fraction]] = []
     registry: dict[int, dict[int, Fraction]] = {}
     for e in range(e_min, e_max + 1):
-        cols = windows[e - e_min : e - e_min + delta + 1]
-        rows = range(max(e - s.order, 0), e + delta + s.shift + 1)
-        mat = [[col.get(m, 0) for col in cols] for m in rows]
+        # column t on y^(e-order)..y^(e+delta+shift), negative powers dropped
+        cols = [[0] * t + windows[e - e_min + t] + [0] * (delta - t) for t in range(delta + 1)]
+        mat = list(zip(*cols))[max(s.order - e, 0) :]
         for vec in linalg.kernel(linalg.IntMatrix.from_rows(mat)):
             sol = {e + t: v for t, v in enumerate(vec) if v}
             if _keep_if_independent(dict(sol), registry):

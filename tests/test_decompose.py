@@ -1,6 +1,7 @@
 """Tests for the univariate decomposition algorithms and admission checks."""
 
 import dataclasses
+import gc
 import math
 import random
 from fractions import Fraction
@@ -9,12 +10,14 @@ import pytest
 
 from affinepowers import (
     AffineTerm,
+    BlackBox,
     Criterion,
     Decomposition,
     DeltaExhausted,
     Inconsistent,
     InstanceSpec,
     IrrationalNodeDetected,
+    MultiPoly,
     ReconstructionFailed,
     UniPoly,
     ZeroPolynomial,
@@ -28,6 +31,7 @@ from affinepowers import (
     find_min_sde,
     generate_instance,
     linalg,
+    multi_build,
     rational_roots,
     shifted_poly_solutions,
 )
@@ -47,6 +51,8 @@ def D(*triples) -> Decomposition:
 # rational coefficients of (x - r)^13 + (x + r)^13 where r^2 = 2; its only
 # length-2 decomposition uses the irrational nodes +-r
 IRRATIONAL_13 = P(0, 1664, 0, 18304, 0, 41184, 0, 27456, 0, 5720, 0, 312, 0, 2)
+# (x - sqrt 2)^30 + (x + sqrt 2)^30
+IRRATIONAL_30 = P(*(2 * math.comb(30, k) * 2 ** ((30 - k) // 2) * (k % 2 == 0) for k in range(31)))
 
 
 class TestAffineTerm:
@@ -621,6 +627,65 @@ class TestAuto:
             f = target.expand()
             dec, _ = decompose_auto(f)
             assert dec.expand() == f
+
+
+def _generic_degree_20() -> UniPoly:
+    rng = random.Random(20)
+    return UniPoly([rng.randint(-9, 9) for _ in range(20)] + [rng.choice((-7, 3, 5))])
+
+
+def _distinct_nodes_3() -> UniPoly:
+    return generate_instance(InstanceSpec(s=3, seed=1), "distinct_nodes")[0]
+
+
+def _small_intervals_delta_1() -> UniPoly:
+    return generate_instance(InstanceSpec(s=2, seed=2), "small_intervals", groups=1, delta=1)[0]
+
+
+def _product_box() -> BlackBox:
+    x1, x2, x3 = (MultiPoly.variable(3, i) for i in range(3))
+    return BlackBox.from_multipoly(x1 * x2 * x3)
+
+
+class TestCaughtErrorsLeaveNoCycles:
+    # a caught strategy error must not stay in a local of a frame that its
+    # traceback holds, whether the call then refuses or succeeds: that cycle
+    # is freed only by the collector
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: decompose_auto(_generic_degree_20()), ReconstructionFailed),
+            (lambda: decompose_auto(IRRATIONAL_30), IrrationalNodeDetected),
+            (lambda: decompose_small_intervals(_generic_degree_20()), DeltaExhausted),
+            (lambda: multi_build(_product_box(), backend="big_exponents"), ReconstructionFailed),
+            # big_gaps fails before distinct_nodes answers
+            (lambda: decompose_auto(_distinct_nodes_3()), None),
+            # width 0 fails before width 1 answers
+            (lambda: decompose_small_intervals(_small_intervals_delta_1()), None),
+        ],
+        ids=[
+            "auto-generic",
+            "auto-irrational",
+            "small-intervals-auto-width",
+            "multi-build",
+            "auto-success",
+            "small-intervals-success",
+        ],
+    )
+    def test_no_garbage(self, call, error):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+            gc.collect()
+            assert [type(obj).__name__ for obj in gc.garbage] == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
 
 class TestOneVerification:

@@ -3,9 +3,10 @@
 For e >= order every node of a power solution (x - b)^e is a root of
 P_order, so when P_order is nonzero and all its roots are rational,
 power_solutions tests those roots once per exponent.  The reference below
-is the per-exponent path it replaces there: the gcd of the symbolic
-window's conditions, its rational roots, and a check of every root with
-apply_sde on the dense expansion.  Both must give the same pairs, or the
+is the per-exponent path it replaces there, kept here apart from the node
+table power_solutions reads: the gcd of the symbolic window's conditions,
+its rational roots, and a check of every root with apply_sde on the dense
+expansion.  Both must give the same pairs, or the
 same error type and message.
 """
 
@@ -23,6 +24,7 @@ from affinepowers import (
     power_solutions,
     ratroots,
     sde,
+    shifted_poly_solutions,
 )
 from affinepowers.generate import InstanceSpec, generate_instance
 
@@ -33,8 +35,33 @@ def P(*coeffs) -> UniPoly:
     return UniPoly(coeffs)
 
 
+def shifted_coeff_polys(p_int: list[list[int]]) -> list[list[list[int]]]:
+    """q[i][t] = coefficients (in the node variable b) of the y^t part of
+    P_i(y + b)."""
+    out = []
+    for cs in p_int:
+        deg = len(cs) - 1
+        out.append([[cs[u] * math.comb(u, t) for u in range(t, deg + 1)] for t in range(deg + 1)])
+    return out
+
+
+def window(q: list[list[list[int]]], e: int) -> dict[int, list[int]]:
+    """L((x - b)^e) in the basis y = x - b, as {m: coefficients in b of the
+    y^m part}: sum_i e!/(e-i)! * y^(e-i) * P_i(y + b)."""
+    acc: dict[int, list[int]] = {}
+    for i in range(min(len(q) - 1, e) + 1):
+        fall = math.perm(e, i)
+        for t, qit in enumerate(q[i]):
+            slot = acc.setdefault(e - i + t, [])
+            if len(slot) < len(qit):
+                slot.extend([0] * (len(qit) - len(slot)))
+            for idx, c in enumerate(qit):
+                slot[idx] += fall * c
+    return acc
+
+
 def reference_at(s: SDE, q, e: int) -> list[tuple[Fraction, int]]:
-    conditions = [cs for _, cs in sorted(sde._window(q, e).items()) if ratroots._strip(cs)]
+    conditions = [cs for _, cs in sorted(window(q, e).items()) if ratroots._strip(cs)]
     if not conditions:
         raise ValueError(
             f"every node solves the equation at exponent {e}; "
@@ -63,7 +90,7 @@ def reference_at(s: SDE, q, e: int) -> list[tuple[Fraction, int]]:
 def reference(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     if e_min < 1:
         raise ValueError("e_min must be at least 1")
-    q = sde._shifted_coeff_polys(s.int_polys())
+    q = shifted_coeff_polys(s.int_polys())
     out = []
     for e in range(e_min, e_max + 1):
         out.extend(reference_at(s, q, e))
@@ -157,6 +184,22 @@ class TestAgainstReference:
         s = SDE(2, 1, (P(F(7, 3)), P(F(1, 2), F(-5, 6)), P(F(1, 4), F(-1, 2), F(1, 4))))
         for lo, hi in ((1, 12), (2, 12), (5, 30)):
             assert outcome(power_solutions, s, lo, hi) == outcome(reference, s, lo, hi)
+
+
+class TestAgainstShiftedPolySolutions:
+    @pytest.mark.parametrize("regime, extra, terms, seed", PLANTED)
+    def test_delta_zero_at_each_root_of_the_top_coefficient(self, regime, extra, terms, seed):
+        # both read the node table: with delta = 0 the solutions at a root b
+        # of P_order are the powers (x - b)^e that power_solutions returns
+        f, _ = generate_instance(InstanceSpec(s=terms, seed=seed, **extra), regime)
+        s = find_min_sde(f, 0)
+        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[-1])
+        assert not cofactor_deg  # P_order splits over Q for these seeds
+        for lo, hi in ranges(s, f):
+            pairs = power_solutions(s, lo, hi)
+            for b in roots:
+                want = [{e: 1} for c, e in pairs if c == b]
+                assert shifted_poly_solutions(s, b, 0, lo, hi) == want
 
 
 class TestIrrationalFactor:

@@ -181,18 +181,33 @@ def test_empty_and_full_kernels(monkeypatch):
 
 
 def test_window_matches_dense_application():
-    # the window of L((x - c)^m) is the dense image read in the basis x - c
+    # the node table at c, combined with perm(m, i), is the dense image of
+    # (x - c)^m read in the basis x - c, for m below, at and above the order
     eq = find_min_sde(UniPoly.affine_power(2, F(1, 3), 9) + UniPoly.affine_power(1, -2, 8), 1)
-    q = sde._shifted_coeff_polys(eq.int_polys())
+    table = sde._node_table(eq)
+    assert len(table) == eq.order + eq.shift + 1
+    top = max(p.degree for p in eq.polys)
+    exponents = (1, eq.order - 1, eq.order, eq.order + 1, 7, 9)
+    assert min(exponents) < eq.order < max(exponents)
     for c in (F(1, 3), F(-2), F(5, 7)):
-        scale = F(c.denominator) ** (max(len(q_i) for q_i in q) - 1)
-        at_c = sde._at_node(q, c)
-        for m in (1, 2, 7, 9):
-            window = {k: F(cs[0]) / scale for k, cs in sde._window(at_c, m).items()}
+        scale = F(c.denominator) ** top
+        rows = sde._at_node(table, c)
+        # the symbolic rows evaluated at c, scaled by d^D
+        assert rows == [
+            [sum(v * c**k for k, v in enumerate(w)) * scale for w in row] for row in table
+        ]
+        for m in exponents:
+            # entry j is the coefficient of (x - c)^(m - order + j)
+            image = {
+                m - eq.order + j: sum(math.perm(m, i) * v for i, v in enumerate(row)) / scale
+                for j, row in enumerate(rows)
+            }
+            assert not any(v for k, v in image.items() if k < 0)
             dense = apply_sde(eq, UniPoly.affine_power(1, c, m)).taylor_shift(c)
-            assert min(window) >= m - eq.order and max(window) <= m + eq.shift
-            assert [window.get(k, 0) for k in range(len(dense.coeffs))] == list(dense.coeffs)
-            assert not any(window.get(k, 0) for k in range(len(dense.coeffs), m + eq.shift + 1))
+            assert max(len(dense.coeffs) - 1, 0) <= m + eq.shift
+            assert [image.get(k, 0) for k in range(m + eq.shift + 1)] == [
+                dense.coeff(k) for k in range(m + eq.shift + 1)
+            ]
 
 
 def test_sympy_dimension_and_annihilation():

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sde as sde_mod
-from .decompose import Decomposition, _fit, _verify
-from .errors import IrrationalNodeDetected, ZeroPolynomial
+from .decompose import Decomposition, _fit, _require_nonzero, _verify
+from .errors import IrrationalNodeDetected
 from .unipoly import UniPoly
 from .ratroots import rational_roots_with_cofactor
 
@@ -53,8 +53,7 @@ def waring_decompose(f: UniPoly) -> WaringResult:
     equation for f, and the nodes are read off that equation's degree-d
     power solutions.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
+    _require_nonzero(f)
     d = f.degree
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -110,8 +109,7 @@ def sparsest_shift(f: UniPoly) -> SparsestResult:
     the optimum may live in an extension field and IrrationalNodeDetected
     is raised.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
+    _require_nonzero(f)
     d = f.degree
     if d < 1:
         raise ValueError("degree must be at least 1")

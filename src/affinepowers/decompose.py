@@ -257,9 +257,7 @@ def _ceil_half(n: int) -> int:
 # -- single-pass reconstruction (large exponents / large gaps) ------------
 
 
-def _single_pass(f: UniPoly) -> Decomposition:
-    _require_nonzero(f)
-    eq = sde_mod.find_min_sde(f, 0)
+def _single_pass(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
     r = eq.order
     e_min = _ceil_half((r + 1) ** 2)
     e_max = f.degree + (r * r) // 2
@@ -277,14 +275,15 @@ def decompose_big_exponents(f: UniPoly) -> Decomposition:
     solutions over the admissible exponent window, and solves for the
     coefficients of f in that candidate basis.
     """
-    return _require_distinct_nodes(_single_pass(f))
+    return _require_distinct_nodes(decompose_big_gaps(f))
 
 
 def decompose_big_gaps(f: UniPoly) -> Decomposition:
     """Same pipeline as decompose_big_exponents but admitting repeated
     nodes; guaranteed when all exponents and all same-node exponent gaps
     exceed 5 s^2 / 2."""
-    return _single_pass(f)
+    _require_nonzero(f)
+    return _single_pass(f, sde_mod.find_min_sde(f, 0))
 
 
 # -- iterated reconstruction for distinct nodes ---------------------------
@@ -306,13 +305,17 @@ def decompose_distinct_nodes(
     against the first r candidates.
     """
     _require_nonzero(f)
+    return _peel(f, sde_mod.find_min_sde(f, 0), stats)
+
+
+def _peel(f: UniPoly, eq: sde_mod.SDE, stats: list | None = None) -> Decomposition:
     residual = f
     collected: list[tuple[Fraction, Fraction, int]] = []
     for iteration in range(f.degree + 2):
         if residual.is_zero():
             dec = Decomposition.of(collected)
             return _require_distinct_nodes(_verify(dec, f))
-        eq = sde_mod.find_min_sde(residual, 0)
+        eq = eq if iteration == 0 else sde_mod.find_min_sde(residual, 0)
         t = eq.order
         deg = residual.degree
         e_min = _ceil_half((t + 1) ** 2)
@@ -379,25 +382,33 @@ def decompose_small_intervals(f: UniPoly, delta: int | None = None) -> Decomposi
     """
     _require_nonzero(f)
     if delta is None:
-        last: ReconstructionFailed | None = None
-        reasons = []
-        try:
-            for width in range(_DELTA_MAX + 1):
-                try:
-                    return decompose_small_intervals(f, width)
-                except ReconstructionFailed as exc:
-                    last = exc
-                    reasons.append(f"width {width}: {exc}")
-            raise DeltaExhausted(
-                f"no interval width up to {_DELTA_MAX} yielded a verified "
-                f"decomposition ({'; '.join(reasons)})"
-            ) from last
-        finally:
-            last = None  # a caught error's traceback holds this frame: drop it on every exit
+        return _width_scan(f, sde_mod.find_min_sde(f, 0))
+    delta = _parse_int(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    eq = sde_mod.find_min_sde(f, delta)
-    r = eq.order
+    return _at_width(f, sde_mod.find_min_sde(f, delta))
+
+
+def _width_scan(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
+    last: ReconstructionFailed | None = None
+    reasons = []
+    try:
+        for width in range(_DELTA_MAX + 1):
+            try:
+                return _at_width(f, eq if width == 0 else sde_mod.find_min_sde(f, width))
+            except ReconstructionFailed as exc:
+                last = exc
+                reasons.append(f"width {width}: {exc}")
+        raise DeltaExhausted(
+            f"no interval width up to {_DELTA_MAX} yielded a verified "
+            f"decomposition ({'; '.join(reasons)})"
+        ) from last
+    finally:
+        last = eq = None  # an error's traceback holds this frame: clear errors and equation
+
+
+def _at_width(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
+    delta, r = eq.shift, eq.order
     span = (delta + 1) ** 2
     lower = Fraction((r + 1) ** 2 * span, 2)
     upper = Fraction(f.degree) + Fraction(r * r * span, 2)
@@ -419,8 +430,8 @@ def decompose_small_intervals(f: UniPoly, delta: int | None = None) -> Decomposi
 
 # -- dispatcher -----------------------------------------------------------
 
-# The one table of solver names, in the order decompose_auto tries them;
-# the command line and multi_build take their names from it.
+# The one table of solver names, in the order decompose_auto follows (one pass
+# for big_exponents and big_gaps); the command line and multi_build read it.
 _STRATEGIES: tuple[tuple[str, Callable[[UniPoly], Decomposition]], ...] = (
     ("big_exponents", decompose_big_exponents),
     ("big_gaps", decompose_big_gaps),
@@ -434,22 +445,24 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
     with automatic width; return the first verified decomposition and the
     name of the strategy that produced it.
 
-    big_exponents and big_gaps share one run: its answer is tagged
-    big_exponents when the nodes are distinct and big_gaps otherwise, and
-    its error counts for both.  If every strategy fails and any of them
-    detected an irrational node, that error wins (the input decomposes only
-    over an extension field); otherwise ReconstructionFailed.
+    Every strategy runs on one shift-0 equation of f.  The big_gaps answer
+    is tagged big_exponents when its nodes are distinct, and its error
+    counts for both.  If every strategy fails and any of them detected an
+    irrational node, that error wins (the input decomposes only over an
+    extension field); otherwise ReconstructionFailed.
     """
     _require_nonzero(f)
+    eq = sde_mod.find_min_sde(f, 0)
     irrational: IrrationalNodeDetected | None = None
     last: ReconstructionFailed | None = None
     try:
-        for tag, fn in _STRATEGIES:
-            if tag == "big_exponents":
-                # big_gaps plus the distinct-node check: the big_gaps run answers
-                continue
+        for tag, run in (
+            ("big_gaps", _single_pass),
+            ("distinct_nodes", _peel),
+            ("small_intervals", _width_scan),
+        ):
             try:
-                dec = fn(f)
+                dec = run(f, eq)
             except IrrationalNodeDetected as exc:
                 irrational = exc
             except ReconstructionFailed as exc:
@@ -462,4 +475,4 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
             raise irrational
         raise ReconstructionFailed("no strategy produced a verified decomposition") from last
     finally:
-        irrational = last = None  # a caught error's traceback holds this frame: drop it on every exit
+        irrational = last = eq = None  # an error's traceback holds this frame: clear errors and equation

@@ -46,7 +46,7 @@ from typing import Sequence
 
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
-from .unipoly import ONE, ZERO, UniPoly, _clear_denominators
+from .unipoly import ONE, ZERO, UniPoly, _clear_denominators, _parse_int
 
 @dataclass(frozen=True)
 class SDE:
@@ -57,6 +57,8 @@ class SDE:
     polys: tuple[UniPoly, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "order", _parse_int(self.order))
+        object.__setattr__(self, "shift", _parse_int(self.shift))
         if self.order < 0 or self.shift < 0:
             raise ValueError("order and shift must be nonnegative")
         if len(self.polys) != self.order + 1:
@@ -303,12 +305,12 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | 
     its first dependent column, scaled to primitive integers with positive
     first nonzero coefficient.
     """
+    shift = _parse_int(shift)
+    max_order = f.degree + 1 if max_order is None else _parse_int(max_order)
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial satisfies every equation")
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    if max_order is None:
-        max_order = f.degree + 1
     if max_order < 1:
         return None
 

@@ -17,10 +17,6 @@ from .sde import SDE
 from .unipoly import UniPoly, _parse_int
 
 
-def _fmt(v: Fraction) -> str:
-    return str(v)
-
-
 def _parse_frac(v) -> Fraction:
     if isinstance(v, (bool, float)):
         raise ValueError(f"refusing {type(v).__name__} {v!r}; use a rational string")
@@ -30,7 +26,7 @@ def _parse_frac(v) -> Fraction:
 def format_unipoly(f: UniPoly) -> str:
     if f.is_zero():
         return "0"
-    return ",".join(_fmt(c) for c in f.coeffs)
+    return ",".join(str(c) for c in f.coeffs)
 
 
 def parse_unipoly(text: str) -> UniPoly:
@@ -41,7 +37,7 @@ def parse_unipoly(text: str) -> UniPoly:
 
 
 def unipoly_to_json(f: UniPoly) -> dict:
-    return {"coeffs": [_fmt(c) for c in f.coeffs] or ["0"]}
+    return {"coeffs": [str(c) for c in f.coeffs] or ["0"]}
 
 
 def unipoly_from_json(data: dict) -> UniPoly:
@@ -52,8 +48,8 @@ def decomposition_to_json(d: Decomposition) -> dict:
     return {
         "terms": [
             {
-                "coeff": _fmt(t.coeff),
-                "node": _fmt(t.node),
+                "coeff": str(t.coeff),
+                "node": str(t.node),
                 "exponent": t.exponent,
             }
             for t in d.terms
@@ -72,7 +68,7 @@ def sde_to_json(s: SDE) -> dict:
     return {
         "order": s.order,
         "shift": s.shift,
-        "polys": [[_fmt(c) for c in p.coeffs] for p in s.polys],
+        "polys": [[str(c) for c in p.coeffs] for p in s.polys],
     }
 
 
@@ -89,7 +85,7 @@ def multipoly_to_json(p: MultiPoly) -> dict:
     return {
         "n": p.n,
         "terms": [
-            {"exps": list(exps), "coeff": _fmt(c)} for exps, c in terms
+            {"exps": list(exps), "coeff": str(c)} for exps, c in terms
         ],
     }
 
@@ -110,9 +106,9 @@ def multidec_to_json(md: MultiDecomposition) -> dict:
         "n": md.n,
         "terms": [
             {
-                "coeff": _fmt(t.coeff),
-                "constant": _fmt(t.form.constant),
-                "coefficients": [_fmt(c) for c in t.form.coefficients],
+                "coeff": str(t.coeff),
+                "constant": str(t.form.constant),
+                "coefficients": [str(c) for c in t.form.coefficients],
                 "exponent": t.exponent,
             }
             for t in md.terms

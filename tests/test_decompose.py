@@ -19,6 +19,7 @@ from affinepowers import (
     IrrationalNodeDetected,
     MultiPoly,
     ReconstructionFailed,
+    SDE,
     UniPoly,
     ZeroPolynomial,
     check_conditions,
@@ -339,6 +340,16 @@ class TestSmallIntervals:
         with pytest.raises(ValueError):
             decompose_small_intervals(P(1, 1), -1)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, F(3, 2)], ids=repr)
+    def test_non_integer_delta_rejected(self, bad):
+        # True used to run width 1, and 2.0 to raise TypeError
+        with pytest.raises(ValueError):
+            decompose_small_intervals(UniPoly.affine_power(1, -7, 11), bad)
+
+    def test_integer_string_delta_parsed(self):
+        f = UniPoly.affine_power(2, 1, 13) + UniPoly.affine_power(3, 1, 12)
+        assert decompose_small_intervals(f, "1") == decompose_small_intervals(f, 1)
+
     def test_three_cluster_below_threshold(self):
         # two clusters need minimum exponent 40 at width 1; exponents
         # 20..22 sit far below that, so every width fails
@@ -542,6 +553,64 @@ class TestCoords:
         }
 
 
+def every_strategy(f: UniPoly) -> tuple[Decomposition, str]:
+    """decompose_auto's specification: each strategy of _STRATEGIES in turn
+    on f, the first answer wins, an irrational node over a plain refusal."""
+    irrational = last = None
+    for tag, fn in (
+        ("big_exponents", decompose_big_exponents),
+        ("big_gaps", decompose_big_gaps),
+        ("distinct_nodes", decompose_distinct_nodes),
+        ("small_intervals", decompose_small_intervals),
+    ):
+        try:
+            return fn(f), tag
+        except IrrationalNodeDetected as exc:
+            irrational = exc
+        except ReconstructionFailed as exc:
+            last = exc
+    if irrational is not None:
+        raise irrational
+    raise ReconstructionFailed("no strategy produced a verified decomposition") from last
+
+
+def width_scan(f: UniPoly) -> Decomposition:
+    """decompose_small_intervals(f)'s specification: explicit widths 0-4."""
+    last, reasons = None, []
+    for width in range(5):
+        try:
+            return decompose_small_intervals(f, width)
+        except ReconstructionFailed as exc:
+            last = exc
+            reasons.append(f"width {width}: {exc}")
+    raise DeltaExhausted(
+        f"no interval width up to 4 yielded a verified decomposition ({'; '.join(reasons)})"
+    ) from last
+
+
+def spy_find_min_sde(mp: pytest.MonkeyPatch) -> list:
+    """Record the (f, shift) of every later sde.find_min_sde call."""
+    import affinepowers.sde as sde_mod
+
+    real, calls = sde_mod.find_min_sde, []
+
+    def spy(f, shift, max_order=None):
+        calls.append((f, shift))
+        return real(f, shift, max_order)
+
+    mp.setattr(sde_mod, "find_min_sde", spy)
+    return calls
+
+
+def outcome(solver, f: UniPoly):
+    """The answer, or the error's type and message and those of its cause."""
+    try:
+        return solver(f)
+    except (IrrationalNodeDetected, ReconstructionFailed) as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), type(cause), str(cause)
+
+
 class TestAuto:
     def test_tags_big_exponents(self):
         f = UniPoly.affine_power(1, 2, 7)
@@ -570,33 +639,10 @@ class TestAuto:
             decompose_auto(IRRATIONAL_13)
 
     def test_matches_running_every_strategy(self, monkeypatch):
-        # the dispatcher shares one big_gaps run between big_exponents and
-        # big_gaps; the outcome must be that of trying all four in turn
-        def every_strategy(f):
-            irrational = last = None
-            for tag, fn in (
-                ("big_exponents", decompose_big_exponents),
-                ("big_gaps", decompose_big_gaps),
-                ("distinct_nodes", decompose_distinct_nodes),
-                ("small_intervals", decompose_small_intervals),
-            ):
-                try:
-                    return fn(f), tag
-                except IrrationalNodeDetected as exc:
-                    irrational = exc
-                except ReconstructionFailed as exc:
-                    last = exc
-            if irrational is not None:
-                raise irrational
-            raise ReconstructionFailed("no strategy produced a verified decomposition") from last
-
-        def outcome(solver, f):
-            try:
-                return solver(f)
-            except (IrrationalNodeDetected, ReconstructionFailed) as exc:
-                cause = exc.__cause__
-                return type(exc), str(exc), type(cause), str(cause)
-
+        # the dispatcher derives the shift-0 equation once and hands it to
+        # every strategy: the outcome must be that of trying all four in
+        # turn, and no (f, shift) pair may be derived twice
+        generic = _generic_degree_20()
         inputs = [
             UniPoly.affine_power(1, 2, 7),
             D((1, 1, 25), (1, 1, 11)).expand(),
@@ -604,18 +650,22 @@ class TestAuto:
             generate_instance(InstanceSpec(s=2, seed=2), "small_intervals", groups=1, delta=1)[0],
             P(0, 1, 1),
             P(*range(1, 12)),
+            generic,
             IRRATIONAL_13,
         ]
-        import affinepowers.decompose as dmod
-
-        single = dmod._single_pass
-        calls = []
-        monkeypatch.setattr(dmod, "_single_pass", lambda f: calls.append(f) or single(f))
         for f in inputs:
-            calls.clear()
-            got = outcome(decompose_auto, f)
-            assert len(calls) == 1
-            assert got == outcome(every_strategy, f)
+            expected = outcome(every_strategy, f)
+            with monkeypatch.context() as mp:
+                calls = spy_find_min_sde(mp)
+                got = outcome(decompose_auto, f)
+            assert got == expected
+            assert calls.count((f, 0)) == 1
+            assert len(set(calls)) == len(calls)
+            if f is generic:
+                # a refusal: shift 0 once for big_gaps, distinct_nodes and
+                # width 0, then widths 1 to 4
+                assert got[0] is ReconstructionFailed
+                assert calls == [(f, shift) for shift in range(5)]
 
     def test_result_always_verifies(self):
         rng = random.Random(229)
@@ -686,6 +736,20 @@ class TestCaughtErrorsLeaveNoCycles:
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
+
+    def test_refusal_keeps_no_shift_zero_equation(self):
+        # a caller that keeps the error keeps the frames of its tracebacks:
+        # the shared shift-0 equation must not stay alive in them
+        with pytest.raises(ReconstructionFailed) as info:
+            decompose_auto(_generic_degree_20())
+        exc, held = info.value, []
+        while exc is not None:
+            tb = exc.__traceback__
+            while tb is not None:
+                held += [v for v in tb.tb_frame.f_locals.values() if isinstance(v, SDE) and v.shift == 0]
+                tb = tb.tb_next
+            exc = exc.__cause__
+        assert held == []
 
 
 class TestOneVerification:

@@ -116,6 +116,15 @@ class TestSDEContainer:
         s = SDE(1, 1, (P(1, 1), P(1, 1, 1)))
         assert s.order == 1 and s.shift == 1
 
+    @pytest.mark.parametrize("bad", [True, 2.0, F(3, 2)], ids=repr)
+    @pytest.mark.parametrize("field", ["order", "shift"])
+    def test_non_integer_order_and_shift_rejected(self, field, bad):
+        # a bool shift used to be kept and then refused by sde_from_json
+        args = {"order": 1, "shift": 0, "polys": (P(1), P(0, 1))}
+        args[field] = bad
+        with pytest.raises(ValueError):
+            SDE(**args)
+
     def test_int_polys(self):
         s = SDE(1, 0, (P(5), P(2, -1)))
         assert s.int_polys() == [[5], [2, -1]]
@@ -237,6 +246,19 @@ class TestFindMinSDE:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             find_min_sde(P(), 0)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, F(3, 2)], ids=repr)
+    def test_non_integer_shift_and_max_order_rejected(self, bad):
+        f = UniPoly.affine_power(1, 2, 5)
+        with pytest.raises(ValueError):
+            find_min_sde(f, bad)
+        with pytest.raises(ValueError):
+            find_min_sde(f, 0, bad)
+
+    def test_integer_string_shift_parsed(self):
+        f = UniPoly.affine_power(1, 2, 5)
+        s = find_min_sde(f, "1", "3")
+        assert s == find_min_sde(f, 1, 3) and type(s.shift) is int
 
     def test_deterministic(self):
         f = UniPoly.affine_power(1, 1, 13) + UniPoly.affine_power(2, -2, 11)

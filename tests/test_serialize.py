@@ -109,6 +109,14 @@ class TestSDEJson:
         s = find_min_sde(f, 0)
         assert sde_from_json(sde_to_json(s)) == s
 
+    @pytest.mark.parametrize("shift", [1, "1"], ids=repr)
+    def test_found_equation_roundtrips_through_json_text(self, shift):
+        # a shift given as True used to be written as "shift": true, which
+        # sde_from_json refuses
+        f = UniPoly.affine_power(1, 1, 13) + UniPoly.affine_power(2, -2, 11)
+        s = find_min_sde(f, shift)
+        assert sde_from_json(json.loads(json.dumps(sde_to_json(s)))) == s
+
     def test_json_serializable(self):
         s = SDE(1, 1, (P(F(1, 2)), P(1, 1, 1)))
         text = json.dumps(sde_to_json(s))

@@ -167,9 +167,13 @@ class LinearForm:
     constant: Fraction
     coefficients: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "constant", _frac(self.constant))
+        object.__setattr__(self, "coefficients", tuple(_frac(c) for c in self.coefficients))
+
     @classmethod
     def of(cls, constant, coefficients: Iterable) -> "LinearForm":
-        return cls(_frac(constant), tuple(_frac(c) for c in coefficients))
+        return cls(constant, coefficients)
 
     @property
     def n(self) -> int:

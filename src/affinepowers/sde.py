@@ -25,11 +25,13 @@ y^(i-order+j) part of P_i(y + c), a polynomial in c.  At a node the table
 gives windows of order+shift+1 coefficients, so a solution R(x) * (x - c)^e
 costs a kernel of order+shift+deg(R)+1 rows instead of one row per degree
 of x.  With c symbolic, the entries at one exponent are the conditions whose
-common roots are the nodes of the pure-power solutions (x - c)^e.  For
-e >= order the lowest is e!/(e-order)! * P_order(c), so every such node is a
-root of P_order: when those roots are all rational, the table is evaluated
-at each and tested once per exponent instead.  Every pair found either way
-is checked once more with apply_sde.
+common roots are the nodes of the pure-power solutions (x - c)^e.  The
+lowest nonzero one is e!/(e-k)! * P_k(c), k the largest i <= min(e, order)
+with P_i nonzero, so every node is a root of P_k.  The table is evaluated at
+each rational root of P_k and tested once per exponent; the part of P_k
+without rational roots is reduced by gcd against the other conditions,
+and what survives proves an irrational node.  Every pair found is checked
+once more with apply_sde.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -364,74 +366,66 @@ def _at_node(table: list[list[list[int]]], node: Fraction) -> list[list[int]]:
     return [[sum(map(operator.mul, w, weights)) for w in row] for row in table]
 
 
-def _power_solutions_at(table: list[list[list[int]]], e: int) -> list[tuple[Fraction, int]]:
-    # the nodes b of solutions (x - b)^e: common roots of the image's entries
-    falls = [math.perm(e, i) for i in range(min(len(table[0]) - 1, e) + 1)]
-    conditions = []
-    for row in table:
-        cs = [0] * max(map(len, row))
-        for fall, w in zip(falls, row):
-            for k, c in enumerate(w):
-                cs[k] += fall * c
-        if ratroots._strip(cs):
-            conditions.append(cs)
-    if not conditions:
-        raise ValueError(
-            f"every node solves the equation at exponent {e}; "
-            "the requested range is below the meaningful threshold"
-        )
-    g = conditions[0]
-    for nxt in conditions[1:]:
-        if len(g) == 1:
-            break
-        g = ratroots.poly_gcd_int(g, nxt)
-    if len(g) == 1:
-        return []
-    roots, cofactor_deg = ratroots.rational_roots_with_cofactor(UniPoly(g))
-    if cofactor_deg > 0:
-        raise IrrationalNodeDetected(
-            f"nodes at exponent {e} satisfy an irreducible condition of "
-            f"degree {cofactor_deg} with no rational root"
-        )
-    return [(b, e) for b in sorted(roots)]
-
-
 def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     """All pairs (b, e) with e_min <= e <= e_max such that (x - b)^e with
     rational b satisfies the equation, sorted by (e, b).
 
     Raises IrrationalNodeDetected when some admissible node is provably
     irrational, i.e. the node condition has a nonconstant factor without
-    rational roots.
+    rational roots, and ValueError at an exponent every node solves.
 
-    Both paths read the node table.  For e >= order every node is a root
-    of P_order.  When P_order is nonzero and all its roots are rational,
-    the table is evaluated once at each root, which is kept at the
-    exponents where every row's sum_i perm(e, i) * w_j[i] is zero.
-    Exponents below the order, and every exponent when P_order is zero or
-    has a factor without rational roots, take the per-exponent gcd of
-    those sums with b left symbolic.  Either way each returned pair is
-    certified once with apply_sde.
+    Every node at exponent e is a root of P_k, k the largest i <= min(e,
+    order) with P_i nonzero: one run of exponents from the order on, and a
+    run per exponent below it.  Per run P_k is split once into its rational
+    roots and its part h without them.  Per exponent a root is kept where
+    every row sum_i perm(e, i) * w_j[i] of the table at it vanishes, and h
+    is reduced by gcd against the rows above the P_k row with b symbolic.
+    Each returned pair is certified with apply_sde.
     """
+    e_min, e_max = _parse_int(e_min), _parse_int(e_max)
     if e_min < 1:
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
     table = _node_table(s)
-    fast_from, candidates = e_max + 1, []
-    if e_max >= max(e_min, s.order) and not s.polys[-1].is_zero():
-        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[-1])
-        if not cofactor_deg:
-            fast_from = max(e_min, s.order)
-            candidates = [(b, [w for w in _at_node(table, b) if any(w)]) for b in sorted(roots)]
+    runs = [(e, e) for e in range(e_min, min(s.order, e_max + 1))]
+    if e_max >= s.order:
+        runs.append((max(e_min, s.order), e_max))
     out: list[tuple[Fraction, int]] = []
-    for e in range(e_min, fast_from):
-        out.extend(_power_solutions_at(table, e))
-    for e in range(fast_from, e_max + 1):
-        falls = [math.perm(e, i) for i in range(s.order + 1)]
-        for b, rows in candidates:
-            if not any(sum(map(operator.mul, falls, row)) for row in rows):
-                out.append((b, e))
+    for lo, hi in runs:
+        k = next((i for i in range(min(lo, s.order), -1, -1) if not s.polys[i].is_zero()), None)
+        if k is None:
+            raise ValueError(
+                f"every node solves the equation at exponent {lo}; "
+                "the requested range is below the meaningful threshold"
+            )
+        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[k])
+        h = [1]
+        if cofactor_deg:
+            linear = math.prod((UniPoly((-b, 1)) ** m for b, m in roots.items()), start=ONE)
+            h = ratroots.to_primitive_int(s.polys[k].quo_rem(linear)[0])
+        above = table[s.order - k + 1 :]
+        candidates = [(b, [w for w in _at_node(table, b) if any(w)]) for b in sorted(roots)]
+        for e in range(lo, hi + 1):
+            falls = [math.perm(e, i) for i in range(s.order + 1)]
+            g = h
+            for row in above:
+                if len(g) == 1:
+                    break
+                cs = [0] * max(map(len, row))
+                for fall, w in zip(falls, row):
+                    for t, c in enumerate(w):
+                        cs[t] += fall * c
+                if ratroots._strip(cs):
+                    g = ratroots.poly_gcd_int(g, cs)
+            if len(g) > 1:
+                raise IrrationalNodeDetected(
+                    f"nodes at exponent {e} satisfy an irreducible condition of "
+                    f"degree {len(g) - 1} with no rational root"
+                )
+            for b, rows in candidates:
+                if not any(sum(map(operator.mul, falls, row)) for row in rows):
+                    out.append((b, e))
     for b, e in out:
         if not apply_sde(s, UniPoly.affine_power(1, b, e)).is_zero():
             raise RuntimeError("power solution failed verification")
@@ -484,6 +478,7 @@ def shifted_poly_solutions(
     The basis order is deterministic: candidates are scanned by increasing
     exponent and kept when independent of everything kept so far.
     """
+    delta, e_min, e_max = _parse_int(delta), _parse_int(e_min), _parse_int(e_max)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if e_min < 1:

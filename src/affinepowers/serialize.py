@@ -24,9 +24,7 @@ def _parse_frac(v) -> Fraction:
 
 
 def format_unipoly(f: UniPoly) -> str:
-    if f.is_zero():
-        return "0"
-    return ",".join(str(c) for c in f.coeffs)
+    return str(f)
 
 
 def parse_unipoly(text: str) -> UniPoly:

@@ -100,6 +100,16 @@ class TestLinearForm:
         assert LinearForm.of(5, [0, 0]).is_constant()
         assert not LinearForm.of(5, [1, 0]).is_constant()
 
+    def test_plain_constructor_keeps_fractions(self):
+        # built directly from ints, the form must stay rational through the
+        # normalization of a term: 1 * (2x1 + 3x2 + 1)^3 = 8 * (x1 + 3/2 x2 + 1/2)^3
+        md = MultiDecomposition.of(2, [(1, LinearForm(1, (2, 3)), 3)])
+        form = md.terms[0].form
+        assert form == LinearForm.of(F(1, 2), [1, F(3, 2)])
+        assert all(type(c) is F for c in (form.constant, *form.coefficients))
+        pt = [F(2), F(-1)]
+        assert md.expand().evaluate(pt) == (1 + 2 * pt[0] + 3 * pt[1]) ** 3
+
     def test_to_multipoly(self):
         form = LinearForm.of(1, [1, 2])
         p = form.to_multipoly()

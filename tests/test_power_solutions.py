@@ -1,13 +1,12 @@
-"""power_solutions against the per-exponent reference path.
+"""power_solutions against a reference that searches every exponent alone.
 
-For e >= order every node of a power solution (x - b)^e is a root of
-P_order, so when P_order is nonzero and all its roots are rational,
-power_solutions tests those roots once per exponent.  The reference below
-is the per-exponent path it replaces there, kept here apart from the node
-table power_solutions reads: the gcd of the symbolic window's conditions,
-its rational roots, and a check of every root with apply_sde on the dense
-expansion.  Both must give the same pairs, or the
-same error type and message.
+Every node of a power solution (x - b)^e is a root of the lead P_k of the
+node table at e, so power_solutions splits P_k once per run of exponents
+and tests its rational roots.  The reference below finds the nodes per
+exponent instead, apart from the node table power_solutions reads: the gcd
+of the symbolic window's conditions, its rational roots, and a check of
+every root with apply_sde on the dense expansion.  Both must give the same
+pairs, or the same error type and message.
 """
 
 import math
@@ -205,8 +204,8 @@ class TestAgainstShiftedPolySolutions:
 class TestIrrationalFactor:
     def test_mixed_top_coefficient_raises_at_the_same_exponent(self):
         # P_order has the rational roots 1 and 8/7 and an irreducible
-        # quadratic factor, so the per-exponent path runs and raises where
-        # the nodes +-sqrt(2) of exponent 13 appear
+        # quadratic factor, whose gcd with the conditions of exponent 13 is
+        # the node condition of +-sqrt(2): power_solutions raises there
         f = pair_sum(2, 13) + UniPoly.affine_power(3, 1, 9)
         s = find_min_sde(f, 0)
         roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[-1])
@@ -221,6 +220,22 @@ class TestIrrationalFactor:
             assert str(info.value) == message
         # the rational node of exponent 9 is found below the raise
         assert power_solutions(s, 1, 12) == [(F(1), 9)]
+
+    def test_top_coefficient_factored_once_per_run(self, monkeypatch):
+        # every exponent from the order on shares P_order: its roots are
+        # found once, not again for the condition of each exponent
+        f = pair_sum(2, 13) + UniPoly.affine_power(3, 1, 9)
+        s = find_min_sde(f, 0)
+        calls = []
+        roots_of = ratroots.rational_roots_with_cofactor
+
+        def spy_roots(p):
+            calls.append(p)
+            return roots_of(p)
+
+        monkeypatch.setattr(ratroots, "rational_roots_with_cofactor", spy_roots)
+        assert power_solutions(s, s.order, 12) == [(F(1), 9)]
+        assert calls == [s.polys[-1]]
 
 
 class TestNoGcdChain:

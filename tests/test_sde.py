@@ -312,6 +312,18 @@ class TestPowerSolutions:
         s = SDE(1, 0, (P(5), P(2, -1)))
         assert power_solutions(s, 9, 5) == []
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 5.5, F(3, 2)])
+    def test_non_integer_range_refused(self, bad):
+        s = SDE(1, 0, (P(5), P(2, -1)))
+        with pytest.raises(ValueError):
+            power_solutions(s, bad, 9)
+        with pytest.raises(ValueError):
+            power_solutions(s, 1, bad)
+
+    def test_integer_string_range_parsed(self):
+        s = SDE(1, 0, (P(5), P(2, -1)))
+        assert power_solutions(s, "1", "9") == power_solutions(s, 1, 9) == [(F(2), 5)]
+
     def test_irrational_node_detected(self):
         # expansion of (x - r)^13 + (x + r)^13 with r^2 = 2: rational
         # coefficients, but the only candidate nodes are irrational
@@ -370,6 +382,17 @@ class TestShiftedPolySolutions:
 
     def test_empty_range(self):
         assert solutions_in_x(self.TWO_POWER_SDE, F(1), 1, 15, 10) == []
+
+    @pytest.mark.parametrize("bad", [True, 1.0, F(3, 2)])
+    def test_non_integer_arguments_refused(self, bad):
+        s = self.TWO_POWER_SDE
+        for args in ((bad, 10, 15), (1, bad, 15), (1, 10, bad)):
+            with pytest.raises(ValueError):
+                shifted_poly_solutions(s, F(1), *args)
+
+    def test_integer_string_arguments_parsed(self):
+        s = self.TWO_POWER_SDE
+        assert shifted_poly_solutions(s, F(1), "1", "10", "15") == shifted_poly_solutions(s, F(1), 1, 10, 15)
 
     def test_exponent_cap_respected(self):
         # e bounds the base power; the degree-<=delta factor may still add

@@ -3,13 +3,21 @@
 Terms are kept in a dict mapping exponent tuples (one entry per variable) to
 nonzero Fraction coefficients.  Instances are treated as immutable once
 constructed; operations always build new objects.  The rule carries weight:
-the first evaluate() caches an integer form of the terms (coefficients over
-their common denominator, the total degree, each variable's largest
-exponent), and a later change to `terms` would not reach it.
+the first evaluate() caches an integer form of the terms, and a later change
+to `terms` would not reach it.
+
+The form is a Horner scheme nested by the exponent of x_1, then x_2, and so
+on: each outer level lists (gap to the next lower exponent, inner table), and
+the innermost is one dense row of integer numerators c*den in x_n (den the
+lcm of the coefficient denominators).  A point N_1/D, ..., N_n/D costs one
+multiply by a power of N_j per gap and two multiplies per row entry; the
+powers of D that homogenise the sum enter only at the row entries, and an
+integer point is the case D = 1 of the same path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +27,53 @@ from .errors import DimensionMismatch
 from .unipoly import _frac, _parse_int, _powers
 
 
+def _nest(items, rest: int):
+    """Horner table of (exponent tuple, integer) pairs that share their
+    leading exponents, sorted by decreasing exponents; rest is the total
+    degree less the shared exponents.
+
+    With one variable left the table is a dense row (numerators from the top
+    exponent down to the lowest, 0 in the gaps, the D exponent rest - top of
+    the top entry, the lowest exponent).  Otherwise it is a tuple of
+    (gap to the next lower leading exponent, or to 0 for the last, table of
+    the terms with that leading exponent), highest leading exponent first.
+    """
+    if len(items[0][0]) == 1:
+        top, low = items[0][0][0], items[-1][0][0]
+        row = [0] * (top - low + 1)
+        for (e,), c in items:
+            row[top - e] = c
+        return tuple(row), rest - top, low
+    groups = [
+        (e, [(exps[1:], c) for exps, c in run])
+        for e, run in itertools.groupby(items, key=lambda item: item[0][0])
+    ]
+    lower = [e for e, _ in groups[1:]] + [0]
+    return tuple((e - below, _nest(sub, rest - e)) for (e, sub), below in zip(groups, lower))
+
+
+def _horner(table, tables: list[list[int]], x: int, d_pow: list[int]) -> int:
+    """Value of a _nest table: tables[j] the powers of the j-th remaining
+    variable's numerator, x the last one, d_pow the powers of D."""
+    pw = tables[0]
+    if len(tables) == 1:
+        row, r, low = table
+        acc = 0
+        for c, dk in zip(row, d_pow[r:]):
+            acc = acc * x + c * dk
+        return acc * pw[low]
+    inner = tables[1:]
+    acc = 0
+    for gap, sub in table:
+        acc = (acc + _horner(sub, inner, x, d_pow)) * pw[gap]
+    return acc
+
+
 class MultiPoly:
     __slots__ = ("n", "terms", "_int_form")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], object] | None = None):
+        n = _parse_int(n)
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n
@@ -99,6 +150,7 @@ class MultiPoly:
         return MultiPoly(self.n, {e: s * c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
+        k = _parse_int(k)
         if k < 0:
             raise ValueError("negative power")
         result = MultiPoly.constant(self.n, 1)
@@ -117,43 +169,39 @@ class MultiPoly:
         With den the lcm of the coefficient denominators, deg the total
         degree and the point written as N_j / D over its common denominator,
         f(point) = sum (c*den) * prod N_j^e_j * D^(deg-|e|) / (den * D^deg).
-        The integer numerators c*den, den, deg and each variable's largest
-        exponent are built on the first call and kept on the instance.
+        The sum runs as a nested Horner scheme over the table that
+        _integer_form builds on the first call and keeps on the instance:
+        by x_1, then x_2, and so on, one multiply by a power table entry
+        per exponent gap, and along each innermost row
+        acc = acc*N_n + (c*den)*D^(deg-|e|), so D enters only at the
+        leaves.  Integer points are the case D = 1 of the same path.
         """
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
         if self._int_form is None:
             self._int_form = self._integer_form()
-        den, deg, tops, monomials = self._int_form
+        den, deg, tops, table = self._int_form
         pt = [_frac(v) for v in point]
-        if not monomials:
+        if table is None:
             return Fraction(0)
         d = math.lcm(*(x.denominator for x in pt))
-        tables = [
-            _powers(x.numerator * (d // x.denominator), top)
-            for x, top in zip(pt, tops)
-        ]
+        nums = [x.numerator * (d // x.denominator) for x in pt]
+        tables = [_powers(x, top) for x, top in zip(nums, tops)]
         d_pow = _powers(d, deg)
-        total = 0
-        for c, exps, rest in monomials:
-            v = c * d_pow[rest]
-            for table, e in zip(tables, exps):
-                if e:
-                    v *= table[e]
-            total += v
-        return Fraction(total, den * d_pow[deg])
+        return Fraction(_horner(table, tables, nums[-1], d_pow), den * d_pow[deg])
 
     def _integer_form(self):
-        """(den, deg, largest exponent per variable, [(c*den, exps,
-        deg - |exps|)]) with den the lcm of the coefficient denominators."""
+        """(den, deg, largest exponent per variable, nested table), with den
+        the lcm of the coefficient denominators and the table None for the
+        zero polynomial.  See _nest for the table."""
         den = math.lcm(*(c.denominator for c in self.terms.values()))
         deg = self.total_degree()
         tops = [max((e[j] for e in self.terms), default=0) for j in range(self.n)]
-        monomials = [
-            (c.numerator * (den // c.denominator), exps, deg - sum(exps))
-            for exps, c in self.terms.items()
-        ]
-        return den, deg, tops, monomials
+        scaled = sorted(
+            ((exps, c.numerator * (den // c.denominator)) for exps, c in self.terms.items()),
+            reverse=True,
+        )
+        return den, deg, tops, _nest(scaled, deg) if scaled else None
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items())

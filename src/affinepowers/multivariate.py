@@ -44,6 +44,8 @@ class BlackBox:
     func: Callable[[Sequence[Fraction]], Fraction]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _parse_int(self.n))
+        object.__setattr__(self, "degree_bound", _parse_int(self.degree_bound))
         if self.n < 1:
             raise ValueError("need at least one variable")
         if self.degree_bound < 0:

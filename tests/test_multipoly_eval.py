@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from affinepowers import AffineChange, BlackBox, MultiPoly, project_to_axis  # noqa: E402
+from affinepowers.multipoly import LinearForm  # noqa: E402
 
 F = Fraction
 
@@ -81,6 +82,67 @@ class TestAgainstFractionLoop:
         p = MultiPoly(2, {(2, 1): F(3, 4), (0, 3): -1, (0, 0): F(1, 9)})
         for point in ([2, -5], ["1/3", "-2/5"], [F(7, 2), 0]):
             assert p.evaluate(point) == fraction_loop(p, point)
+
+
+@st.composite
+def sparse_polys_and_points(draw):
+    """Few terms with exponents up to 40, so that every variable's exponents
+    have gaps and many rows of the nested form start above exponent 0; the
+    variables in `absent` appear in no term."""
+    n = draw(st.integers(1, 4))
+    absent = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    exponents = st.tuples(*[st.just(0) if j in absent else st.integers(0, 40) for j in range(n)])
+    terms = draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=6))
+    points = draw(
+        st.lists(st.lists(coordinates, min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    return MultiPoly(n, terms), points
+
+
+class TestNestedForm:
+    @PROPERTY
+    @given(sparse_polys_and_points())
+    @example(
+        # rows y^5..y^2 under x^3 and y^4 alone under x^0, both above y^0
+        (
+            MultiPoly(2, {(3, 5): 1, (3, 2): F(-2, 3), (0, 4): 7}),
+            [[F(-5, 2), F(3, 7)], [F(2), F(-1)]],
+        )
+    )
+    @example((MultiPoly(1, {(40,): F(1, 3), (17,): -2, (1,): 5}), [[F(-9, 8)], [F(3)]]))
+    @example(
+        # x_2 and x_4 appear in no term
+        (
+            MultiPoly(4, {(9, 0, 31, 0): F(4, 5), (0, 0, 40, 0): -1, (2, 0, 0, 0): 3}),
+            [[F(1, 3), F(7), F(-2, 5), F(11, 2)]],
+        )
+    )
+    def test_sparse_exponents_with_gaps(self, case):
+        p, points = case
+        for point in points:
+            assert p.evaluate(point) == fraction_loop(p, point)
+
+    POINTS = (
+        [2**36 + 7, -(2**36) + 11, 2**36 - 5],
+        [F(2**36 + 1, 10**9), F(-123456789, 999999937), F(5, 7)],
+        [F(-(2**36), 999999999), F(3, 10**9), F(2**35 + 3, 2)],
+    )
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_high_exponent_in_outer_variable(self, point):
+        p = MultiPoly(2, {(300, 1): 1, (0, 0): 1})
+        x, y = (F(v) for v in point[:2])
+        assert p.evaluate(point[:2]) == x**300 * y + 1
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_dense_degree_14_in_three_variables(self, point):
+        # the shape of the benchmark's n = 3 black boxes, with fractional
+        # coefficients so that den > 1
+        l1 = LinearForm.of(F(1, 2), [1, F(-3, 4), 4])
+        l2 = LinearForm.of(3, [-5, 2, F(1, 3)])
+        p = F(3, 7) * l1.to_multipoly() ** 14 + 4 * l2.to_multipoly() ** 11
+        want = F(3, 7) * l1.evaluate(point) ** 14 + 4 * l2.evaluate(point) ** 11
+        assert p.evaluate(point) == want == fraction_loop(p, point)
 
 
 class TestSympyOracle:

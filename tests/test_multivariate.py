@@ -89,6 +89,29 @@ class TestMultiPoly:
         with pytest.raises(DimensionMismatch):
             MultiPoly(2, {exps: 1})
 
+    @pytest.mark.parametrize("n", [2.0, True, F(3, 2)])
+    def test_non_integral_or_bool_arity_rejected(self, n):
+        # 2.0 was kept as the arity and evaluate then raised a bare TypeError
+        with pytest.raises(ValueError, match="expected an integer"):
+            MultiPoly(n)
+
+    def test_integer_string_arity_parsed(self):
+        p = MultiPoly("2", {(1, 1): 3})
+        assert type(p.n) is int and p.n == 2
+        assert p.evaluate([F(2), F(5)]) == F(30)
+
+    @pytest.mark.parametrize("k", [True, 2.0, F(3, 2)])
+    def test_non_integral_or_bool_power_rejected(self, k):
+        # x ** True returned x; 2.0 raised a bare TypeError from k & 1
+        x1, _ = vars2()
+        with pytest.raises(ValueError, match="expected an integer"):
+            x1**k
+
+    @pytest.mark.parametrize("k", ["3", F(3)])
+    def test_integral_power_parsed(self, k):
+        x1, x2 = vars2()
+        assert (x1 + x2) ** k == (x1 + x2) ** 3
+
 
 class TestLinearForm:
     def test_of_and_evaluate(self):
@@ -187,6 +210,18 @@ class TestBlackBox:
         bb = BlackBox(2, 3, lambda p: F(0))
         with pytest.raises(ValueError):
             bb.eval([F(1)])
+
+    @pytest.mark.parametrize("n, bound", [(2.0, 3), (True, 3), (2, True), (2, 3.5), (2, F(7, 2))])
+    def test_non_integral_or_bool_sizes_rejected(self, n, bound):
+        # a bound of True was read as 1, and project_to_axis then returned
+        # the line through two values of a cubic
+        with pytest.raises(ValueError, match="expected an integer"):
+            BlackBox(n, bound, lambda p: F(0))
+
+    def test_integer_string_sizes_parsed(self):
+        bb = BlackBox("2", "3", lambda p: F(0))
+        assert (bb.n, bb.degree_bound) == (2, 3)
+        assert type(bb.n) is int and type(bb.degree_bound) is int
 
     def test_from_multipoly_degree_bound(self):
         x1, x2 = vars2()

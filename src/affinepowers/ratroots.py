@@ -7,11 +7,15 @@ squarefree part modulo a small prime, Hensel-lifts them until the modulus
 dominates the root-size bounds, and recovers numerator/denominator by
 rational reconstruction.  The prime is chosen so the reduction stays
 squarefree, which makes the search provably complete, and every candidate is
-verified exactly before being reported.
+verified exactly before being reported.  The roots modulo p are those of
+g = gcd(sf, x^p - x) mod p, one per degree of g: a constant g proves there is
+no rational root without a scan, and otherwise the ascending scan of the
+residues stops at the last one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -148,6 +152,36 @@ def _poly_gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
+def _linear_part_mod(sf: Sequence[int], p: int) -> list[int]:
+    """gcd(sf, x^p - x) modulo p, up to a unit: the product of the distinct
+    linear factors of sf mod p.  x^p mod sf comes from repeated squaring."""
+    n = len(sf) - 1
+    inv = pow(sf[-1], -1, p)
+    low = [c * inv % p for c in sf[:-1]]  # sf made monic: x^n = -sum low[k] x^k
+
+    def reduce(r: list[int]) -> list[int]:
+        for k in range(len(r) - 1, n - 1, -1):
+            top = r[k]
+            if top:
+                for j, c in enumerate(low, k - n):
+                    r[j] = (r[j] - top * c) % p
+        return r[:n]
+
+    acc = [1]
+    for bit in bin(p)[2:]:
+        sq = [0] * (2 * len(acc) - 1)
+        for i, a in enumerate(acc):
+            if a:
+                for j, b in enumerate(acc, i):
+                    sq[j] += a * b
+        acc = reduce([c % p for c in sq])
+        if bit == "1":
+            acc = reduce([0] + acc)
+    acc += [0] * (2 - len(acc))
+    acc[1] -= 1
+    return _poly_gcd_mod(sf, acc, p)
+
+
 def _eval_mod(cs: Sequence[int], x: int, m: int) -> int:
     acc = 0
     for c in reversed(cs):
@@ -223,7 +257,9 @@ def _roots_of_squarefree(sf: Sequence[int]) -> list[Fraction]:
             break
         p += 2
 
-    residues = [x for x in range(p) if _eval_mod(sf, x, p) == 0]
+    # the roots mod p are the deg(g) distinct roots of g
+    g = _linear_part_mod(sf, p)
+    residues = list(itertools.islice((x for x in range(p) if not _eval_mod(g, x, p)), len(g) - 1))
     target = 2 * num_bound * den_bound + 1
     found = []
     for r0 in residues:

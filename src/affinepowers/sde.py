@@ -24,9 +24,13 @@ rows w_j (j = 0..order+shift) of one node table per equation: w_j[i] is the
 y^(i-order+j) part of P_i(y + c), a polynomial in c.  At a node the table
 gives windows of order+shift+1 coefficients, so a solution R(x) * (x - c)^e
 costs a kernel of order+shift+deg(R)+1 rows instead of one row per degree
-of x.  With c symbolic, the entries at one exponent are the conditions whose
-common roots are the nodes of the pure-power solutions (x - c)^e.  The
-lowest nonzero one is e!/(e-k)! * P_k(c), k the largest i <= min(e, order)
+of x.  Kernels are solved only at exponents e with an integer root of the
+indicial polynomial in e..e+delta (delta the bound on deg(R)): that
+polynomial is the lowest nonzero row of the table at c combined with the
+falling factorials, and every other window has an empty kernel.  With c
+symbolic, the entries at one exponent are the conditions whose common roots
+are the nodes of the pure-power solutions (x - c)^e.  The lowest nonzero
+one is e!/(e-k)! * P_k(c), k the largest i <= min(e, order)
 with P_i nonzero, so every node is a root of P_k.  The table is evaluated at
 each rational root of P_k and tested once per exponent; the part of P_k
 without rational roots is reduced by gcd against the other conditions,
@@ -459,6 +463,13 @@ def _keep_if_independent(
     return False
 
 
+def _image(rows: list[list[int]], m: int) -> list[int]:
+    """The y^(m-order+j) entries of L((x - node)^m) for the rows w_j of the
+    table at the node: sum_i perm(m, i) * w_j[i]."""
+    falls = [math.perm(m, i) for i in range(len(rows[0]))]
+    return [sum(map(operator.mul, falls, row)) for row in rows]
+
+
 def shifted_poly_solutions(
     s: SDE, node, delta: int, e_min: int, e_max: int
 ) -> list[dict[int, Fraction]]:
@@ -475,6 +486,18 @@ def shifted_poly_solutions(
     kernels and independence, hence which candidates are kept, are those of
     the same computation on dense expansions in x.
 
+    Only exponents within delta below an integer root of the indicial
+    polynomial are solved.  With w the lowest nonzero row of the table at
+    the node, I(m) = sum_i perm(m, i) * w[i] is the entry of every window on
+    that row, the entries below it being 0; it is a nonzero polynomial in m
+    (the perm(m, i) are independent) of degree at most the order.  If a
+    kernel vector at e has its first nonzero entry at t, the lowest entry of
+    the image of its combination is that entry times I(e+t), to which no
+    other column contributes, so I(e+t) = 0: where its row is kept the
+    kernel forces it, and where the row is dropped for a negative power of y
+    the entry is 0 already, because perm(m, i) = 0 for i > m.  Every other
+    exponent has an empty kernel.
+
     The basis order is deterministic: candidates are scanned by increasing
     exponent and kept when independent of everything kept so far.
     """
@@ -486,16 +509,16 @@ def shifted_poly_solutions(
     if e_min > e_max:
         return []
     rows = _at_node(_node_table(s), Fraction(node))
-    # windows[m - e_min][j]: the y^(m-order+j) entry of L((x - node)^m)
-    windows = []
-    for m in range(e_min, e_max + delta + 1):
-        falls = [math.perm(m, i) for i in range(s.order + 1)]
-        windows.append([sum(map(operator.mul, falls, row)) for row in rows])
+    # the indicial filter: solve only at e with I(e + t) = 0 for some t <= delta
+    lowest = [next(row for row in rows if any(row))]
+    roots = [m for m in range(e_min, e_max + delta + 1) if not _image(lowest, m)[0]]
+    live = sorted({e for r in roots for e in range(max(r - delta, e_min), min(r, e_max) + 1)})
+    windows = {m: _image(rows, m) for m in {e + t for e in live for t in range(delta + 1)}}
     kept: list[dict[int, Fraction]] = []
     registry: dict[int, dict[int, Fraction]] = {}
-    for e in range(e_min, e_max + 1):
+    for e in live:
         # column t on y^(e-order)..y^(e+delta+shift), negative powers dropped
-        cols = [[0] * t + windows[e - e_min + t] + [0] * (delta - t) for t in range(delta + 1)]
+        cols = [[0] * t + windows[e + t] + [0] * (delta - t) for t in range(delta + 1)]
         mat = list(zip(*cols))[max(s.order - e, 0) :]
         for vec in linalg.kernel(linalg.IntMatrix.from_rows(mat)):
             sol = {e + t: v for t, v in enumerate(vec) if v}

@@ -1,0 +1,134 @@
+"""The residue scan of ratroots._roots_of_squarefree against the full scan.
+
+_roots_of_squarefree takes its roots modulo p from g = gcd(sf, x^p - x): a
+constant g returns no root without a scan, and otherwise the ascending scan
+stops once it has deg(g) residues.  full_scan is the scan it replaced, sf
+evaluated at every residue; both must return the same roots, and g must have
+exactly as many roots modulo p as sf.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from affinepowers import UniPoly, ratroots  # noqa: E402
+
+F = Fraction
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+def full_scan(sf):
+    """_roots_of_squarefree for degree >= 3 with every residue mod p tested."""
+    num_bound, den_bound = abs(sf[0]), abs(sf[-1])
+    dsf = ratroots._deriv(sf)
+    p = 1009
+    while True:
+        while not ratroots._is_prime(p):
+            p += 2
+        if sf[-1] % p != 0 and len(ratroots._poly_gcd_mod(sf, dsf, p)) == 1:
+            break
+        p += 2
+    residues = [x for x in range(p) if ratroots._eval_mod(sf, x, p) == 0]
+    target = 2 * num_bound * den_bound + 1
+    found = []
+    for r0 in residues:
+        lifted, modulus = ratroots._hensel_lift(sf, dsf, r0, p, target)
+        cand = ratroots._rational_reconstruct(lifted, modulus, num_bound, den_bound)
+        if cand is not None and ratroots._is_root(sf, cand):
+            found.append(cand)
+    return sorted(set(found))
+
+
+def squarefree_part(cs):
+    """The polynomial rational_roots_with_cofactor hands to the scan: x^k
+    factors removed, then the squarefree part, primitive."""
+    cs = ratroots._primitive(cs)
+    while cs and cs[0] == 0:
+        cs = cs[1:]
+    g = ratroots.poly_gcd_int(cs, ratroots._deriv(cs))
+    return ratroots._exact_div(cs, g) if len(g) > 1 else ratroots._primitive(cs)
+
+
+def scan_with_gcd(sf):
+    """_roots_of_squarefree(sf), and the (p, g) its gcd step used."""
+    calls = []
+    real = ratroots._linear_part_mod
+
+    def spy(poly, p):
+        g = real(poly, p)
+        calls.append((p, g))
+        return g
+
+    with mock.patch.object(ratroots, "_linear_part_mod", spy):
+        roots = ratroots._roots_of_squarefree(sf)
+    (step,) = calls
+    return roots, step
+
+
+def product(factors):
+    out = UniPoly([1])
+    for a, b in factors:
+        out = out * UniPoly([-b, a])
+    return out
+
+
+# a random polynomial times up to four rational linear factors b/a
+polys = st.builds(
+    lambda factors, rest, lead: UniPoly(rest + [lead]) * product(factors),
+    st.lists(st.tuples(st.integers(1, 30), st.integers(-40, 40)), max_size=4),
+    st.lists(st.integers(-60, 60), max_size=6),
+    st.integers(1, 12),
+)
+
+
+# no root modulo 1009, the prime the scan picks for them
+NO_ROOTS_MOD_P = ([-2, 0, 0, 1], [3, 0, 1, 0, 1], [2, 0, 0, 1])
+
+
+@PROPERTY
+@given(polys)
+@example(UniPoly(NO_ROOTS_MOD_P[0]))
+@example(UniPoly(NO_ROOTS_MOD_P[1]) * UniPoly([-3, 2]))
+@example(UniPoly([6, 0, 5, 0, 1]))  # x^4 + 5x^2 + 6 splits mod 1009 with no rational root
+def test_matches_full_scan(f):
+    sf = squarefree_part(ratroots.to_primitive_int(f))
+    hypothesis.assume(len(sf) >= 4)
+    roots, (p, g) = scan_with_gcd(sf)
+    assert roots == full_scan(sf)
+    assert len(g) - 1 == sum(1 for x in range(p) if ratroots._eval_mod(sf, x, p) == 0)
+    assert all(ratroots._is_root(sf, r) for r in roots)
+
+
+@pytest.mark.parametrize("sf", NO_ROOTS_MOD_P)
+def test_no_root_mod_p_returns_before_the_scan(sf):
+    roots, (p, g) = scan_with_gcd(sf)
+    assert p == 1009 and len(g) == 1
+    with mock.patch.object(ratroots, "_eval_mod", side_effect=AssertionError("scanned")):
+        assert ratroots._roots_of_squarefree(sf) == []
+    assert full_scan(sf) == []
+
+
+def test_scan_stops_at_the_last_root():
+    # (x - 2)(x - 3)(x^2 + 1) has 4 roots mod 1009 (i is one there); the
+    # scan evaluates g at 0..the largest of them and no further
+    sf = ratroots.to_primitive_int(product([(1, 2), (1, 3)]) * UniPoly([1, 0, 1]))
+    roots, (p, g) = scan_with_gcd(sf)
+    assert roots == [F(2), F(3)]
+    residues = [x for x in range(p) if ratroots._eval_mod(sf, x, p) == 0]
+    assert len(residues) == len(g) - 1 == 4
+    seen = []
+    real = ratroots._eval_mod
+
+    def spy(cs, x, m):
+        if m == p:
+            seen.append(x)
+        return real(cs, x, m)
+
+    with mock.patch.object(ratroots, "_eval_mod", spy):
+        assert ratroots._roots_of_squarefree(sf) == roots
+    assert max(seen) == residues[-1]

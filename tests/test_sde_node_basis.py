@@ -8,9 +8,16 @@ the independence test on dense rational coefficient vectors.  Expanded to x
 and scaled to primitive integers (solutions_in_x), the solutions must equal
 the reference list.  A sympy check (optional) confirms the solutions and the
 dimension independently.
+
+shifted_poly_solutions solves a kernel only at exponents within delta below
+an integer root of the indicial polynomial.  unfiltered_scan is the loop
+without that filter, one kernel at every exponent of the range; the filtered
+scan must return its list exactly, and kernel_inputs shows which windows the
+filtered scan solved.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -73,6 +80,62 @@ def dense_reference(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[Un
             registry.append((pivot, [v / row[pivot] for v in row]))
             kept.append(UniPoly(ratroots.to_primitive_int(combo)))
     return kept
+
+
+def unfiltered_windows(s: SDE, node, delta: int, e_min: int, e_max: int) -> dict:
+    """{e: window matrix at e} for every exponent of the range, built as
+    shifted_poly_solutions built them before the indicial filter."""
+    rows = sde._at_node(sde._node_table(s), F(node))
+    # windows[m - e_min][j]: the y^(m-order+j) entry of L((x - node)^m)
+    windows = []
+    for m in range(e_min, e_max + delta + 1):
+        falls = [math.perm(m, i) for i in range(s.order + 1)]
+        windows.append([sum(map(operator.mul, falls, row)) for row in rows])
+    out = {}
+    for e in range(e_min, e_max + 1):
+        # column t on y^(e-order)..y^(e+delta+shift), negative powers dropped
+        cols = [[0] * t + windows[e - e_min + t] + [0] * (delta - t) for t in range(delta + 1)]
+        out[e] = list(zip(*cols))[max(s.order - e, 0) :]
+    return out
+
+
+def unfiltered_scan(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[dict]:
+    """shifted_poly_solutions without the indicial filter: a kernel at every
+    exponent of the range, candidates kept in the same order."""
+    if e_min > e_max:
+        return []
+    kept: list[dict] = []
+    registry: dict = {}
+    for e, mat in unfiltered_windows(s, node, delta, e_min, e_max).items():
+        for vec in linalg.kernel(linalg.IntMatrix.from_rows(mat)):
+            sol = {e + t: v for t, v in enumerate(vec) if v}
+            if sde._keep_if_independent(dict(sol), registry):
+                kept.append(sol)
+    return kept
+
+
+def kernel_inputs(monkeypatch, s: SDE, node, delta: int, e_min: int, e_max: int):
+    """shifted_poly_solutions and the matrices, in call order, that it
+    passed to linalg.kernel, as tuples of rows."""
+    seen = []
+    kernel = linalg.kernel
+
+    def spy(m):
+        seen.append(m.entries)
+        return kernel(m)
+
+    monkeypatch.setattr(sde.linalg, "kernel", spy)
+    try:
+        got = shifted_poly_solutions(s, node, delta, e_min, e_max)
+    finally:
+        monkeypatch.setattr(sde.linalg, "kernel", kernel)
+    return got, seen
+
+
+def window_entries(s: SDE, node, delta: int, e_min: int, e_max: int, exponents) -> list:
+    """The unfiltered window matrices at the given exponents, as tuples of rows."""
+    windows = unfiltered_windows(s, node, delta, e_min, e_max)
+    return [tuple(map(tuple, windows[e])) for e in exponents]
 
 
 def small_intervals_cases(groups: int, delta: int, seeds):
@@ -163,11 +226,13 @@ def test_gapped_equation_solutions():
 
 def test_empty_and_full_kernels(monkeypatch):
     sizes = []
+    solved = []
     kernel = linalg.kernel
 
     def spy(m):
         basis = kernel(m)
         sizes.append((m.cols, len(basis)))
+        solved.append(m.entries)
         return basis
 
     monkeypatch.setattr(sde.linalg, "kernel", spy)
@@ -175,9 +240,80 @@ def test_empty_and_full_kernels(monkeypatch):
     # (x-1)^3 and (x-1)^4 solve: the window at e = 3 is all zero
     assert got == [UniPoly.affine_power(1, 1, 3), UniPoly.affine_power(1, 1, 4)]
     assert (2, 2) in sizes  # full kernel
-    assert (2, 0) in sizes  # empty kernel
     monkeypatch.setattr(sde.linalg, "kernel", kernel)
+    # the filter skips only empty kernels: the unfiltered window at every
+    # exponent whose kernel was not solved has none
+    skipped = {
+        e: mat
+        for e, mat in unfiltered_windows(EULER, 1, 1, 2, 6).items()
+        if tuple(map(tuple, mat)) not in solved
+    }
+    assert sorted(skipped) == [5, 6]
+    for mat in skipped.values():
+        assert linalg.kernel(linalg.IntMatrix.from_rows(mat)) == []
     assert got == dense_reference(EULER, 1, 1, 2, 6)
+
+
+def filter_cases(delta: int, seeds):
+    """(equation, nodes, ranges) on small_intervals-generated equations of
+    shift delta: the rational roots of P_order and two nodes that are none,
+    and ranges from e = 1, from the order and around deg(f)."""
+    out = []
+    for seed in seeds:
+        for groups in (1, 2):
+            f, _ = generate_instance(
+                InstanceSpec(s=groups * (delta + 1), seed=seed),
+                "small_intervals",
+                groups=groups,
+                delta=delta,
+            )
+            eq = find_min_sde(f, delta)
+            roots = set(rational_roots(eq.polys[eq.order]))
+            r, d = eq.order, f.degree
+            ranges = [(1, r + 8), (r, r + 12), (max(1, d - 12), d + 4)]
+            out.append((eq, sorted(roots | {F(0), F(1, 3)}), ranges))
+    return out
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
+def test_filter_matches_unfiltered_scan(delta):
+    found = 0
+    for eq, nodes, ranges in filter_cases(delta, range(70 + 10 * delta, 73 + 10 * delta)):
+        for c in nodes:
+            for e_min, e_max in ranges:
+                for width in range(4):
+                    got = shifted_poly_solutions(eq, c, width, e_min, e_max)
+                    assert got == unfiltered_scan(eq, c, width, e_min, e_max)
+                    found += len(got)
+    assert found
+
+
+def near_roots(roots, delta: int, e_min: int, e_max: int) -> list[int]:
+    """The exponents within delta below one of the roots."""
+    return [e for e in range(e_min, e_max + 1) if any(e <= r <= e + delta for r in roots)]
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "s, node, roots",
+    [
+        (EULER, F(1), (3, 4)),  # I(m) = (m - 3)(m - 4)
+        (GAPPED, F(1), (3,)),  # I(m) = -4 (m - 3)(m + 2)
+        (GAPPED, F(5), (0, 1)),  # I(m) = 16 m (m - 1): a root below the order
+        (EULER, F(0), (0, 1)),  # P_2(0) != 0: I(m) = m (m - 1), roots below the order
+    ],
+)
+def test_kernels_solved_only_near_indicial_roots(monkeypatch, s, node, delta, roots):
+    # ranges from e = 1 start below the order 2 of both equations
+    got, seen = kernel_inputs(monkeypatch, s, node, delta, 1, 9)
+    assert seen == window_entries(s, node, delta, 1, 9, near_roots(roots, delta, 1, 9))
+    assert got == unfiltered_scan(s, node, delta, 1, 9)
+
+
+def test_euler_kernels_at_two_three_four(monkeypatch):
+    got, seen = kernel_inputs(monkeypatch, EULER, 1, 1, 1, 9)
+    assert seen == window_entries(EULER, 1, 1, 1, 9, [2, 3, 4])
+    assert got == [{3: 1}, {4: 1}]
 
 
 def test_window_matches_dense_application():

@@ -1,11 +1,13 @@
 """Exact linear algebra on integer matrices.
 
-kernel is the one elimination: fraction-free (Bareiss), so intermediate
-entries stay at determinant size, dividing only in the final substitution,
-with deterministic pivoting (first nonzero entry in column order) and every
-basis vector checked A v = 0 in integers.  solve reads the kernel of
-[m | -rhs].  The minimal-equation search in sde works modulo a prime and
-calls kernel only as its fallback.
+_bareiss is the one elimination: fraction-free, so intermediate entries stay
+at determinant size, with deterministic pivoting (first nonzero entry in
+column order), so a column is a pivot exactly when it is independent of the
+columns before it.  kernel reads the free columns, dividing only in the
+final substitution, and checks every basis vector A v = 0 in integers;
+solve reads the kernel of [m | -rhs]; sde.shifted_poly_solutions keeps the
+pivot columns of its candidate solutions.  The minimal-equation search in
+sde works modulo a prime and calls kernel only as its fallback.
 """
 
 from __future__ import annotations

@@ -354,6 +354,7 @@ def multi_build(
     accepts the first assembly that matches the box at 50 random points.
     Deterministic for a fixed rng_seed.
     """
+    retries = _parse_int(retries)
     if backend == "auto":
         backend_fn = lambda f: decompose.decompose_auto(f)[0]
     else:

@@ -27,15 +27,16 @@ costs a kernel of order+shift+deg(R)+1 rows instead of one row per degree
 of x.  Kernels are solved only at exponents e with an integer root of the
 indicial polynomial in e..e+delta (delta the bound on deg(R)): that
 polynomial is the lowest nonzero row of the table at c combined with the
-falling factorials, and every other window has an empty kernel.  With c
-symbolic, the entries at one exponent are the conditions whose common roots
-are the nodes of the pure-power solutions (x - c)^e.  The lowest nonzero
-one is e!/(e-k)! * P_k(c), k the largest i <= min(e, order)
-with P_i nonzero, so every node is a root of P_k.  The table is evaluated at
-each rational root of P_k and tested once per exponent; the part of P_k
-without rational roots is reduced by gcd against the other conditions,
-and what survives proves an irrational node.  Every pair found is checked
-once more with apply_sde.
+falling factorials, and every other window has an empty kernel.  The basis
+is the pivot columns of one Bareiss elimination over all kernel vectors.
+With c symbolic, the entries at one exponent are the conditions whose
+common roots are the nodes of the pure-power solutions (x - c)^e.  The
+lowest nonzero one is e!/(e-k)! * P_k(c), k the largest i <= min(e, order)
+with P_i nonzero, so every node is a root of P_k.  The table is evaluated
+at each rational root of P_k and tested once per exponent; the part of P_k
+without rational roots is reduced by gcd against the other conditions, and
+what survives proves an irrational node.  Every pair found is checked once
+more with apply_sde.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -440,29 +441,6 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
 # -- solutions of the form R(x) * (x - c)^e -------------------------------
 
 
-def _keep_if_independent(
-    vec: dict[int, Fraction], registry: dict[int, dict[int, Fraction]]
-) -> bool:
-    """Reduce the sparse vector vec against registry (rows keyed by their
-    lowest index, normalized to 1 there); store it and return True when it
-    is not in their span."""
-    while vec:
-        m = min(vec)
-        row = registry.get(m)
-        if row is None:
-            inv = 1 / vec[m]
-            registry[m] = {k: v * inv for k, v in vec.items()}
-            return True
-        factor = vec[m]
-        for k, v in row.items():
-            rest = vec.get(k, 0) - factor * v
-            if rest:
-                vec[k] = rest
-            else:
-                vec.pop(k, None)
-    return False
-
-
 def _image(rows: list[list[int]], m: int) -> list[int]:
     """The y^(m-order+j) entries of L((x - node)^m) for the rows w_j of the
     table at the node: sum_i perm(m, i) * w_j[i]."""
@@ -498,8 +476,9 @@ def shifted_poly_solutions(
     the entry is 0 already, because perm(m, i) = 0 for i > m.  Every other
     exponent has an empty kernel.
 
-    The basis order is deterministic: candidates are scanned by increasing
-    exponent and kept when independent of everything kept so far.
+    The basis is deterministic: the candidates, by increasing exponent, are
+    the columns of one integer matrix, and the pivot columns of its Bareiss
+    elimination, each independent of the columns before it, are kept.
     """
     delta, e_min, e_max = _parse_int(delta), _parse_int(e_min), _parse_int(e_max)
     if delta < 0:
@@ -514,14 +493,14 @@ def shifted_poly_solutions(
     roots = [m for m in range(e_min, e_max + delta + 1) if not _image(lowest, m)[0]]
     live = sorted({e for r in roots for e in range(max(r - delta, e_min), min(r, e_max) + 1)})
     windows = {m: _image(rows, m) for m in {e + t for e in live for t in range(delta + 1)}}
-    kept: list[dict[int, Fraction]] = []
-    registry: dict[int, dict[int, Fraction]] = {}
+    candidates: list[dict[int, Fraction]] = []
     for e in live:
         # column t on y^(e-order)..y^(e+delta+shift), negative powers dropped
         cols = [[0] * t + windows[e + t] + [0] * (delta - t) for t in range(delta + 1)]
         mat = list(zip(*cols))[max(s.order - e, 0) :]
         for vec in linalg.kernel(linalg.IntMatrix.from_rows(mat)):
-            sol = {e + t: v for t, v in enumerate(vec) if v}
-            if _keep_if_independent(dict(sol), registry):
-                kept.append(sol)
-    return kept
+            candidates.append({e + t: v for t, v in enumerate(vec) if v})
+    # a row per power of y, a column per candidate
+    powers = sorted({k for sol in candidates for k in sol})
+    mat = [[int(sol.get(k, 0)) for sol in candidates] for k in powers]
+    return [candidates[c] for c in linalg._bareiss(mat)]

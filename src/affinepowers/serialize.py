@@ -3,7 +3,8 @@
 Polynomial text form: comma-separated coefficients from the constant term
 up, each a Fraction literal, e.g. "1,0,-3/2,1" for 1 - 3/2 x^2 + x^3.  JSON
 forms keep every rational as a string so nothing is ever routed through
-floats.  For each type, from_json(to_json(x)) == x.
+floats.  For each type, from_json(to_json(x)) == x; a missing or ill-typed
+field raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,37 @@ from .unipoly import UniPoly, _parse_int
 def _parse_frac(v) -> Fraction:
     if isinstance(v, (bool, float)):
         raise ValueError(f"refusing {type(v).__name__} {v!r}; use a rational string")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
+
+
+def _field(data, key: str, parse):
+    """parse(data[key]), with a missing or ill-typed field reported as a
+    ValueError that names it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with field {key!r}, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return parse(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _list_of(parse):
+    """A parser for a JSON list whose items parse reads."""
+
+    def read(items) -> list:
+        if not isinstance(items, list):
+            raise ValueError(f"expected a list, got {type(items).__name__}")
+        return [parse(v) for v in items]
+
+    return read
+
+
+_fracs = _list_of(_parse_frac)
 
 
 def format_unipoly(f: UniPoly) -> str:
@@ -31,7 +62,7 @@ def parse_unipoly(text: str) -> UniPoly:
     parts = [p.strip() for p in text.strip().split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError("malformed polynomial text")
-    return UniPoly([Fraction(p) for p in parts])
+    return UniPoly([_parse_frac(p) for p in parts])
 
 
 def unipoly_to_json(f: UniPoly) -> dict:
@@ -39,7 +70,7 @@ def unipoly_to_json(f: UniPoly) -> dict:
 
 
 def unipoly_from_json(data: dict) -> UniPoly:
-    return UniPoly([_parse_frac(c) for c in data["coeffs"]])
+    return UniPoly(_field(data, "coeffs", _fracs))
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
@@ -55,11 +86,16 @@ def decomposition_to_json(d: Decomposition) -> dict:
     }
 
 
-def decomposition_from_json(data: dict) -> Decomposition:
-    return Decomposition.of(
-        (_parse_frac(t["coeff"]), _parse_frac(t["node"]), _parse_int(t["exponent"]))
-        for t in data["terms"]
+def _term(t: dict) -> tuple:
+    return (
+        _field(t, "coeff", _parse_frac),
+        _field(t, "node", _parse_frac),
+        _field(t, "exponent", _parse_int),
     )
+
+
+def decomposition_from_json(data: dict) -> Decomposition:
+    return Decomposition.of(_field(data, "terms", _list_of(_term)))
 
 
 def sde_to_json(s: SDE) -> dict:
@@ -72,9 +108,9 @@ def sde_to_json(s: SDE) -> dict:
 
 def sde_from_json(data: dict) -> SDE:
     return SDE(
-        _parse_int(data["order"]),
-        _parse_int(data["shift"]),
-        tuple(UniPoly([_parse_frac(c) for c in p]) for p in data["polys"]),
+        _field(data, "order", _parse_int),
+        _field(data, "shift", _parse_int),
+        tuple(map(UniPoly, _field(data, "polys", _list_of(_fracs)))),
     )
 
 
@@ -88,14 +124,17 @@ def multipoly_to_json(p: MultiPoly) -> dict:
     }
 
 
+def _monomial(t: dict) -> tuple:
+    return tuple(_field(t, "exps", _list_of(_parse_int))), _field(t, "coeff", _parse_frac)
+
+
 def multipoly_from_json(data: dict) -> MultiPoly:
-    n = _parse_int(data["n"])
+    n = _field(data, "n", _parse_int)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for t in data["terms"]:
-        exps = tuple(_parse_int(e) for e in t["exps"])
+    for exps, c in _field(data, "terms", _list_of(_monomial)):
         if len(exps) != n:
             raise ValueError("term arity does not match n")
-        terms[exps] = terms.get(exps, 0) + _parse_frac(t["coeff"])
+        terms[exps] = terms.get(exps, 0) + c
     return MultiPoly(n, terms)
 
 
@@ -114,19 +153,14 @@ def multidec_to_json(md: MultiDecomposition) -> dict:
     }
 
 
-def multidec_from_json(data: dict) -> MultiDecomposition:
-    n = _parse_int(data["n"])
-    return MultiDecomposition.of(
-        n,
-        (
-            (
-                _parse_frac(t["coeff"]),
-                LinearForm(
-                    _parse_frac(t["constant"]),
-                    tuple(_parse_frac(c) for c in t["coefficients"]),
-                ),
-                _parse_int(t["exponent"]),
-            )
-            for t in data["terms"]
-        ),
+def _form_term(t: dict) -> tuple:
+    return (
+        _field(t, "coeff", _parse_frac),
+        LinearForm(_field(t, "constant", _parse_frac), _field(t, "coefficients", _fracs)),
+        _field(t, "exponent", _parse_int),
     )
+
+
+def multidec_from_json(data: dict) -> MultiDecomposition:
+    n = _field(data, "n", _parse_int)
+    return MultiDecomposition.of(n, _field(data, "terms", _list_of(_form_term)))

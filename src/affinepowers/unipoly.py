@@ -69,6 +69,7 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, coeff, exponent: int) -> "UniPoly":
+        exponent = _parse_int(exponent)
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         return cls([0] * exponent + [coeff])
@@ -76,6 +77,7 @@ class UniPoly:
     @classmethod
     def affine_power(cls, coeff, node, exponent: int) -> "UniPoly":
         """coeff * (x - node)^exponent, expanded."""
+        exponent = _parse_int(exponent)
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         a = _frac(node)
@@ -158,6 +160,7 @@ class UniPoly:
         return UniPoly([s * c for c in self.coeffs])
 
     def __pow__(self, n: int) -> "UniPoly":
+        n = _parse_int(n)
         if n < 0:
             raise ValueError("negative power")
         result = UniPoly((1,))
@@ -214,6 +217,7 @@ class UniPoly:
 
     def derivative(self, order: int = 1) -> "UniPoly":
         """order-th derivative: x^k goes to k!/(k-order)! * x^(k-order)."""
+        order = _parse_int(order)
         if order < 0:
             raise ValueError("negative derivative order")
         cs = self.coeffs

@@ -135,6 +135,12 @@ class TestDecompose:
         assert code == 1
         assert "error" in err
 
+    def test_zero_denominator_exits_one(self, capsys):
+        code, out, err = run_exit(capsys, "decompose", "1/0,1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read polynomial: zero denominator")
+
     def test_at_file_input(self, capsys, tmp_path):
         target = tmp_path / "poly.txt"
         target.write_text(format_unipoly(UniPoly.affine_power(1, 2, 7)) + "\n")
@@ -380,6 +386,20 @@ class TestVerify:
         assert "verified" not in out
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, {"terms": 5}, [1, 2], {"terms": [{"coeff": "1/0", "node": "0", "exponent": 1}]}],
+        ids=repr,
+    )
+    def test_malformed_document_exits_one(self, capsys, tmp_path, doc):
+        dec_file = tmp_path / "dec.json"
+        dec_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "1,2", str(dec_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "'terms'" in err
+        assert "Traceback" not in err
+
     def test_stdin_decomposition(self, capsys, monkeypatch):
         doc = json.dumps({"terms": [{"coeff": "1", "node": "0", "exponent": 2}]})
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
@@ -501,6 +521,19 @@ class TestMulti:
         monkeypatch.setattr("sys.stdin", io.StringIO(self.planted_doc()))
         code, out, _ = run(capsys, "multi", "-", "--backend", "big_exponents")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [({}, "n"), ({"n": 2}, "terms"), ({"n": 2, "terms": [{"exps": 3, "coeff": "1"}]}, "exps")],
+    )
+    def test_malformed_document_exits_one(self, capsys, tmp_path, doc, field):
+        src = tmp_path / "poly.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "multi", str(src), "--backend", "big_exponents")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert "Traceback" not in err
 
     def test_failure_exits_two(self, capsys, tmp_path):
         x1 = MultiPoly.variable(2, 0)

@@ -218,6 +218,14 @@ class TestBlackBox:
         with pytest.raises(ValueError, match="expected an integer"):
             BlackBox(n, bound, lambda p: F(0))
 
+    @pytest.mark.parametrize("retries", [True, 2.5, F(3, 2)], ids=repr)
+    def test_multi_build_refuses_non_integral_retries(self, retries):
+        # retries=True was read as 1
+        x1, x2 = vars2()
+        bb = BlackBox.from_multipoly((x1 + x2) ** 4)
+        with pytest.raises(ValueError, match="expected an integer"):
+            multi_build(bb, backend="big_exponents", retries=retries)
+
     def test_integer_string_sizes_parsed(self):
         bb = BlackBox("2", "3", lambda p: F(0))
         assert (bb.n, bb.degree_bound) == (2, 3)

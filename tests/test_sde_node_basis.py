@@ -10,10 +10,12 @@ the reference list.  A sympy check (optional) confirms the solutions and the
 dimension independently.
 
 shifted_poly_solutions solves a kernel only at exponents within delta below
-an integer root of the indicial polynomial.  unfiltered_scan is the loop
-without that filter, one kernel at every exponent of the range; the filtered
-scan must return its list exactly, and kernel_inputs shows which windows the
-filtered scan solved.
+an integer root of the indicial polynomial, and keeps the candidates that
+are pivot columns of one Bareiss elimination.  unfiltered_scan is the loop
+without that filter, one kernel at every exponent of the range, keeping each
+candidate that a sparse elimination over Q (keep_if_independent) finds
+independent of those kept before it; shifted_poly_solutions must return its
+list exactly, and kernel_inputs shows which windows the filtered scan solved.
 """
 
 import math
@@ -99,9 +101,32 @@ def unfiltered_windows(s: SDE, node, delta: int, e_min: int, e_max: int) -> dict
     return out
 
 
+def keep_if_independent(vec: dict, registry: dict) -> bool:
+    """Reduce the sparse rational vector vec against registry (rows keyed by
+    their lowest index, normalized to 1 there); store it and return True
+    when it is not in their span."""
+    while vec:
+        m = min(vec)
+        row = registry.get(m)
+        if row is None:
+            inv = 1 / vec[m]
+            registry[m] = {k: v * inv for k, v in vec.items()}
+            return True
+        factor = vec[m]
+        for k, v in row.items():
+            rest = vec.get(k, 0) - factor * v
+            if rest:
+                vec[k] = rest
+            else:
+                vec.pop(k, None)
+    return False
+
+
 def unfiltered_scan(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[dict]:
-    """shifted_poly_solutions without the indicial filter: a kernel at every
-    exponent of the range, candidates kept in the same order."""
+    """shifted_poly_solutions without the indicial filter and without
+    Bareiss: a kernel at every exponent of the range, each candidate kept
+    when a sparse elimination over Q finds it independent of those kept
+    before it."""
     if e_min > e_max:
         return []
     kept: list[dict] = []
@@ -109,7 +134,7 @@ def unfiltered_scan(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[di
     for e, mat in unfiltered_windows(s, node, delta, e_min, e_max).items():
         for vec in linalg.kernel(linalg.IntMatrix.from_rows(mat)):
             sol = {e + t: v for t, v in enumerate(vec) if v}
-            if sde._keep_if_independent(dict(sol), registry):
+            if keep_if_independent(dict(sol), registry):
                 kept.append(sol)
     return kept
 

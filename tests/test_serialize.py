@@ -57,6 +57,10 @@ class TestUniPolyText:
         with pytest.raises(ValueError):
             parse_unipoly("1,two,3")
 
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_unipoly("1/0,1")
+
     def test_roundtrip(self):
         for f in (P(), P(5), P(0, F(1, 3), -2, 0, 7)):
             assert parse_unipoly(format_unipoly(f)) == f
@@ -253,3 +257,45 @@ class TestIntegerFields:
         assert decomposition_from_json(doc) == Decomposition.of([(1, 0, 3)])
         doc = {"order": 1, "shift": 0, "polys": [["1"], ["0", "1"]]}
         assert sde_from_json(doc).order == 1
+
+
+class TestMalformedDocuments:
+    """A missing or ill-typed field raises ValueError naming the field,
+    never KeyError or TypeError, and a string is not read as a list."""
+
+    TERM = {"coeff": "1", "node": "0", "exponent": 2}
+
+    @pytest.mark.parametrize(
+        "reader, doc, field",
+        [
+            (decomposition_from_json, {}, "terms"),
+            (decomposition_from_json, {"terms": 5}, "terms"),
+            (decomposition_from_json, {"terms": "12"}, "terms"),
+            (decomposition_from_json, [1, 2], "terms"),
+            (decomposition_from_json, {"terms": [5]}, "coeff"),
+            (decomposition_from_json, {"terms": [{"coeff": "1", "node": "0"}]}, "exponent"),
+            (decomposition_from_json, {"terms": [{**TERM, "coeff": [1]}]}, "coeff"),
+            (decomposition_from_json, {"terms": [{**TERM, "node": None}]}, "node"),
+            (decomposition_from_json, {"terms": [{**TERM, "exponent": [2]}]}, "exponent"),
+            (decomposition_from_json, {"terms": [{**TERM, "node": "1/0"}]}, "node"),
+            (unipoly_from_json, {}, "coeffs"),
+            (unipoly_from_json, {"coeffs": "12"}, "coeffs"),
+            (unipoly_from_json, {"coeffs": [None]}, "coeffs"),
+            (sde_from_json, {"order": 1, "shift": 0}, "polys"),
+            (sde_from_json, {"order": 1, "shift": 0, "polys": [5, ["1"]]}, "polys"),
+            (sde_from_json, {"order": None, "shift": 0, "polys": [["1"]]}, "order"),
+            (multipoly_from_json, {}, "n"),
+            (multipoly_from_json, {"n": 2}, "terms"),
+            (multipoly_from_json, {"n": 2, "terms": [{"exps": 3, "coeff": "1"}]}, "exps"),
+            (multipoly_from_json, {"n": 2, "terms": [{"exps": [1, 0]}]}, "coeff"),
+            (multidec_from_json, {"terms": []}, "n"),
+            (
+                multidec_from_json,
+                {"n": 2, "terms": [{"coeff": "1", "constant": "0", "exponent": 2}]},
+                "coefficients",
+            ),
+        ],
+    )
+    def test_names_the_field(self, reader, doc, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            reader(doc)

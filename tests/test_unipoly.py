@@ -133,6 +133,40 @@ class TestArithmetic:
             P(1, 1).quo_rem(P())
 
 
+class TestIntegerArguments:
+    """Exponents and derivative orders are read like every other integer
+    argument: a bool or a float is refused, an integral Fraction accepted."""
+
+    BAD = (True, 2.0, 2.5)
+    each_bad = pytest.mark.parametrize("bad", BAD, ids=repr)
+
+    @each_bad
+    def test_pow(self, bad):
+        with pytest.raises(ValueError, match="expected an integer"):
+            P(1, 1) ** bad
+
+    @each_bad
+    def test_affine_power(self, bad):
+        with pytest.raises(ValueError, match="expected an integer"):
+            UniPoly.affine_power(1, 0, bad)
+
+    @each_bad
+    def test_monomial(self, bad):
+        with pytest.raises(ValueError, match="expected an integer"):
+            UniPoly.monomial(1, bad)
+
+    @each_bad
+    def test_derivative(self, bad):
+        with pytest.raises(ValueError, match="expected an integer"):
+            P(1, 2, 3).derivative(bad)
+
+    def test_integral_fractions_accepted(self):
+        assert P(1, 1) ** F(3) == P(1, 3, 3, 1)
+        assert UniPoly.affine_power(1, 0, F(2)) == P(0, 0, 1)
+        assert UniPoly.monomial(5, F(1)) == P(0, 5)
+        assert P(1, 2, 3).derivative(F(2)) == P(6)
+
+
 class TestEvaluation:
     def test_evaluate_known(self):
         f = P(1, 2, 3)  # 3x^2 + 2x + 1

@@ -111,12 +111,14 @@ def _cmd_decompose(args) -> int:
     stats: list[dict] | None = [] if args.stats else None
     started = time.perf_counter()
     tag = args.algorithm
+    if args.delta is not None and tag != "small_intervals":
+        raise ValueError("--delta applies only to --algorithm small-intervals")
     if tag == "auto":
         dec, tag = decompose.decompose_auto(f)
     elif tag == "distinct_nodes":
         dec = decompose.decompose_distinct_nodes(f, stats=stats)
     elif tag == "small_intervals":
-        width = None if args.delta == "auto" else int(args.delta)
+        width = None if args.delta in (None, "auto") else int(args.delta)
         dec = decompose.decompose_small_intervals(f, width)
     else:
         dec = dict(decompose._STRATEGIES)[tag](f)
@@ -294,8 +296,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--delta",
-        default="auto",
-        help="interval width for small_intervals, or 'auto' (default)",
+        default=None,
+        help="interval width for small_intervals only, or 'auto' (default)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--stats", action="store_true", help="print timing/iteration stats")

@@ -379,6 +379,12 @@ def decompose_small_intervals(f: UniPoly, delta: int | None = None) -> Decomposi
     the admissible exponent window is found in the node's basis x - a, f is
     solved in the union basis, and the terms are read off those node-basis
     coefficients.
+
+    Each width's equation is searched only up to the largest order whose
+    exponent window is nonempty, and a width with no such order derives
+    none.  The open window's length deg f - (2r+1)(delta+1)^2/2 falls by
+    (delta+1)^2 per order, and an empty one has length <= 1: once empty, it
+    stays empty, so no width that could answer is cut short.
     """
     _require_nonzero(f)
     if delta is None:
@@ -386,7 +392,7 @@ def decompose_small_intervals(f: UniPoly, delta: int | None = None) -> Decomposi
     delta = _parse_int(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return _at_width(f, sde_mod.find_min_sde(f, delta))
+    return _at_width(f, delta)
 
 
 def _width_scan(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
@@ -395,7 +401,7 @@ def _width_scan(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
     try:
         for width in range(_DELTA_MAX + 1):
             try:
-                return _at_width(f, eq if width == 0 else sde_mod.find_min_sde(f, width))
+                return _at_width(f, width, eq if width == 0 else None)
             except ReconstructionFailed as exc:
                 last = exc
                 reasons.append(f"width {width}: {exc}")
@@ -407,14 +413,38 @@ def _width_scan(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
         last = eq = None  # an error's traceback holds this frame: clear errors and equation
 
 
-def _at_width(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
-    delta, r = eq.shift, eq.order
+def _window(deg: int, r: int, delta: int) -> tuple[int, int]:
+    """The exponents e_min..e_max searched with an order-r shift-delta
+    equation of a degree-deg input: (r+1)^2 (delta+1)^2 / 2 < e <
+    deg + r^2 (delta+1)^2 / 2, the guarantee being strict on both sides."""
     span = (delta + 1) ** 2
-    lower = Fraction((r + 1) ** 2 * span, 2)
-    upper = Fraction(f.degree) + Fraction(r * r * span, 2)
-    e_min = math.floor(lower) + 1  # the guarantee is strict on both sides
-    e_max = math.ceil(upper) - 1
-    top = eq.polys[r]
+    return (r + 1) ** 2 * span // 2 + 1, _ceil_half(2 * deg + r * r * span) - 1
+
+
+def _order_cap(deg: int, delta: int) -> int:
+    """The largest order r >= 1 whose window is nonempty, or 0; every
+    window above it is empty (see decompose_small_intervals)."""
+    r = 1
+    while (w := _window(deg, r, delta))[0] <= w[1]:
+        r += 1
+    return r - 1
+
+
+def _empty_window(deg: int, delta: int) -> ReconstructionFailed:
+    return ReconstructionFailed(
+        f"exponent window is empty at every order above {_order_cap(deg, delta)}"
+    )
+
+
+def _at_width(f: UniPoly, delta: int, eq: sde_mod.SDE | None = None) -> Decomposition:
+    """Width delta on f; eq, if given, is f's minimal shift-delta equation."""
+    cap = _order_cap(f.degree, delta)
+    if eq is None and cap >= 1:
+        eq = sde_mod.find_min_sde(f, delta, max_order=cap)
+    if eq is None or eq.order > cap:
+        raise _empty_window(f.degree, delta)
+    e_min, e_max = _window(f.degree, eq.order, delta)
+    top = eq.polys[eq.order]
     if top.degree < 1:
         raise ReconstructionFailed("top equation coefficient has no roots")
     nodes = sorted(rational_roots(top))

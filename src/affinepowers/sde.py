@@ -318,6 +318,8 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | 
         raise ZeroPolynomial("the zero polynomial satisfies every equation")
     if shift < 0:
         raise ValueError("shift must be nonnegative")
+    if max_order < 0:
+        raise ValueError("max_order must be nonnegative")
     if max_order < 1:
         return None
 

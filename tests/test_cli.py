@@ -87,6 +87,25 @@ class TestDecompose:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("algorithm", [None, "auto", "big-gaps", "distinct-nodes"])
+    def test_delta_without_small_intervals_exits_one(self, capsys, algorithm):
+        # --delta used to be dropped without a word by the other strategies
+        poly = format_unipoly(UniPoly.affine_power(1, 2, 7))
+        chosen = () if algorithm is None else ("--algorithm", algorithm)
+        code, out, err = run(capsys, "decompose", poly, *chosen, "--delta", "3")
+        assert code == 1
+        assert out == ""
+        assert "--delta applies only to --algorithm small-intervals" in err
+
+    def test_generic_refusal_names_the_exponent_window(self, capsys):
+        # width 3 of a generic degree-20 input has an empty window at every order
+        poly = "3,-1,4,1,-5,9,2,-6,5,3,-5,8,9,-7,9,3,2,-3,8,4,6"
+        code, _, err = run(
+            capsys, "decompose", poly, "--algorithm", "small-intervals", "--delta", "3"
+        )
+        assert code == 2
+        assert "ReconstructionFailed: exponent window is empty" in err
+
     def test_stats_output(self, capsys):
         code, out, _ = run(
             capsys,
@@ -435,6 +454,13 @@ class TestSde:
         )
         assert code == 2
         assert "no equation" in err
+
+    def test_negative_max_order_exits_one(self, capsys):
+        # a negative limit is a usage problem, not a search that found nothing
+        code, out, err = run(capsys, "sde", "3,4,-8,-1,7,6,3,0,1", "--max-order", "-2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: max_order must be nonnegative\n"
 
 
 class TestWaring:

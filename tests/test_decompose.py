@@ -395,7 +395,8 @@ def taylor_reread(f: UniPoly, delta: int | None = None) -> Decomposition:
     """decompose_small_intervals as it was before the fit in node
     coordinates: each solution expanded to x and scaled to primitive
     integers, f solved in that basis, and each node's part summed in x and
-    re-read through a Taylor shift."""
+    re-read through a Taylor shift.  Its equation is not capped; where the
+    window of its order is empty it refuses as the capped search does."""
     import affinepowers.decompose as dmod
     from affinepowers.ratroots import to_primitive_int
 
@@ -416,6 +417,8 @@ def taylor_reread(f: UniPoly, delta: int | None = None) -> Decomposition:
     span = (delta + 1) ** 2
     e_min = math.floor(F((r + 1) ** 2 * span, 2)) + 1
     e_max = math.ceil(F(f.degree) + F(r * r * span, 2)) - 1
+    if e_min > e_max:
+        raise dmod._empty_window(f.degree, delta)
     top = eq.polys[r]
     if top.degree < 1:
         raise ReconstructionFailed("top equation coefficient has no roots")
@@ -589,13 +592,13 @@ def width_scan(f: UniPoly) -> Decomposition:
 
 
 def spy_find_min_sde(mp: pytest.MonkeyPatch) -> list:
-    """Record the (f, shift) of every later sde.find_min_sde call."""
+    """Record the (f, shift, max_order) of every later sde.find_min_sde call."""
     import affinepowers.sde as sde_mod
 
     real, calls = sde_mod.find_min_sde, []
 
     def spy(f, shift, max_order=None):
-        calls.append((f, shift))
+        calls.append((f, shift, max_order))
         return real(f, shift, max_order)
 
     mp.setattr(sde_mod, "find_min_sde", spy)
@@ -659,13 +662,18 @@ class TestAuto:
                 calls = spy_find_min_sde(mp)
                 got = outcome(decompose_auto, f)
             assert got == expected
-            assert calls.count((f, 0)) == 1
-            assert len(set(calls)) == len(calls)
+            assert calls.count((f, 0, None)) == 1
+            assert len({call[:2] for call in calls}) == len(calls)
             if f is generic:
                 # a refusal: shift 0 once for big_gaps, distinct_nodes and
-                # width 0, then widths 1 to 4
+                # width 0, then each width whose window is nonempty at some
+                # order, searched up to that order: widths 1 and 2
+                import affinepowers.decompose as dmod
+
                 assert got[0] is ReconstructionFailed
-                assert calls == [(f, shift) for shift in range(5)]
+                caps = {w: dmod._order_cap(f.degree, w) for w in range(1, 5)}
+                assert calls == [(f, 0, None)] + [(f, w, cap) for w, cap in caps.items() if cap >= 1]
+                assert [shift for _, shift, _ in calls] == [0, 1, 2]
 
     def test_result_always_verifies(self):
         rng = random.Random(229)
@@ -677,6 +685,41 @@ class TestAuto:
             f = target.expand()
             dec, _ = decompose_auto(f)
             assert dec.expand() == f
+
+
+class TestOrderCap:
+    """decompose_small_intervals searches each width's equation only up to
+    the largest order whose exponent window is nonempty."""
+
+    def test_no_window_above_the_cap(self):
+        # the cap is exact only if a window, once empty, stays empty
+        import affinepowers.decompose as dmod
+
+        caps = set()
+        for deg in range(1, 201):
+            for delta in range(5):
+                cap = dmod._order_cap(deg, delta)
+                caps.add(min(cap, 1))
+                span = (delta + 1) ** 2
+                for r in range(1, deg + 3):
+                    # the least integer above (r+1)^2 span / 2, against
+                    # deg + r^2 span / 2
+                    least = (r + 1) ** 2 * span // 2 + 1
+                    nonempty = 2 * least < 2 * deg + r * r * span
+                    e_min, e_max = dmod._window(deg, r, delta)
+                    assert (e_min <= e_max) == nonempty == (r <= cap), (deg, delta, r)
+        assert caps == {0, 1}
+
+    def test_widths_without_a_window_derive_no_equation(self, monkeypatch):
+        # generic degree 20: widths 3 and 4 have an empty window at order 1
+        f = _generic_degree_20()
+        for delta in (3, 4):
+            with monkeypatch.context() as mp:
+                calls = spy_find_min_sde(mp)
+                with pytest.raises(ReconstructionFailed) as info:
+                    decompose_small_intervals(f, delta)
+            assert calls == []
+            assert str(info.value) == "exponent window is empty at every order above 0"
 
 
 def _generic_degree_20() -> UniPoly:

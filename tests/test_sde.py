@@ -255,6 +255,12 @@ class TestFindMinSDE:
         with pytest.raises(ValueError):
             find_min_sde(f, 0, bad)
 
+    def test_negative_max_order_rejected(self):
+        f = UniPoly.affine_power(1, 2, 5)
+        with pytest.raises(ValueError):
+            find_min_sde(f, 0, -1)
+        assert find_min_sde(f, 0, 0) is None
+
     def test_integer_string_shift_parsed(self):
         f = UniPoly.affine_power(1, 2, 5)
         s = find_min_sde(f, "1", "3")

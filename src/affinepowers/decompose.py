@@ -25,7 +25,7 @@ from .errors import (
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, _clear_denominators, _frac, _parse_int, _powers, rational_roots
+from .unipoly import UniPoly, _clear_denominators, _frac, _parse_int, _powers
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,11 +257,41 @@ def _ceil_half(n: int) -> int:
 # -- single-pass reconstruction (large exponents / large gaps) ------------
 
 
-def _single_pass(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
+def _power_pairs(eq: sde_mod.SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+    return sde_mod.power_solutions(eq, e_min, e_max) if e_min <= e_max else []
+
+
+class _Scan:
+    """The power solutions of one equation over ranges that share their
+    start, each exponent scanned once: a range reaching past the exponents
+    scanned so far extends the scan by one sde.power_solutions call over
+    the rest, and a narrower one is cut from it.  Once a call raises
+    IrrationalNodeDetected, every range reaching its exponent raises it
+    again, as a call over that range would; only the error's exponent and
+    message are kept, not its traceback."""
+
+    def __init__(self, e_min: int):
+        self.hi = e_min - 1
+        self.pairs: list[tuple[Fraction, int]] = []
+        self.irrational: tuple[int, str] | None = None
+
+    def __call__(self, eq: sde_mod.SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+        if e_max > self.hi and (self.irrational is None or e_max < self.irrational[0]):
+            try:
+                self.pairs += _power_pairs(eq, self.hi + 1, e_max)
+                self.hi = e_max
+            except IrrationalNodeDetected as exc:
+                self.irrational = exc.exponent, str(exc)
+        if self.irrational is not None and self.irrational[0] <= e_max:
+            raise IrrationalNodeDetected(self.irrational[1], exponent=self.irrational[0])
+        return [(b, e) for b, e in self.pairs if e <= e_max]
+
+
+def _single_pass(f: UniPoly, eq: sde_mod.SDE, powers=_power_pairs) -> Decomposition:
+    """powers(eq, e_min, e_max) gives the power solutions (_power_pairs or
+    a _Scan)."""
     r = eq.order
-    e_min = _ceil_half((r + 1) ** 2)
-    e_max = f.degree + (r * r) // 2
-    pairs = sde_mod.power_solutions(s=eq, e_min=e_min, e_max=e_max) if e_min <= e_max else []
+    pairs = powers(eq, _ceil_half((r + 1) ** 2), f.degree + (r * r) // 2)
     if not pairs:
         raise ReconstructionFailed("no admissible power solutions in range")
     return _verify(_fit(f, [(b, {e: 1}) for b, e in pairs]), f)
@@ -308,7 +338,11 @@ def decompose_distinct_nodes(
     return _peel(f, sde_mod.find_min_sde(f, 0), stats)
 
 
-def _peel(f: UniPoly, eq: sde_mod.SDE, stats: list | None = None) -> Decomposition:
+def _peel(
+    f: UniPoly, eq: sde_mod.SDE, stats: list | None = None, powers=_power_pairs
+) -> Decomposition:
+    """powers serves the first pass, as in _single_pass; later passes scan
+    their own equations."""
     residual = f
     collected: list[tuple[Fraction, Fraction, int]] = []
     for iteration in range(f.degree + 2):
@@ -318,9 +352,8 @@ def _peel(f: UniPoly, eq: sde_mod.SDE, stats: list | None = None) -> Decompositi
         eq = eq if iteration == 0 else sde_mod.find_min_sde(residual, 0)
         t = eq.order
         deg = residual.degree
-        e_min = _ceil_half((t + 1) ** 2)
-        e_max = deg + ((deg + 2) ** 2) // 8
-        pairs = sde_mod.power_solutions(eq, e_min, e_max) if e_min <= e_max else []
+        scan = powers if iteration == 0 else _power_pairs
+        pairs = scan(eq, _ceil_half((t + 1) ** 2), deg + ((deg + 2) ** 2) // 8)
         if stats is not None:
             stats.append(
                 {
@@ -447,7 +480,7 @@ def _at_width(f: UniPoly, delta: int, eq: sde_mod.SDE | None = None) -> Decompos
     top = eq.polys[eq.order]
     if top.degree < 1:
         raise ReconstructionFailed("top equation coefficient has no roots")
-    nodes = sorted(rational_roots(top))
+    nodes = sorted(eq._lead_roots(eq.order)[0])
     if not nodes:
         raise ReconstructionFailed("top equation coefficient has no rational roots")
     candidates = [
@@ -477,22 +510,27 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
 
     Every strategy runs on one shift-0 equation of f.  The big_gaps answer
     is tagged big_exponents when its nodes are distinct, and its error
-    counts for both.  If every strategy fails and any of them detected an
-    irrational node, that error wins (the input decomposes only over an
-    extension field); otherwise ReconstructionFailed.
+    counts for both.  Its power solutions and those of distinct_nodes'
+    first pass, whose ranges share their start, come from one _Scan that
+    scans each exponent once, and width 0 of small_intervals reuses that
+    scan's split of the equation's top coefficient.  If every strategy
+    fails and any of them detected an irrational node, that error wins (the
+    input decomposes only over an extension field); otherwise
+    ReconstructionFailed.
     """
     _require_nonzero(f)
     eq = sde_mod.find_min_sde(f, 0)
+    scan = _Scan(_ceil_half((eq.order + 1) ** 2))
     irrational: IrrationalNodeDetected | None = None
     last: ReconstructionFailed | None = None
     try:
-        for tag, run in (
-            ("big_gaps", _single_pass),
-            ("distinct_nodes", _peel),
-            ("small_intervals", _width_scan),
+        for tag, run, args in (
+            ("big_gaps", _single_pass, (f, eq, scan)),
+            ("distinct_nodes", _peel, (f, eq, None, scan)),
+            ("small_intervals", _width_scan, (f, eq)),
         ):
             try:
-                dec = run(f, eq)
+                dec = run(*args)
             except IrrationalNodeDetected as exc:
                 irrational = exc
             except ReconstructionFailed as exc:
@@ -505,4 +543,4 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
             raise irrational
         raise ReconstructionFailed("no strategy produced a verified decomposition") from last
     finally:
-        irrational = last = eq = None  # an error's traceback holds this frame: clear errors and equation
+        irrational = last = eq = scan = args = None  # an error's traceback holds this frame: clear errors, equation and scan

@@ -37,7 +37,12 @@ class IrrationalNodeDetected(FieldExtensionRequired):
 
     Signals that a decomposition exists only over an extension field; the
     package reports this instead of computing with algebraic numbers.
+    exponent is the exponent of the node condition, when there is one.
     """
+
+    def __init__(self, message: str, exponent: int | None = None):
+        super().__init__(message)
+        self.exponent = exponent
 
 
 class ReconstructionFailed(ExactAlgebraError):

@@ -152,31 +152,38 @@ def _poly_gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
+def _reduce_mod(r: list[int], low: Sequence[int], p: int) -> list[int]:
+    """r modulo the monic x^n + sum_k low[k] x^k (n = len(low)) and the
+    prime p, entries in 0..p-1.  One slice update per eliminated degree,
+    reduced modulo p only at the end."""
+    n = len(low)
+    for k in range(len(r) - 1, n - 1, -1):
+        top = r[k] % p
+        if top:
+            r[k - n : k] = [x - top * c for x, c in zip(r[k - n : k], low)]
+    return [x % p for x in r[:n]]
+
+
+def _square_mod(cs: Sequence[int], p: int) -> list[int]:
+    """The square of a polynomial with entries in 0..p-1, modulo p, by one
+    integer product (Kronecker substitution): each entry gets a slot of
+    whole bytes wide enough that the product's coefficients do not carry."""
+    width = (2 * p.bit_length() + len(cs).bit_length() + 7) // 8
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+    raw = (packed * packed).to_bytes(width * (2 * len(cs) - 1), "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
+
+
 def _linear_part_mod(sf: Sequence[int], p: int) -> list[int]:
     """gcd(sf, x^p - x) modulo p, up to a unit: the product of the distinct
     linear factors of sf mod p.  x^p mod sf comes from repeated squaring."""
-    n = len(sf) - 1
     inv = pow(sf[-1], -1, p)
     low = [c * inv % p for c in sf[:-1]]  # sf made monic: x^n = -sum low[k] x^k
-
-    def reduce(r: list[int]) -> list[int]:
-        for k in range(len(r) - 1, n - 1, -1):
-            top = r[k]
-            if top:
-                for j, c in enumerate(low, k - n):
-                    r[j] = (r[j] - top * c) % p
-        return r[:n]
-
     acc = [1]
     for bit in bin(p)[2:]:
-        sq = [0] * (2 * len(acc) - 1)
-        for i, a in enumerate(acc):
-            if a:
-                for j, b in enumerate(acc, i):
-                    sq[j] += a * b
-        acc = reduce([c % p for c in sq])
+        acc = _reduce_mod(_square_mod(acc, p), low, p)
         if bit == "1":
-            acc = reduce([0] + acc)
+            acc = _reduce_mod([0] + acc, low, p)
     acc += [0] * (2 - len(acc))
     acc[1] -= 1
     return _poly_gcd_mod(sf, acc, p)

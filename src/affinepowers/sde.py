@@ -33,9 +33,16 @@ With c symbolic, the entries at one exponent are the conditions whose
 common roots are the nodes of the pure-power solutions (x - c)^e.  The
 lowest nonzero one is e!/(e-k)! * P_k(c), k the largest i <= min(e, order)
 with P_i nonzero, so every node is a root of P_k.  The table is evaluated
-at each rational root of P_k and tested once per exponent; the part of P_k
-without rational roots is reduced by gcd against the other conditions, and
-what survives proves an irrational node.  Every pair found is checked once
+at each rational root of P_k and tested once per exponent; the part h of
+P_k without rational roots is reduced by gcd against the other conditions,
+and what survives proves an irrational node.  The next condition is
+e!/(e-k+1)! * q(e-k+1) with q(t) = t * P_k' + P_{k-1}, which is coprime to h
+wherever the norm N(t) = det(multiplication by q(t) modulo h) is nonzero.
+N has degree at most deg h; a run of exponents computes it once modulo a
+prime p (determinants at deg h + 1 points, then interpolation) and runs the
+exact gcds only at the exponents where N vanishes modulo p, which include
+every exponent with an irrational node.  Where p divides lc(h) or N is zero
+modulo p, the gcds run at every exponent.  Every pair found is checked once
 more with apply_sde.
 
 All searches are deterministic and the returned equation is scaled to
@@ -82,6 +89,15 @@ class SDE:
         equation)."""
         scaled = iter(_clear_denominators([c for p in self.polys for c in p.coeffs]))
         return [[next(scaled) for _ in p.coeffs] for p in self.polys]
+
+    def _lead_roots(self, k: int) -> tuple[dict[Fraction, int], int]:
+        """ratroots.rational_roots_with_cofactor(P_k), computed once per
+        equation and k: power_solutions and the width-0 search of
+        decompose_small_intervals share it."""
+        splits = self.__dict__.setdefault("_lead_roots_memo", {})
+        if k not in splits:
+            splits[k] = ratroots.rational_roots_with_cofactor(self.polys[k])
+        return splits[k]
 
 
 def canonical_sde(order: int, shift: int, polys: Sequence[UniPoly]) -> SDE:
@@ -373,20 +389,106 @@ def _at_node(table: list[list[list[int]]], node: Fraction) -> list[list[int]]:
     return [[sum(map(operator.mul, w, weights)) for w in row] for row in table]
 
 
+def _norm_mod(h: list[int], a: list[int], b: list[int], p: int) -> list[int] | None:
+    """N(t) = det of multiplication by t*a + b in Q[x]/(h), modulo the prime
+    p, in the falling-factorial basis: N(t) = sum_j c[j] * t!/(t-j)!.  N(t)
+    is nonzero, so t*a + b is coprime to h, wherever N(t) mod p is.  None
+    when p divides lc(h) (h mod p has lower degree) or deg h >= p (too few
+    points to interpolate)."""
+    d = len(h) - 1
+    if h[-1] % p == 0 or d >= p:
+        return None
+    inv = pow(h[-1], -1, p)
+    low = [c * inv % p for c in h[:-1]]  # h made monic mod p
+
+    def columns(q: list[int]) -> list[list[int]]:
+        """q * x^i mod h for i < d, padded to d entries."""
+        col = ratroots._reduce_mod(list(q), low, p)
+        cols = []
+        for _ in range(d):
+            col += [0] * (d - len(col))
+            cols.append(col)
+            col = ratroots._reduce_mod([0] + col, low, p)
+        return cols
+
+    ma, mb = columns(a), columns(b)
+    values = [
+        _det_mod([[(t * x + y) % p for x, y in zip(ca, cb)] for ca, cb in zip(ma, mb)], p)
+        for t in range(d + 1)
+    ]
+    # forward differences at t = 0..d give the falling-factorial coefficients
+    coeffs, fact = [], 1
+    for j in range(d + 1):
+        coeffs.append(values[0] * pow(fact, -1, p) % p)
+        values = [(v - u) % p for u, v in zip(values, values[1:])]
+        fact = fact * (j + 1) % p
+    return coeffs
+
+
+def _det_mod(m: list[list[int]], p: int) -> int:
+    """Determinant modulo the prime p by Gaussian elimination, which
+    overwrites m."""
+    det = 1
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, len(m)):
+            f = m[r][c] * inv % p
+            if f:
+                m[r][c:] = [(x - f * y) % p for x, y in zip(m[r][c:], m[c][c:])]
+    return det % p
+
+
+def _falling_eval_mod(cs: list[int], t: int, p: int) -> int:
+    """sum_j cs[j] * t!/(t-j)! modulo p, by Horner."""
+    acc = 0
+    for j in range(len(cs) - 1, -1, -1):
+        acc = (acc * (t - j) + cs[j]) % p
+    return acc
+
+
+def _irrational_part(h: list[int], rows: list[list[list[int]]], falls: list[int]) -> list[int]:
+    """h reduced by gcd against the nonzero sums sum_i falls[i] * w[i] of
+    the rows, stopping once it is constant."""
+    g = h
+    for row in rows:
+        if len(g) == 1:
+            break
+        cs = [0] * max(map(len, row))
+        for fall, w in zip(falls, row):
+            for t, c in enumerate(w):
+                cs[t] += fall * c
+        if ratroots._strip(cs):
+            g = ratroots.poly_gcd_int(g, cs)
+    return g
+
+
 def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     """All pairs (b, e) with e_min <= e <= e_max such that (x - b)^e with
     rational b satisfies the equation, sorted by (e, b).
 
-    Raises IrrationalNodeDetected when some admissible node is provably
-    irrational, i.e. the node condition has a nonconstant factor without
-    rational roots, and ValueError at an exponent every node solves.
+    Raises IrrationalNodeDetected, with the exponent as its exponent
+    attribute, when some admissible node is provably irrational, i.e. the
+    node condition has a nonconstant factor without rational roots, and
+    ValueError at an exponent every node solves.
 
     Every node at exponent e is a root of P_k, k the largest i <= min(e,
     order) with P_i nonzero: one run of exponents from the order on, and a
     run per exponent below it.  Per run P_k is split once into its rational
-    roots and its part h without them.  Per exponent a root is kept where
-    every row sum_i perm(e, i) * w_j[i] of the table at it vanishes, and h
-    is reduced by gcd against the rows above the P_k row with b symbolic.
+    roots and its part h without them (SDE._lead_roots).  Per exponent a
+    root is kept where every row sum_i perm(e, i) * w_j[i] of the table at
+    it vanishes, and h is reduced by gcd against the rows above the P_k row
+    with b symbolic.  The first of those rows is perm(e, k-1) * q(e-k+1)
+    with q(t) = t * P_k' + P_{k-1}, so the gcd is constant wherever the
+    norm N(t) of q(t) modulo h is nonzero; a run of more than one exponent
+    computes N modulo a prime once and runs the gcds only where N(e-k+1)
+    vanishes modulo it (everywhere if p divides lc(h) or N mod p is zero).
     Each returned pair is certified with apply_sde.
     """
     e_min, e_max = _parse_int(e_min), _parse_int(e_max)
@@ -398,6 +500,7 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
     runs = [(e, e) for e in range(e_min, min(s.order, e_max + 1))]
     if e_max >= s.order:
         runs.append((max(e_min, s.order), e_max))
+    p = ratroots._PRIME
     out: list[tuple[Fraction, int]] = []
     for lo, hi in runs:
         k = next((i for i in range(min(lo, s.order), -1, -1) if not s.polys[i].is_zero()), None)
@@ -406,30 +509,26 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
                 f"every node solves the equation at exponent {lo}; "
                 "the requested range is below the meaningful threshold"
             )
-        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[k])
+        roots, cofactor_deg = s._lead_roots(k)
         h = [1]
         if cofactor_deg:
             linear = math.prod((UniPoly((-b, 1)) ** m for b, m in roots.items()), start=ONE)
             h = ratroots.to_primitive_int(s.polys[k].quo_rem(linear)[0])
         above = table[s.order - k + 1 :]
+        norm = None
+        if len(h) > 1 and k and hi > lo:
+            norm = _norm_mod(h, above[0][k], above[0][k - 1], p)
         candidates = [(b, [w for w in _at_node(table, b) if any(w)]) for b in sorted(roots)]
         for e in range(lo, hi + 1):
             falls = [math.perm(e, i) for i in range(s.order + 1)]
-            g = h
-            for row in above:
-                if len(g) == 1:
-                    break
-                cs = [0] * max(map(len, row))
-                for fall, w in zip(falls, row):
-                    for t, c in enumerate(w):
-                        cs[t] += fall * c
-                if ratroots._strip(cs):
-                    g = ratroots.poly_gcd_int(g, cs)
-            if len(g) > 1:
-                raise IrrationalNodeDetected(
-                    f"nodes at exponent {e} satisfy an irreducible condition of "
-                    f"degree {len(g) - 1} with no rational root"
-                )
+            if len(h) > 1 and (norm is None or not _falling_eval_mod(norm, e - k + 1, p)):
+                g = _irrational_part(h, above, falls)
+                if len(g) > 1:
+                    raise IrrationalNodeDetected(
+                        f"nodes at exponent {e} satisfy an irreducible condition of "
+                        f"degree {len(g) - 1} with no rational root",
+                        exponent=e,
+                    )
             for b, rows in candidates:
                 if not any(sum(map(operator.mul, falls, row)) for row in rows):
                     out.append((b, e))

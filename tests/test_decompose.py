@@ -687,6 +687,90 @@ class TestAuto:
             assert dec.expand() == f
 
 
+class TestSharedScan:
+    """decompose_auto scans its shift-0 equation's exponents once for
+    big_gaps and the first distinct_nodes pass, and width 0 reuses the split
+    of P_order."""
+
+    def test_each_exponent_scanned_once_and_one_split(self, monkeypatch):
+        import affinepowers.ratroots as ratroots_mod
+        import affinepowers.sde as sde_mod
+
+        scans, splits, equations = [], [], []
+        scan, split, derive = (
+            sde_mod.power_solutions,
+            ratroots_mod.rational_roots_with_cofactor,
+            sde_mod.find_min_sde,
+        )
+
+        def spy_scan(s, e_min, e_max):
+            scans.append((s, e_min, e_max))
+            return scan(s, e_min, e_max)
+
+        def spy_split(f):
+            splits.append(f)
+            return split(f)
+
+        def spy_derive(f, shift, max_order=None):
+            equations.append(derive(f, shift, max_order))
+            return equations[-1]
+
+        monkeypatch.setattr(sde_mod, "power_solutions", spy_scan)
+        monkeypatch.setattr(ratroots_mod, "rational_roots_with_cofactor", spy_split)
+        monkeypatch.setattr(sde_mod, "find_min_sde", spy_derive)
+        for f in (_generic_degree_20(), IRRATIONAL_13, D((1, 2, 7)).expand()):
+            scans.clear()
+            splits.clear()
+            equations.clear()
+            try:
+                decompose_auto(f)
+            except (ReconstructionFailed, IrrationalNodeDetected):
+                pass
+            eq = equations[0]
+            lo, deg = -(-((eq.order + 1) ** 2) // 2), f.degree
+            single, peel = deg + eq.order**2 // 2, deg + (deg + 2) ** 2 // 8
+            if f is IRRATIONAL_13:
+                # raised within the single-pass range: the peel is not scanned
+                want = [(eq, lo, single)]
+            elif f.degree == 7:
+                # answered by the single pass, whose range alone is scanned
+                want = [(eq, lo, single)]
+            else:
+                want = [(eq, lo, single), (eq, single + 1, peel)]
+            assert scans == want
+            # the scan and width 0 share one split of the shift-0 P_order
+            assert [p for p in splits if p is eq.polys[-1]] == [eq.polys[-1]]
+
+    def test_irrational_error_names_its_exponent(self):
+        with pytest.raises(IrrationalNodeDetected) as info:
+            decompose_auto(IRRATIONAL_13)
+        assert info.value.exponent == 13
+        assert str(info.value) == (
+            "nodes at exponent 13 satisfy an irreducible condition of degree 2 with no rational root"
+        )
+
+    @pytest.mark.parametrize("first", [1, 9, 12, 13, 30])
+    def test_cut_and_extended_ranges_match_one_call(self, first):
+        # the node condition at exponent 13 is irrational: every range
+        # reaching it raises the error a call over it raises, and narrower
+        # ones get that call's pairs, whichever range the scan saw first
+        import affinepowers.decompose as dmod
+        import affinepowers.sde as sde_mod
+
+        eq = find_min_sde(D((1, 1, 9)).expand() + IRRATIONAL_13, 0)
+        scan = dmod._Scan(1)
+
+        def call(solver, e_max):
+            try:
+                return solver(eq, 1, e_max)
+            except IrrationalNodeDetected as exc:
+                return type(exc), str(exc), exc.exponent
+
+        for e_max in (first, 1, 9, 12, 13, 30, 10):
+            assert call(scan, e_max) == call(sde_mod.power_solutions, e_max)
+        assert scan.irrational[0] == 13 and call(scan, 12) == [(F(1), 9)]
+
+
 class TestOrderCap:
     """decompose_small_intervals searches each width's equation only up to
     the largest order whose exponent window is nonempty."""

@@ -150,3 +150,26 @@ class TestOrderCap:
             assert outcome(decompose_small_intervals, f) == expected
 
         check()
+
+
+@st.composite
+def planted_pair(draw):
+    """(f, planted decomposition) in one of the regimes whose power
+    solutions come from decompose_auto's shared scan."""
+    regime = draw(st.sampled_from(["big_exponents", "big_gaps", "distinct_nodes"]))
+    spec = InstanceSpec(
+        s=draw(st.integers(1, 3)),
+        repeated_nodes=regime == "big_gaps" and draw(st.booleans()),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    return generate_instance(spec, regime)
+
+
+class TestPlantedRecovery:
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(planted_pair())
+    def test_auto_returns_the_planted_decomposition(self, pair):
+        f, want = pair
+        dec, tag = decompose_auto(f)
+        assert dec == want
+        assert tag in ("big_exponents", "big_gaps", "distinct_nodes")

@@ -1,15 +1,19 @@
-"""power_solutions against a reference that searches every exponent alone.
+"""power_solutions against a reference that searches every exponent alone,
+and against the exact gcd chain it runs only where the norm screen asks.
 
 Every node of a power solution (x - b)^e is a root of the lead P_k of the
 node table at e, so power_solutions splits P_k once per run of exponents
 and tests its rational roots.  The reference below finds the nodes per
 exponent instead, apart from the node table power_solutions reads: the gcd
 of the symbolic window's conditions, its rational roots, and a check of
-every root with apply_sde on the dense expansion.  Both must give the same
-pairs, or the same error type and message.
+every root with apply_sde on the dense expansion.  per_exponent_loop is
+power_solutions with the exact gcd chain at every exponent of every run and
+no norm screen.  All must give the same pairs, or the same error type and
+message.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -271,3 +275,205 @@ class TestNoGcdChain:
         assert sorted(pairs) == sorted((t.node, t.exponent) for t in planted)
         # apply_sde certifies each returned pair, not each candidate
         assert calls == {"poly_gcd_int": 0, "apply_sde": len(pairs), "roots": 1}
+
+
+def per_exponent_loop(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+    """power_solutions without the norm screen: per run P_k is split into
+    its rational roots and its part h without them, and at every exponent
+    h is reduced by an exact gcd against each row above the P_k row."""
+    if e_min < 1:
+        raise ValueError("e_min must be at least 1")
+    if e_min > e_max:
+        return []
+    table = sde._node_table(s)
+    runs = [(e, e) for e in range(e_min, min(s.order, e_max + 1))]
+    if e_max >= s.order:
+        runs.append((max(e_min, s.order), e_max))
+    out = []
+    for lo, hi in runs:
+        k = next((i for i in range(min(lo, s.order), -1, -1) if not s.polys[i].is_zero()), None)
+        if k is None:
+            raise ValueError(
+                f"every node solves the equation at exponent {lo}; "
+                "the requested range is below the meaningful threshold"
+            )
+        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[k])
+        h = [1]
+        if cofactor_deg:
+            linear = math.prod((UniPoly((-b, 1)) ** m for b, m in roots.items()), start=UniPoly([1]))
+            h = ratroots.to_primitive_int(s.polys[k].quo_rem(linear)[0])
+        above = table[s.order - k + 1 :]
+        candidates = [(b, [w for w in sde._at_node(table, b) if any(w)]) for b in sorted(roots)]
+        for e in range(lo, hi + 1):
+            falls = [math.perm(e, i) for i in range(s.order + 1)]
+            g = h
+            for row in above:
+                if len(g) == 1:
+                    break
+                cs = [0] * max(map(len, row))
+                for fall, w in zip(falls, row):
+                    for t, c in enumerate(w):
+                        cs[t] += fall * c
+                if ratroots._strip(cs):
+                    g = ratroots.poly_gcd_int(g, cs)
+            if len(g) > 1:
+                raise IrrationalNodeDetected(
+                    f"nodes at exponent {e} satisfy an irreducible condition of "
+                    f"degree {len(g) - 1} with no rational root"
+                )
+            for b, rows in candidates:
+                if not any(sum(map(operator.mul, falls, row)) for row in rows):
+                    out.append((b, e))
+    for b, e in out:
+        assert apply_sde(s, UniPoly.affine_power(1, b, e)).is_zero()
+    out.sort(key=lambda be: (be[1], be[0]))
+    return out
+
+
+def scaled(s: SDE, lead: UniPoly, pad: int = 0) -> SDE:
+    """s with every P_i multiplied by lead, and pad zero P_i on top: the
+    power solutions of s stay solutions."""
+    polys = [p * lead for p in s.polys] + [P()] * pad
+    return SDE(s.order + pad, s.shift + lead.degree, tuple(polys))
+
+
+SQRT2 = P(-2, 0, 1)  # b^2 - 2
+SCREENED = {
+    # an irrational factor next to rational roots, with and without a node
+    # at sqrt 2 (the exponent-13 pair)
+    "irrational_next_to_rational": find_min_sde(pair_sum(2, 13) + UniPoly.affine_power(3, 1, 9), 0),
+    "irrational_factor_times_lead": scaled(find_min_sde(UniPoly.affine_power(2, F(1, 2), 11), 0), SQRT2 * P(-1, 1)),
+    # h = (b^2 - 2)^2 is not squarefree; P_r' shares b^2 - 2 with h
+    "repeated_irrational_factor": scaled(find_min_sde(pair_sum(2, 9) + UniPoly.affine_power(1, -1, 12), 0), SQRT2 ** 2),
+    # P_r' = 2b(b^2 - 2) + ... shares b^2 - 2 with h = (b^2 - 2)^2 and P_1 = 0
+    "derivative_shares_h_no_lower": SDE(2, 2, (P(1), P(), SQRT2 ** 2)),
+    # P_{r-1} = 0 with a squarefree h
+    "lower_coefficient_zero": SDE(2, 1, (P(3, 1), P(), SQRT2 * P(-1, 1))),
+    # P_order = 0: the lead of the run from the order is P_1
+    "zero_top_coefficient": SDE(3, 2, (P(F(1, 2)), SQRT2 * P(1, 2), P(), P())),
+    "zero_top_with_node": scaled(find_min_sde(pair_sum(3, 12), 0), P(1, 0, 1), pad=2),
+    # fractional user-built equations
+    "fractional": SDE(2, 1, (P(F(7, 3)), P(F(1, 2), F(-5, 6)), P(F(-1, 2), 0, F(1, 4)))),
+    "fractional_node": scaled(find_min_sde(pair_sum(5, 10), 1), P(F(-1, 3), 0, F(2, 3))),
+}
+
+
+# the cases where t P_k' + P_{k-1} shares a factor with h at every t
+NORM_ZERO = {"repeated_irrational_factor", "derivative_shares_h_no_lower"}
+
+
+def spy_chain(monkeypatch) -> list[int]:
+    """Record the exponent of every exact gcd chain power_solutions runs."""
+    chain = sde._irrational_part
+    seen = []
+
+    def spy(h, rows, falls):
+        seen.append(falls[1])  # perm(e, 1) = e
+        return chain(h, rows, falls)
+
+    monkeypatch.setattr(sde, "_irrational_part", spy)
+    return seen
+
+
+def chain_ranges(s: SDE):
+    return [(1, 30), (max(s.order, 1), 30), (s.order + 2, 45)]
+
+
+class TestNormScreen:
+    @pytest.mark.parametrize("name", sorted(SCREENED))
+    def test_matches_per_exponent_loop(self, name):
+        s = SCREENED[name]
+        for lo, hi in chain_ranges(s):
+            want = outcome(per_exponent_loop, s, lo, hi)
+            assert outcome(power_solutions, s, lo, hi) == want
+            assert want == outcome(reference, s, lo, hi)
+
+    def test_hit_branch_raises_with_its_exponent(self):
+        raised = 0
+        for s in SCREENED.values():
+            for lo, hi in chain_ranges(s):
+                try:
+                    power_solutions(s, lo, hi)
+                except IrrationalNodeDetected as exc:
+                    assert str(exc).startswith(f"nodes at exponent {exc.exponent} ")
+                    raised += 1
+        assert raised >= 6
+
+    @pytest.mark.parametrize("name", sorted(SCREENED))
+    def test_chain_runs_only_at_screen_hits(self, monkeypatch, name):
+        # at 2^61 - 1 every case has lc(h) a unit.  Where P_k' and P_{k-1}
+        # share a factor with h, N is zero over Q and the chain runs at
+        # every exponent; elsewhere it runs exactly at the exponents where
+        # the exact gcd is nonconstant, the first of which raises
+        s = SCREENED[name]
+        lo, hi = s.order + 1, 40
+        seen = spy_chain(monkeypatch)
+        got = outcome(power_solutions, s, lo, hi)
+        if name in NORM_ZERO:
+            assert got[0] == "ok" and seen == list(range(lo, hi + 1))
+        elif got[0] == "ok":
+            assert seen == []
+        else:
+            assert seen == [int(got[2].split()[3])]
+
+    def test_single_exponent_runs_keep_the_chain(self, monkeypatch):
+        s = SCREENED["irrational_next_to_rational"]
+        seen = spy_chain(monkeypatch)
+        assert power_solutions(s, 12, 12) == []
+        assert seen == [12]
+
+
+# N = det(t P_2' + P_1 mod h) for h = b^2 - 2 vanishes modulo 7 at every t:
+# h = (b - 3)(b + 3) mod 7 and P_2' and P_1 both vanish at b = 3 mod 7, while
+# over Q no t P_2'(sqrt 2) + P_1(sqrt 2) is zero
+ZERO_NORM_MOD_7 = SDE(2, 1, (P(1), P(-3, 1), SQRT2 * P(-3, 1)))
+# lc(h) = 7: the screen is off modulo 7
+LEAD_DIVISIBLE_BY_7 = SDE(2, 1, (P(2, 1), P(5, 1), P(1, 0, 7) * P(-1, 1)))
+
+
+class TestSmallPrimes:
+    """The screen's prime patched to 3, 5 and 7: the outcomes stay the same,
+    and the exact chain runs wherever the screen cannot rule an exponent
+    out."""
+
+    CASES = list(SCREENED.values()) + [ZERO_NORM_MOD_7, LEAD_DIVISIBLE_BY_7]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_outcomes_unchanged(self, monkeypatch, p):
+        want = [outcome(per_exponent_loop, s, lo, hi) for s in self.CASES for lo, hi in chain_ranges(s)]
+        monkeypatch.setattr(ratroots, "_PRIME", p)
+        got = [outcome(power_solutions, s, lo, hi) for s in self.CASES for lo, hi in chain_ranges(s)]
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "s, h", [(ZERO_NORM_MOD_7, [-2, 0, 1]), (LEAD_DIVISIBLE_BY_7, [1, 0, 7])], ids=["zero_norm", "lead"]
+    )
+    def test_chain_at_every_exponent_when_the_screen_is_off(self, monkeypatch, s, h):
+        row = sde._node_table(s)[1]  # t P_2' + P_1 at t = e - 1
+        assert sde._norm_mod(h, row[2], row[1], ratroots._PRIME) not in (None, [0, 0, 0])
+        assert sde._norm_mod(h, row[2], row[1], 7) in (None, [0, 0, 0])
+        want = per_exponent_loop(s, 2, 30)
+        seen = spy_chain(monkeypatch)
+        assert power_solutions(s, 2, 30) == want
+        assert seen == []
+        monkeypatch.setattr(ratroots, "_PRIME", 7)
+        assert power_solutions(s, 2, 30) == want
+        assert seen == list(range(2, 31))
+
+    def test_unlucky_prime_runs_the_chain_at_false_hits(self, monkeypatch):
+        # every exponent the chain runs at for 2^61 - 1 (an exact hit, or N
+        # zero over Q) it runs at for 3 and 5 too, and at some more where
+        # the norm vanishes modulo the small prime only
+        extra = 0
+        for s in self.CASES:
+            with monkeypatch.context() as mp:
+                wide = spy_chain(mp)
+                outcome(power_solutions, s, 2, 40)
+            for p in (3, 5):
+                with monkeypatch.context() as mp:
+                    seen = spy_chain(mp)
+                    mp.setattr(ratroots, "_PRIME", p)
+                    outcome(power_solutions, s, 2, 40)
+                assert set(wide) <= set(seen)
+                extra += len(seen) - len(wide)
+        assert extra > 0

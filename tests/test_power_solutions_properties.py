@@ -4,19 +4,24 @@ The equations are built by hand so that the lead coefficient mixes rational
 roots with powers of irreducible quadratics: either the minimal equation of
 a sum of powers at rational and conjugate irrational nodes, multiplied by
 such a factor, or one with random lower P_i under it.  Some carry zero P_i
-on top, so the lead sits below the order.  Every range starts at 1, where
-each exponent below the order is searched on its own.
+on top, so the lead sits below the order.  Every range of the reference
+test starts at 1, where each exponent below the order is searched on its
+own.  The norm screen is checked against per_exponent_loop, the exact gcd
+chain at every exponent, on ranges from the order on (the run the screen
+serves), at the default prime and at 3, 5 and 7, where p may divide lc(h)
+or the norm may vanish modulo p without an irrational node.
 """
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from affinepowers import SDE, UniPoly, find_min_sde, power_solutions  # noqa: E402
-from test_power_solutions import P, outcome, pair_sum, reference  # noqa: E402
+from affinepowers import SDE, UniPoly, find_min_sde, power_solutions, ratroots  # noqa: E402
+from test_power_solutions import P, outcome, pair_sum, per_exponent_loop, reference  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -61,3 +66,12 @@ def equations(draw):
 @given(equations(), st.integers(1, 30))
 def test_matches_reference_from_one(s, e_max):
     assert outcome(power_solutions, s, 1, e_max) == outcome(reference, s, 1, e_max)
+
+
+@PROPERTY
+@given(equations(), st.integers(0, 3), st.integers(1, 40), st.sampled_from([None, 3, 5, 7]))
+def test_screen_matches_per_exponent_loop(s, start, length, prime):
+    lo = s.order + start
+    want = outcome(per_exponent_loop, s, lo, lo + length)
+    with mock.patch.object(ratroots, "_PRIME", prime or ratroots._PRIME):
+        assert outcome(power_solutions, s, lo, lo + length) == want

@@ -4,9 +4,11 @@ _roots_of_squarefree takes its roots modulo p from g = gcd(sf, x^p - x): a
 constant g returns no root without a scan, and otherwise the ascending scan
 stops once it has deg(g) residues.  full_scan is the scan it replaced, sf
 evaluated at every residue; both must return the same roots, and g must have
-exactly as many roots modulo p as sf.
+exactly as many roots modulo p as sf.  _linear_part_mod itself is checked
+against the per-coefficient loops its squaring and reduction replaced.
 """
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -132,3 +134,59 @@ def test_scan_stops_at_the_last_root():
     with mock.patch.object(ratroots, "_eval_mod", spy):
         assert ratroots._roots_of_squarefree(sf) == roots
     assert max(seen) == residues[-1]
+
+
+def schoolbook_linear_part_mod(sf, p):
+    """_linear_part_mod with the per-coefficient loops it replaced: the
+    square by a double loop and each reduction one entry at a time."""
+    n = len(sf) - 1
+    inv = pow(sf[-1], -1, p)
+    low = [c * inv % p for c in sf[:-1]]
+
+    def reduce(r):
+        for k in range(len(r) - 1, n - 1, -1):
+            top = r[k]
+            if top:
+                for j, c in enumerate(low, k - n):
+                    r[j] = (r[j] - top * c) % p
+        return r[:n]
+
+    acc = [1]
+    for bit in bin(p)[2:]:
+        sq = [0] * (2 * len(acc) - 1)
+        for i, a in enumerate(acc):
+            if a:
+                for j, b in enumerate(acc, i):
+                    sq[j] += a * b
+        acc = reduce([c % p for c in sq])
+        if bit == "1":
+            acc = reduce([0] + acc)
+    acc += [0] * (2 - len(acc))
+    acc[1] -= 1
+    return ratroots._poly_gcd_mod(sf, acc, p)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 7, 30, 60, 120])
+def test_linear_part_matches_the_schoolbook_loops(degree):
+    rng = random.Random(degree)
+    tried = 0
+    # 2^61 - 1 takes 61 squarings: only at the lower degrees
+    primes = (1009, 1013, 7919) + ((ratroots._PRIME,) if degree <= 30 else ())
+    while tried < 4:
+        cs = [rng.randint(-50, 50) for _ in range(degree)] + [rng.randint(1, 50)]
+        if len(ratroots.poly_gcd_int(cs, ratroots._deriv(cs))) > 1:
+            continue
+        tried += 1
+        for p in primes:
+            if cs[-1] % p:
+                assert ratroots._linear_part_mod(cs, p) == schoolbook_linear_part_mod(cs, p)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 1008), min_size=1, max_size=40))
+def test_square_mod_is_the_schoolbook_square(cs):
+    want = [0] * (2 * len(cs) - 1)
+    for i, a in enumerate(cs):
+        for j, b in enumerate(cs):
+            want[i + j] += a * b
+    assert ratroots._square_mod(cs, 1009) == [c % 1009 for c in want]

@@ -11,8 +11,8 @@ on: each outer level lists (gap to the next lower exponent, inner table), and
 the innermost is one dense row of integer numerators c*den in x_n (den the
 lcm of the coefficient denominators).  A point N_1/D, ..., N_n/D costs one
 multiply by a power of N_j per gap and two multiplies per row entry; the
-powers of D that homogenise the sum enter only at the row entries, and an
-integer point is the case D = 1 of the same path.
+powers of D that homogenise the sum enter only at the row entries.  At an
+integer point (D = 1) a row entry costs one multiply and one add.
 """
 
 from __future__ import annotations
@@ -52,15 +52,20 @@ def _nest(items, rest: int):
     return tuple((e - below, _nest(sub, rest - e)) for (e, sub), below in zip(groups, lower))
 
 
-def _horner(table, tables: list[list[int]], x: int, d_pow: list[int]) -> int:
+def _horner(table, tables: list[list[int]], x: int, d_pow: list[int] | None) -> int:
     """Value of a _nest table: tables[j] the powers of the j-th remaining
-    variable's numerator, x the last one, d_pow the powers of D."""
+    variable's numerator, x the last one, d_pow the powers of D, or None
+    for an integer point (D = 1)."""
     pw = tables[0]
     if len(tables) == 1:
         row, r, low = table
         acc = 0
-        for c, dk in zip(row, d_pow[r:]):
-            acc = acc * x + c * dk
+        if d_pow is None:
+            for c in row:
+                acc = acc * x + c
+        else:
+            for c, dk in zip(row, d_pow[r:]):
+                acc = acc * x + c * dk
         return acc * pw[low]
     inner = tables[1:]
     acc = 0
@@ -174,7 +179,8 @@ class MultiPoly:
         by x_1, then x_2, and so on, one multiply by a power table entry
         per exponent gap, and along each innermost row
         acc = acc*N_n + (c*den)*D^(deg-|e|), so D enters only at the
-        leaves.  Integer points are the case D = 1 of the same path.
+        leaves.  At an integer point (D = 1) the rows run acc = acc*N_n + c,
+        with no powers of D; the D path serves rational points only.
         """
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
@@ -187,6 +193,8 @@ class MultiPoly:
         d = math.lcm(*(x.denominator for x in pt))
         nums = [x.numerator * (d // x.denominator) for x in pt]
         tables = [_powers(x, top) for x, top in zip(nums, tops)]
+        if d == 1:
+            return Fraction(_horner(table, tables, nums[-1], None), den)
         d_pow = _powers(d, deg)
         return Fraction(_horner(table, tables, nums[-1], d_pow), den * d_pow[deg])
 

@@ -218,11 +218,26 @@ class MultiDecomposition:
         return iter(self.terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """Exact value at a rational point, computed in integers.  With the
+        point written as N_j / D and a form as (B_0 + sum_j B_j x_j) / b
+        over its own denominator, c * form^e is
+        c_num * (B_0 D + sum_j B_j N_j)^e / (c_den * (b D)^e); the terms are
+        summed over the product of their denominators, and one Fraction is
+        made at the end."""
         vec = [_frac(v) for v in point]
-        total = Fraction(0)
+        if len(vec) != self.n:
+            raise DimensionMismatch("point length != variable count")
+        d = math.lcm(*(x.denominator for x in vec))
+        nums = [d, *(x.numerator * (d // x.denominator) for x in vec)]
+        num, den = 0, 1
         for t in self.terms:
-            total += t.coeff * t.form.evaluate(vec) ** t.exponent
-        return total
+            base = (t.form.constant, *t.form.coefficients)
+            b = math.lcm(*(v.denominator for v in base))
+            value = sum(v.numerator * (b // v.denominator) * x for v, x in zip(base, nums))
+            t_den = t.coeff.denominator * (b * d) ** t.exponent
+            num = num * t_den + t.coeff.numerator * value**t.exponent * den
+            den *= t_den
+        return Fraction(num, den)
 
     def expand(self) -> MultiPoly:
         """The dense polynomial by the multinomial theorem: with the form
@@ -268,17 +283,28 @@ def expand_multi(md: MultiDecomposition) -> MultiPoly:
     return md.expand()
 
 
-def project_to_axis(bb: BlackBox, change: AffineChange, axis: int) -> UniPoly:
-    """Dense form of t -> f(change.apply(t * e_axis)) from exactly
-    degree_bound + 1 black-box queries, by interpolation at t = 0..d."""
+def project_to_axis(
+    bb: BlackBox, change: AffineChange, axis: int, origin: Fraction | None = None
+) -> UniPoly:
+    """Dense form of t -> f(change.apply(t * e_axis)) by interpolation at
+    t = 0..d, d the degree bound: d + 1 black-box queries, or d when the
+    caller passes origin, the value f(change.offset) at t = 0 that every
+    axis shares.  The points offset + t * column run as one integer
+    progression over their common denominator."""
     if not 0 <= axis < bb.n:
         raise ValueError("axis out of range")
-    d = bb.degree_bound
-    points = []
-    for t in range(d + 1):
-        arg = [Fraction(0)] * bb.n
-        arg[axis] = Fraction(t)
-        points.append((Fraction(t), bb.eval(change.apply(arg))))
+    if change.n != bb.n:
+        raise DimensionMismatch("point length != variable count")
+    ends = (*change.offset, *(row[axis] for row in change.matrix))
+    den = math.lcm(*(v.denominator for v in ends))
+    ints = [v.numerator * (den // v.denominator) for v in ends]
+    point, step = ints[: bb.n], ints[bb.n :]
+    if origin is None:
+        origin = bb.eval([Fraction(v, den) for v in point])
+    points = [(0, origin)]
+    for t in range(1, bb.degree_bound + 1):
+        point = [v + s for v, s in zip(point, step)]
+        points.append((t, bb.eval([Fraction(v, den) for v in point])))
     return interpolate(points)
 
 
@@ -288,9 +314,11 @@ def _assemble(
     backend: Callable[[UniPoly], Decomposition],
 ) -> MultiDecomposition | None:
     """One reconstruction attempt; None means the substituted polynomial is
-    identically zero on every axis (checked against the box afterwards)."""
+    identically zero on every axis (checked against the box afterwards).
+    The point t = 0 is the offset on every axis, so it is asked once."""
+    origin = bb.eval(change.offset)
     projections = [
-        project_to_axis(bb, change, axis) for axis in range(bb.n)
+        project_to_axis(bb, change, axis, origin) for axis in range(bb.n)
     ]
     if all(p.is_zero() for p in projections):
         return None

@@ -267,22 +267,57 @@ ONE = UniPoly((1,))
 
 def interpolate(points: Sequence[tuple]) -> UniPoly:
     """Unique polynomial of degree < len(points) through the given
-    (x, y) pairs, by Newton divided differences."""
+    (x, y) pairs, as a Newton form assembled in integers.
+
+    With the abscissas written as X_j / L over their common denominator,
+    each Newton factor x - x_j is (L x - X_j) / w.  For equally spaced
+    abscissas, w = X_1 - X_0 is the step and the k-th divided difference
+    is Delta^k y_0 / (k! h^k): the forward differences of the ordinates
+    over their common denominator D are integers, and the form is
+    sum_k Delta^k Y_0 (m!/k!) prod_{j<k} (L x - X_j) / (D m! w^m) for m + 1
+    points.  For unequal steps the divided differences come from the
+    Fraction table and w = L.  Either way the numerator is one integer
+    Horner pass over the factors, and each coefficient is one Fraction.
+    """
     xs = [_frac(p[0]) for p in points]
     ys = [_frac(p[1]) for p in points]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation abscissas must be distinct")
-    n = len(xs)
-    # divided-difference table, in place
-    dd = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    # Horner-style assembly of the Newton form
-    result = UniPoly()
-    for i in range(n - 1, -1, -1):
-        result = result * UniPoly((-xs[i], 1)) + UniPoly((dd[i],))
-    return result
+    m = len(xs) - 1
+    if m < 1:
+        return UniPoly(ys)
+    big_l = math.lcm(*(x.denominator for x in xs))
+    big_x = [x.numerator * (big_l // x.denominator) for x in xs]
+    w = big_x[1] - big_x[0]
+    if all(b - a == w for a, b in zip(big_x[1:], big_x[2:])):
+        den = math.lcm(*(y.denominator for y in ys))
+        diffs = [y.numerator * (den // y.denominator) for y in ys]
+        for level in range(1, m + 1):
+            for i in range(m, level - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        scale = 1  # m!/k!, from k = m down to k = 0
+        for k in range(m - 1, -1, -1):
+            scale *= k + 1
+            diffs[k] *= scale
+        den *= scale
+    else:
+        # divided-difference table, in place
+        dd = list(ys)
+        for level in range(1, m + 1):
+            for i in range(m, level - 1, -1):
+                dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+        den = math.lcm(*(c.denominator for c in dd))
+        diffs = [c.numerator * (den // c.denominator) for c in dd]
+        w = big_l
+    # Horner: acc <- acc * (L x - X_k) + a_k w^(m-k), lowest degree first
+    acc = [diffs[m]]
+    w_k = 1
+    for k in range(m - 1, -1, -1):
+        w_k *= w
+        acc = [big_l * a - big_x[k] * b for a, b in zip([0, *acc], [*acc, 0])]
+        acc[0] += diffs[k] * w_k
+    den *= w_k
+    return UniPoly(Fraction(a, den) for a in acc)
 
 
 def rational_roots(f: UniPoly) -> dict[Fraction, int]:

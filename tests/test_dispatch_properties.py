@@ -165,6 +165,20 @@ def planted_pair(draw):
     return generate_instance(spec, regime)
 
 
+@st.composite
+def planted_clusters(draw):
+    """(f, planted decomposition, delta) in the small_intervals regime:
+    at most 2 groups of width at most 1 and at most 3 terms, so that the
+    minimal equations stay small."""
+    groups = draw(st.integers(1, 2))
+    delta = draw(st.integers(0, 1))
+    spec = InstanceSpec(
+        s=draw(st.integers(groups, min(3, groups * (delta + 1)))),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    return (*generate_instance(spec, "small_intervals", groups=groups, delta=delta), delta)
+
+
 class TestPlantedRecovery:
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
     @given(planted_pair())
@@ -173,3 +187,10 @@ class TestPlantedRecovery:
         dec, tag = decompose_auto(f)
         assert dec == want
         assert tag in ("big_exponents", "big_gaps", "distinct_nodes")
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(planted_clusters())
+    def test_small_intervals_returns_the_planted_decomposition(self, case):
+        f, want, delta = case
+        assert decompose_small_intervals(f, delta) == want
+        assert decompose_small_intervals(f) == want

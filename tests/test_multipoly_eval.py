@@ -1,8 +1,10 @@
-"""Tests of MultiPoly.evaluate, the integer evaluation of the black box.
+"""Tests of MultiPoly.evaluate, the integer evaluation of the black box,
+and of MultiDecomposition.evaluate, the integer evaluation of an answer.
 
-The reference is a copy of the plain Fraction loop that evaluate replaced:
-one Fraction x**e per monomial per point.  Fractions are normalized, so
-equal values are equal Fractions and the comparisons below are exact.
+The references are copies of the plain Fraction loops that they replaced:
+one Fraction x**e per monomial per point, and one Fraction form value per
+term.  Fractions are normalized, so equal values are equal Fractions and
+the comparisons below are exact.
 """
 
 import random
@@ -13,7 +15,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from affinepowers import AffineChange, BlackBox, MultiPoly, project_to_axis  # noqa: E402
+from affinepowers import (  # noqa: E402
+    AffineChange,
+    BlackBox,
+    DimensionMismatch,
+    MultiDecomposition,
+    MultiPoly,
+    project_to_axis,
+)
 from affinepowers.multipoly import LinearForm  # noqa: E402
 
 F = Fraction
@@ -45,15 +54,22 @@ coordinates = st.one_of(
     st.builds(F, st.integers(-50, 50), st.integers(1, 9)),
     st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**4)),
 )
+# all-integer points, the D = 1 rows; coordinates drawn from `coordinates`
+# are all integral in few of the n = 3 and n = 4 examples
+integer_coordinates = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2**33), 2**33),
+    st.integers(-(2**33), 2**33).map(F),
+)
 
 
 @st.composite
-def polys_and_points(draw):
+def polys_and_points(draw, coords=coordinates):
     n = draw(st.integers(1, 4))
     exponents = st.tuples(*[st.integers(0, 6)] * n)
     terms = draw(st.dictionaries(exponents, coefficients, max_size=12))
     points = draw(
-        st.lists(st.lists(coordinates, min_size=n, max_size=n), min_size=1, max_size=4)
+        st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=4)
     )
     return MultiPoly(n, terms), points
 
@@ -77,6 +93,14 @@ class TestAgainstFractionLoop:
             got = p.evaluate(point)
             assert isinstance(got, Fraction)
             assert got == fraction_loop(p, point)
+
+    @PROPERTY
+    @given(polys_and_points(integer_coordinates))
+    @example((MultiPoly(3, {(6, 0, 0): F(-5, 3), (1, 2, 3): 7, (0, 0, 0): F(1, 2)}), [[2**32, -(2**32) + 1, 2**31 - 9]]))
+    def test_integer_points(self, case):
+        p, points = case
+        for point in points:
+            assert p.evaluate(point) == fraction_loop(p, point)
 
     def test_integer_and_string_coordinates(self):
         p = MultiPoly(2, {(2, 1): F(3, 4), (0, 3): -1, (0, 0): F(1, 9)})
@@ -201,3 +225,59 @@ class TestCachedForm:
         p.evaluate([F(1, 2), 3])
         assert p == q
         assert hash(p) == hash(q)
+
+
+def decomposition_loop(md, point):
+    """Value of md at point, term by term in Fractions."""
+    pt = [F(v) for v in point]
+    total = F(0)
+    for t in md.terms:
+        total += t.coeff * t.form.evaluate(pt) ** t.exponent
+    return total
+
+
+@st.composite
+def decompositions_and_points(draw):
+    n = draw(st.integers(1, 3))
+    forms = st.builds(
+        LinearForm.of, coefficients, st.lists(coefficients, min_size=n, max_size=n)
+    ).filter(lambda form: not form.is_constant())
+    terms = draw(
+        st.lists(st.tuples(coefficients.filter(bool), forms, st.integers(1, 9)), max_size=3)
+    )
+    coords = draw(st.sampled_from([coordinates, integer_coordinates]))
+    points = draw(
+        st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    return MultiDecomposition.of(n, terms), points
+
+
+class TestDecompositionEvaluate:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(decompositions_and_points())
+    @example((MultiDecomposition(2, ()), [[F(1, 2), F(-3)], [2**32, 5]]))
+    @example(
+        # forms and coefficients with denominators, at integer points
+        (
+            MultiDecomposition.of(
+                3,
+                [
+                    (F(3, 7), LinearForm.of(F(1, 2), [F(2, 3), 0, F(-5, 4)]), 9),
+                    (F(-1, 6), LinearForm.of(3, [1, F(1, 5), 2]), 4),
+                ],
+            ),
+            [[2**32 + 1, -(2**31), 7], [F(-3, 8), F(5, 9), F(1, 10)]],
+        )
+    )
+    def test_against_fraction_loop_and_expansion(self, case):
+        md, points = case
+        expanded = md.expand()
+        for point in points:
+            got = md.evaluate(point)
+            assert isinstance(got, Fraction)
+            assert got == decomposition_loop(md, point) == expanded.evaluate(point)
+
+    def test_wrong_point_length(self):
+        md = MultiDecomposition.of(2, [(1, LinearForm.of(1, [1, 2]), 3)])
+        with pytest.raises(DimensionMismatch):
+            md.evaluate([1, 2, 3])

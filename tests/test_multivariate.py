@@ -276,6 +276,33 @@ class TestProjection:
         project_to_axis(bb, ident, 0)
         assert len(calls) == 6
 
+    def test_shared_origin_saves_one_query(self):
+        # a rational substitution: the points are an integer progression
+        # over the common denominator 6
+        x1, x2 = vars2()
+        f = (x1 - 3 * x2 + MultiPoly.constant(2, 2)) ** 4
+        calls = []
+
+        def counting(pt):
+            calls.append(tuple(pt))
+            return f.evaluate(pt)
+
+        bb = BlackBox(2, 4, counting)
+        change = AffineChange.of([[F(1, 2), 3], [F(-2, 3), 1]], [F(1, 6), -2])
+        whole = project_to_axis(bb, change, 1)
+        assert len(calls) == 5
+        assert calls[0] == change.offset
+        shared = project_to_axis(bb, change, 1, bb.eval(change.offset))
+        assert len(calls) == 5 + 1 + 4
+        assert shared == whole
+        assert calls[6:] == calls[1:5] == [tuple(change.apply([0, t])) for t in range(1, 5)]
+
+    def test_change_of_other_dimension_rejected(self):
+        bb = BlackBox.from_multipoly(vars2()[0] ** 2)
+        change = AffineChange.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3])
+        with pytest.raises(DimensionMismatch):
+            project_to_axis(bb, change, 0)
+
 
 class TestMultiTerm:
     def test_constant_form_rejected(self):
@@ -449,8 +476,8 @@ class TestMultiBuild:
         assert expand_multi(md) == f
 
     def test_query_budget(self):
-        # one projection per axis (degree_bound + 1 points each) per
-        # attempt, plus 50 verification points on success
+        # per attempt the shared point t = 0 once, then degree_bound more
+        # points per axis, plus 50 verification points on success
         f = self.planted()
         calls = []
 
@@ -460,4 +487,4 @@ class TestMultiBuild:
 
         bb = BlackBox(2, 13, counting)
         multi_build(bb, rng_seed=0, backend="big_exponents")
-        assert len(calls) == 2 * 14 + 50
+        assert len(calls) == 2 * 13 + 1 + 50

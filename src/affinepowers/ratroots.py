@@ -9,19 +9,19 @@ rational reconstruction.  The prime is chosen so the reduction stays
 squarefree, which makes the search provably complete, and every candidate is
 verified exactly before being reported.  The roots modulo p are those of
 g = gcd(sf, x^p - x) mod p, one per degree of g: a constant g proves there is
-no rational root without a scan, and otherwise the ascending scan of the
-residues stops at the last one.
+no rational root, and otherwise g is split by gcds with (x + a)^((p-1)/2) - 1
+for a = 1, 2, ..., which separate the roots r by the quadratic character of
+r + a, until every factor is linear.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ZeroPolynomial
-from .unipoly import UniPoly, _clear_denominators
+from .unipoly import UniPoly, _clear_denominators, _multiplicity
 
 # Prime for modular screens and elimination (sde.find_min_sde, poly_gcd_int).
 _PRIME = (1 << 61) - 1
@@ -78,14 +78,16 @@ def poly_gcd_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
     A constant gcd modulo a prime not dividing one leading coefficient
     proves the inputs coprime (reduction cannot lower the degree of their
     gcd), which skips the chain for the common coprime case.  The screen
-    runs only on coefficients wider than p^2: on narrower ones the chain's
-    arithmetic is no wider than the screen's and costs about the same.
+    runs where the chain's arithmetic outgrows its own: the remainders'
+    coefficients reach about (deg a + deg b) times the input width in bits,
+    from small coefficients too at high degree.  Below the width of p^2 the
+    chain costs about the same as the screen.
     """
     a = _primitive(a)
     b = _primitive(b)
     if (
         a and b
-        and max(map(abs, a + b)) > _PRIME * _PRIME
+        and max(map(abs, a + b)).bit_length() * (len(a) + len(b) - 2) > 2 * _PRIME.bit_length()
         and (a[-1] % _PRIME or b[-1] % _PRIME)
         and len(_poly_gcd_mod(a, b, _PRIME)) == 1
     ):
@@ -174,19 +176,36 @@ def _square_mod(cs: Sequence[int], p: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
 
 
-def _linear_part_mod(sf: Sequence[int], p: int) -> list[int]:
-    """gcd(sf, x^p - x) modulo p, up to a unit: the product of the distinct
-    linear factors of sf mod p.  x^p mod sf comes from repeated squaring."""
-    inv = pow(sf[-1], -1, p)
-    low = [c * inv % p for c in sf[:-1]]  # sf made monic: x^n = -sum low[k] x^k
+def _power_mod(a: int, n: int, g: Sequence[int], p: int) -> list[int]:
+    """(x + a)^n modulo g and the prime p, padded to deg g entries."""
+    inv = pow(g[-1], -1, p)
+    low = [c * inv % p for c in g[:-1]]  # g made monic: x^d = -sum low[k] x^k
     acc = [1]
-    for bit in bin(p)[2:]:
+    for bit in bin(n)[2:]:
         acc = _reduce_mod(_square_mod(acc, p), low, p)
         if bit == "1":
-            acc = _reduce_mod([0] + acc, low, p)
-    acc += [0] * (2 - len(acc))
+            acc = _reduce_mod([x + a * y for x, y in zip([0] + acc, acc + [0])], low, p)
+    return acc + [0] * (len(low) - len(acc))
+
+
+def _linear_part_mod(sf: Sequence[int], p: int) -> list[int]:
+    """gcd(sf, x^p - x) modulo p, up to a unit: the product of the distinct
+    linear factors of sf mod p (deg sf >= 2)."""
+    acc = _power_mod(0, p, sf, p)
     acc[1] -= 1
     return _poly_gcd_mod(sf, acc, p)
+
+
+def _split_mod(g: list[int], p: int, a: int = 1) -> list[int]:
+    """The roots modulo the odd prime p of g, a product of distinct linear
+    factors mod p, split by r = -a and the quadratic character of r + a,
+    (x + a)^((p-1)/2) = +-1; some a < p separates any two roots."""
+    if len(g) <= 2:
+        return [-g[0] * pow(g[1], -1, p) % p] if len(g) == 2 else []
+    w = _power_mod(a, (p - 1) // 2, g, p)
+    out = [] if _eval_mod(g, -a, p) else [-a % p]
+    halves = (_poly_gcd_mod(g, [w[0] + s] + w[1:], p) for s in (-1, 1))
+    return out + [r for h in halves for r in _split_mod(h, p, a + 1)]
 
 
 def _eval_mod(cs: Sequence[int], x: int, m: int) -> int:
@@ -224,16 +243,8 @@ def _rational_reconstruct(u: int, m: int, num_bound: int, den_bound: int) -> Fra
 
 
 def _is_root(cs: Sequence[int], cand: Fraction) -> bool:
-    """Exact test cs(cand) == 0 via the homogenized integer form."""
-    p, q = cand.numerator, cand.denominator
-    n = len(cs) - 1
-    qpow = 1
-    # evaluate sum c_i p^i q^(n-i) from the top down
-    acc = cs[n]
-    for i in range(n - 1, -1, -1):
-        qpow *= q
-        acc = acc * p + cs[i] * qpow
-    return acc == 0
+    """Exact test cs(cand) == 0, for a nonzero cs."""
+    return _multiplicity(cs, cand) > 0
 
 
 def _roots_of_squarefree(sf: Sequence[int]) -> list[Fraction]:
@@ -257,19 +268,13 @@ def _roots_of_squarefree(sf: Sequence[int]) -> list[Fraction]:
     den_bound = abs(sf[-1])
     dsf = _deriv(sf)
     p = 1009
-    while True:
-        while not _is_prime(p):
-            p += 2
-        if sf[-1] % p != 0 and len(_poly_gcd_mod(sf, dsf, p)) == 1:
-            break
+    while not (_is_prime(p) and sf[-1] % p and len(_poly_gcd_mod(sf, dsf, p)) == 1):
         p += 2
 
     # the roots mod p are the deg(g) distinct roots of g
-    g = _linear_part_mod(sf, p)
-    residues = list(itertools.islice((x for x in range(p) if not _eval_mod(g, x, p)), len(g) - 1))
     target = 2 * num_bound * den_bound + 1
     found = []
-    for r0 in residues:
+    for r0 in _split_mod(_linear_part_mod(sf, p), p):
         lifted, modulus = _hensel_lift(sf, dsf, r0, p, target)
         cand = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
         if cand is not None and _is_root(sf, cand):
@@ -293,9 +298,8 @@ def rational_roots_with_cofactor(f: UniPoly) -> tuple[dict[Fraction, int], int]:
         roots[Fraction(0)] = zero_mult
     if len(cs) > 1:
         gcd_sf = poly_gcd_int(cs, _deriv(cs))
-        sf = _exact_div(cs, gcd_sf) if len(gcd_sf) > 1 else _primitive(cs)
-        base = UniPoly(cs)
+        sf = _exact_div(cs, gcd_sf) if len(gcd_sf) > 1 else cs
         for root in _roots_of_squarefree(sf):
-            roots[root] = base.mult_at(root)
+            roots[root] = _multiplicity(cs, root)
     cofactor_degree = total_deg - sum(roots.values())
     return roots, cofactor_degree

@@ -24,26 +24,18 @@ rows w_j (j = 0..order+shift) of one node table per equation: w_j[i] is the
 y^(i-order+j) part of P_i(y + c), a polynomial in c.  At a node the table
 gives windows of order+shift+1 coefficients, so a solution R(x) * (x - c)^e
 costs a kernel of order+shift+deg(R)+1 rows instead of one row per degree
-of x.  Kernels are solved only at exponents e with an integer root of the
-indicial polynomial in e..e+delta (delta the bound on deg(R)): that
-polynomial is the lowest nonzero row of the table at c combined with the
-falling factorials, and every other window has an empty kernel.  The basis
-is the pivot columns of one Bareiss elimination over all kernel vectors.
-With c symbolic, the entries at one exponent are the conditions whose
-common roots are the nodes of the pure-power solutions (x - c)^e.  The
-lowest nonzero one is e!/(e-k)! * P_k(c), k the largest i <= min(e, order)
-with P_i nonzero, so every node is a root of P_k.  The table is evaluated
-at each rational root of P_k and tested once per exponent; the part h of
-P_k without rational roots is reduced by gcd against the other conditions,
-and what survives proves an irrational node.  The next condition is
-e!/(e-k+1)! * q(e-k+1) with q(t) = t * P_k' + P_{k-1}, which is coprime to h
-wherever the norm N(t) = det(multiplication by q(t) modulo h) is nonzero.
-N has degree at most deg h; a run of exponents computes it once modulo a
-prime p (determinants at deg h + 1 points, then interpolation) and runs the
-exact gcds only at the exponents where N vanishes modulo p, which include
-every exponent with an irrational node.  Where p divides lc(h) or N is zero
-modulo p, the gcds run at every exponent.  Every pair found is checked once
-more with apply_sde.
+of x.  The lowest nonzero row at c, combined with the falling factorials,
+is c's indicial polynomial I(m): a solution at c has an exponent within
+deg(R) below an integer root of I, and both shifted_poly_solutions and
+power_solutions read those roots off I by one sweep (_integer_roots)
+instead of testing each exponent.  The nodes of pure powers (x - c)^e are
+the rational roots of the lead P_k, k the largest i <= min(e, order) with
+P_i nonzero; the part h of P_k without rational roots is reduced by gcd
+against the rows with c symbolic, behind a screen modulo a prime: the next
+row is coprime to h wherever the norm N(t) = det(multiplication by
+t * P_k' + P_{k-1} modulo h) is nonzero at t = e-k+1.  A nonconstant gcd
+proves an irrational node.  Every pair found is checked once more with
+apply_sde.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -60,7 +52,7 @@ from typing import Sequence
 
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
-from .unipoly import ONE, ZERO, UniPoly, _clear_denominators, _parse_int
+from .unipoly import ONE, ZERO, UniPoly, _clear_denominators, _parse_int, _powers
 
 @dataclass(frozen=True)
 class SDE:
@@ -381,8 +373,8 @@ def _node_table(s: SDE) -> list[list[list[int]]]:
 
 
 def _at_node(table: list[list[list[int]]], node: Fraction) -> list[list[int]]:
-    """The table evaluated at b = node = a/d, all entries scaled by the same
-    factor d^D (D the largest degree of a P_i) so they are integers."""
+    """The table (or some of its rows) evaluated at b = node = a/d, all
+    entries scaled by d^D, D their largest degree in b, so they are integers."""
     a, d = node.numerator, node.denominator
     top = max(len(w) for row in table for w in row) - 1
     weights = [a**j * d ** (top - j) for j in range(top + 1)]
@@ -445,6 +437,33 @@ def _det_mod(m: list[list[int]], p: int) -> int:
     return det % p
 
 
+def _integer_roots(row: list[int], lo: int, hi: int) -> list[int]:
+    """The m in lo..hi (lo >= 0) with I(m) = sum_i perm(m, i) * row[i] = 0,
+    row nonzero: a forward-difference sweep of I in powers of m, up to
+    Fujiwara's root bound 2 max_i |c_(D-i) / c_D|^(1/i) (the last term
+    halved) with each term rounded up to a power of two, in integers."""
+    cs, fall = [0] * len(row), [1]  # fall: perm(m, i) in powers of m
+    for i, c in enumerate(row):
+        cs[: i + 1] = [x + c * f for x, f in zip(cs, fall)]
+        fall = [u - i * v for u, v in zip([0] + fall, fall + [0])]
+    deg = len(ratroots._strip(cs)) - 1
+    top, exp = abs(cs[-1]), 0
+    for i in range(1, deg + 1):
+        c = abs(cs[deg - i]) if i < deg else (abs(cs[0]) + 1) // 2
+        t = max(c.bit_length() - top.bit_length(), 0)
+        exp = max(exp, -(-(t + (top << t < c)) // i))
+    hi = min(hi, 2 << exp) if deg > 0 else lo - 1
+    diffs = [sum(c * m**j for j, c in enumerate(cs)) for m in range(lo, lo + deg + 1)]
+    for j in range(1, deg + 1):
+        diffs[j:] = [v - u for u, v in zip(diffs[j - 1 :], diffs[j:])]
+    out = []
+    for m in range(lo, hi + 1):
+        if not diffs[0]:
+            out.append(m)
+        diffs = [u + v for u, v in zip(diffs, diffs[1:])] + diffs[-1:]
+    return out
+
+
 def _falling_eval_mod(cs: list[int], t: int, p: int) -> int:
     """sum_j cs[j] * t!/(t-j)! modulo p, by Horner."""
     acc = 0
@@ -478,18 +497,14 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
     node condition has a nonconstant factor without rational roots, and
     ValueError at an exponent every node solves.
 
-    Every node at exponent e is a root of P_k, k the largest i <= min(e,
-    order) with P_i nonzero: one run of exponents from the order on, and a
-    run per exponent below it.  Per run P_k is split once into its rational
-    roots and its part h without them (SDE._lead_roots).  Per exponent a
-    root is kept where every row sum_i perm(e, i) * w_j[i] of the table at
-    it vanishes, and h is reduced by gcd against the rows above the P_k row
-    with b symbolic.  The first of those rows is perm(e, k-1) * q(e-k+1)
-    with q(t) = t * P_k' + P_{k-1}, so the gcd is constant wherever the
-    norm N(t) of q(t) modulo h is nonzero; a run of more than one exponent
-    computes N modulo a prime once and runs the gcds only where N(e-k+1)
-    vanishes modulo it (everywhere if p divides lc(h) or N mod p is zero).
-    Each returned pair is certified with apply_sde.
+    The lead P_k (see the module docstring) is shared by the run of
+    exponents from the order on; each exponent below it is a run of its
+    own.  Per run P_k is split once (SDE._lead_roots).  A rational root b
+    is kept at the roots in the run of its indicial polynomial where every
+    other row of the table at b vanishes too, the rows evaluated one at a
+    time.  The part h without rational roots gets the exact gcds only at
+    the exponents the norm screen flags.  Each pair is certified with
+    apply_sde.
     """
     e_min, e_max = _parse_int(e_min), _parse_int(e_max)
     if e_min < 1:
@@ -515,25 +530,30 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
             linear = math.prod((UniPoly((-b, 1)) ** m for b, m in roots.items()), start=ONE)
             h = ratroots.to_primitive_int(s.polys[k].quo_rem(linear)[0])
         above = table[s.order - k + 1 :]
-        norm = None
-        if len(h) > 1 and k and hi > lo:
-            norm = _norm_mod(h, above[0][k], above[0][k - 1], p)
-        candidates = [(b, [w for w in _at_node(table, b) if any(w)]) for b in sorted(roots)]
-        for e in range(lo, hi + 1):
-            falls = [math.perm(e, i) for i in range(s.order + 1)]
-            if len(h) > 1 and (norm is None or not _falling_eval_mod(norm, e - k + 1, p)):
-                g = _irrational_part(h, above, falls)
-                if len(g) > 1:
-                    raise IrrationalNodeDetected(
-                        f"nodes at exponent {e} satisfy an irreducible condition of "
-                        f"degree {len(g) - 1} with no rational root",
-                        exponent=e,
-                    )
-            for b, rows in candidates:
-                if not any(sum(map(operator.mul, falls, row)) for row in rows):
-                    out.append((b, e))
+        if len(h) > 1:
+            norm = _norm_mod(h, above[0][k], above[0][k - 1], p) if k and hi > lo else None
+            for e in range(lo, hi + 1):
+                if norm is None or not _falling_eval_mod(norm, e - k + 1, p):
+                    g = _irrational_part(h, above, [math.perm(e, i) for i in range(s.order + 1)])
+                    if len(g) > 1:
+                        raise IrrationalNodeDetected(
+                            f"nodes at exponent {e} satisfy an irreducible condition of "
+                            f"degree {len(g) - 1} with no rational root",
+                            exponent=e,
+                        )
+        for b in roots:
+            # the other rows can vanish only at the lowest one's zeros
+            rows = (r for r in (_at_node([row], b)[0] for row in table) if any(r))
+            lowest = next(rows)
+            zeros = _integer_roots(lowest, lo, hi)
+            if zeros:
+                rows = [lowest, *rows]
+                out += [(b, e) for e in zeros if not any(_image(rows, e))]
     for b, e in out:
-        if not apply_sde(s, UniPoly.affine_power(1, b, e)).is_zero():
+        # (d x - a)^e, a multiple of (x - b)^e, in integers
+        ds, nums = _powers(b.denominator, e), _powers(-b.numerator, e)
+        power = UniPoly([math.comb(e, j) * ds[j] * nums[e - j] for j in range(e + 1)])
+        if not apply_sde(s, power).is_zero():
             raise RuntimeError("power solution failed verification")
     out.sort(key=lambda be: (be[1], be[0]))
     return out
@@ -575,7 +595,7 @@ def shifted_poly_solutions(
     other column contributes, so I(e+t) = 0: where its row is kept the
     kernel forces it, and where the row is dropped for a negative power of y
     the entry is 0 already, because perm(m, i) = 0 for i > m.  Every other
-    exponent has an empty kernel.
+    exponent has an empty kernel.  The roots come from _integer_roots.
 
     The basis is deterministic: the candidates, by increasing exponent, are
     the columns of one integer matrix, and the pivot columns of its Bareiss
@@ -590,8 +610,7 @@ def shifted_poly_solutions(
         return []
     rows = _at_node(_node_table(s), Fraction(node))
     # the indicial filter: solve only at e with I(e + t) = 0 for some t <= delta
-    lowest = [next(row for row in rows if any(row))]
-    roots = [m for m in range(e_min, e_max + delta + 1) if not _image(lowest, m)[0]]
+    roots = _integer_roots(next(row for row in rows if any(row)), e_min, e_max + delta)
     live = sorted({e for r in roots for e in range(max(r - delta, e_min), min(r, e_max) + 1)})
     windows = {m: _image(rows, m) for m in {e + t for e in live for t in range(delta + 1)}}
     candidates: list[dict[int, Fraction]] = []

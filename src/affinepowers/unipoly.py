@@ -52,6 +52,23 @@ def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
     return [v.numerator * (lcm // v.denominator) for v in values]
 
 
+def _multiplicity(cs: Sequence[int], root: Fraction) -> int:
+    """Multiplicity of root = a/d in the nonzero integer polynomial cs: the
+    number of exact divisions by d x - a, each by synthetic division."""
+    a, d, m = root.numerator, root.denominator, 0
+    while len(cs) > 1:
+        q = [0]  # from the top, q[j-1] = (cs[j] + a q[j]) / d; cs[0] + a q[0] remains
+        for c in reversed(cs[1:]):
+            top, rem = divmod(c + a * q[-1], d)
+            if rem:
+                return m
+            q.append(top)
+        if cs[0] + a * q[-1]:
+            return m
+        cs, m = q[:0:-1], m + 1
+    return m
+
+
 class UniPoly:
     __slots__ = ("coeffs",)
 
@@ -246,13 +263,7 @@ class UniPoly:
         """
         if self.is_zero():
             raise ZeroPolynomial("multiplicity undefined for the zero polynomial")
-        a = _frac(a)
-        m = 0
-        current = self
-        while current.evaluate(a) == 0:
-            current, _ = current.quo_rem(UniPoly((-a, 1)))
-            m += 1
-        return m
+        return _multiplicity(_clear_denominators(self.coeffs), _frac(a))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"

@@ -319,7 +319,8 @@ def per_exponent_loop(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, in
             if len(g) > 1:
                 raise IrrationalNodeDetected(
                     f"nodes at exponent {e} satisfy an irreducible condition of "
-                    f"degree {len(g) - 1} with no rational root"
+                    f"degree {len(g) - 1} with no rational root",
+                    exponent=e,
                 )
             for b, rows in candidates:
                 if not any(sum(map(operator.mul, falls, row)) for row in rows):
@@ -335,6 +336,67 @@ def scaled(s: SDE, lead: UniPoly, pad: int = 0) -> SDE:
     power solutions of s stay solutions."""
     polys = [p * lead for p in s.polys] + [P()] * pad
     return SDE(s.order + pad, s.shift + lead.degree, tuple(polys))
+
+
+def outcome_with_exponent(fn, *args):
+    """outcome, with the exponent attribute of an IrrationalNodeDetected."""
+    got = outcome(fn, *args)
+    if got[1] is IrrationalNodeDetected:
+        try:
+            fn(*args)
+        except IrrationalNodeDetected as exc:
+            return got + (exc.exponent,)
+    return got
+
+
+def peel_range(s: SDE, f: UniPoly) -> tuple[int, int]:
+    """The range of a peeling pass of decompose_distinct_nodes."""
+    return -(-((s.order + 1) ** 2) // 2), f.degree + (f.degree + 2) ** 2 // 8
+
+
+WIDE = {
+    # planted inputs of degree >= 100
+    **{
+        f"{regime}-{seed}": generate_instance(InstanceSpec(s=3, seed=seed, **extra), regime)[0]
+        for regime, extra in (
+            ("distinct_nodes", {"exp_min": 100, "exp_max": 140}),
+            ("big_gaps", {"exp_min": 60, "repeated_nodes": True}),
+        )
+        for seed in range(3)
+    },
+    # a node that is not an integer, next to a repeated one
+    "fractional_node": UniPoly.affine_power(3, F(-1157, 129), 110)
+    + UniPoly.affine_power(1, 2, 104)
+    + UniPoly.affine_power(-2, 2, 60),
+    # an irrational pair inside the range
+    "irrational_pair": pair_sum(2, 101) + UniPoly.affine_power(3, 1, 120),
+}
+# leads with a repeated root and a root -1157/129 that is no node
+WIDE_LEADS = [P(1), P(-1, 1) ** 2 * P(1157, 129)]
+
+
+class TestWidePeelRanges:
+    """The sweep of each node's indicial polynomial against the loop over
+    every exponent, on the ranges a peeling pass asks for at degree >= 100."""
+
+    @pytest.mark.parametrize("lead", range(len(WIDE_LEADS)))
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_matches_per_exponent_loop(self, name, lead):
+        f = WIDE[name]
+        assert f.degree >= 100
+        s = scaled(find_min_sde(f, 0), WIDE_LEADS[lead])
+        lo, hi = peel_range(s, f)
+        got = outcome_with_exponent(power_solutions, s, lo, hi)
+        assert got == outcome_with_exponent(per_exponent_loop, s, lo, hi)
+        if name == "irrational_pair":
+            assert got[1:] == (
+                IrrationalNodeDetected,
+                "nodes at exponent 101 satisfy an irreducible condition of "
+                "degree 2 with no rational root",
+                101,
+            )
+        else:
+            assert got[0] == "ok" and got[1]
 
 
 SQRT2 = P(-2, 0, 1)  # b^2 - 2

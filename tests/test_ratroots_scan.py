@@ -1,11 +1,13 @@
-"""The residue scan of ratroots._roots_of_squarefree against the full scan.
+"""The roots modulo p of ratroots._roots_of_squarefree against the full scan.
 
 _roots_of_squarefree takes its roots modulo p from g = gcd(sf, x^p - x): a
-constant g returns no root without a scan, and otherwise the ascending scan
-stops once it has deg(g) residues.  full_scan is the scan it replaced, sf
-evaluated at every residue; both must return the same roots, and g must have
-exactly as many roots modulo p as sf.  _linear_part_mod itself is checked
-against the per-coefficient loops its squaring and reduction replaced.
+constant g returns no root without any work on residues, and otherwise g is
+split into its linear factors by gcds with (x + a)^((p-1)/2) - 1.  full_scan
+finds the residues by evaluating sf at every residue instead; both must
+return the same roots, g must have exactly as many roots modulo p as sf,
+and the split must return exactly the residues the scan finds.
+_linear_part_mod itself is checked against the per-coefficient loops its
+squaring and reduction replaced.
 """
 
 import random
@@ -110,30 +112,48 @@ def test_matches_full_scan(f):
 def test_no_root_mod_p_returns_before_the_scan(sf):
     roots, (p, g) = scan_with_gcd(sf)
     assert p == 1009 and len(g) == 1
-    with mock.patch.object(ratroots, "_eval_mod", side_effect=AssertionError("scanned")):
+    # one power, x^p mod sf, and nothing on residues: no splitting power
+    # (x + a)^((p-1)/2) and no evaluation
+    powers = []
+    real = ratroots._power_mod
+
+    def spy(a, n, poly, m):
+        powers.append(n)
+        return real(a, n, poly, m)
+
+    with mock.patch.object(ratroots, "_eval_mod", side_effect=AssertionError("scanned")), \
+            mock.patch.object(ratroots, "_power_mod", spy):
         assert ratroots._roots_of_squarefree(sf) == []
+    assert powers == [p]
     assert full_scan(sf) == []
 
 
-def test_scan_stops_at_the_last_root():
-    # (x - 2)(x - 3)(x^2 + 1) has 4 roots mod 1009 (i is one there); the
-    # scan evaluates g at 0..the largest of them and no further
+def scanned_residues(sf, p):
+    return [x for x in range(p) if ratroots._eval_mod(sf, x, p) == 0]
+
+
+def test_split_finds_the_residues_of_the_scan():
+    # (x - 2)(x - 3)(x^2 + 1) has 4 roots mod 1009 (i is one there); 2 and 3
+    # share their quadratic character under the first shifts a
     sf = ratroots.to_primitive_int(product([(1, 2), (1, 3)]) * UniPoly([1, 0, 1]))
     roots, (p, g) = scan_with_gcd(sf)
     assert roots == [F(2), F(3)]
-    residues = [x for x in range(p) if ratroots._eval_mod(sf, x, p) == 0]
+    residues = scanned_residues(sf, p)
     assert len(residues) == len(g) - 1 == 4
-    seen = []
-    real = ratroots._eval_mod
+    assert sorted(ratroots._split_mod(g, p)) == residues
 
-    def spy(cs, x, m):
-        if m == p:
-            seen.append(x)
-        return real(cs, x, m)
 
-    with mock.patch.object(ratroots, "_eval_mod", spy):
-        assert ratroots._roots_of_squarefree(sf) == roots
-    assert max(seen) == residues[-1]
+@PROPERTY
+@given(polys)
+@example(UniPoly([-2, 0, 0, 1]))  # no root mod 1009
+@example(product([(1, b) for b in range(-3, 4)]))  # seven consecutive roots
+def test_split_matches_the_scan_mod_p(f):
+    sf = squarefree_part(ratroots.to_primitive_int(f))
+    hypothesis.assume(len(sf) >= 4)
+    _, (p, g) = scan_with_gcd(sf)
+    split = ratroots._split_mod(g, p)
+    assert len(split) == len(set(split))
+    assert sorted(split) == scanned_residues(sf, p)
 
 
 def schoolbook_linear_part_mod(sf, p):

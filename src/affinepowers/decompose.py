@@ -257,7 +257,7 @@ def _ceil_half(n: int) -> int:
 # -- single-pass reconstruction (large exponents / large gaps) ------------
 
 
-def _power_pairs(eq: sde_mod.SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+def _power_pairs(eq: sde_mod.SDE | sde_mod.PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     return sde_mod.power_solutions(eq, e_min, e_max) if e_min <= e_max else []
 
 
@@ -275,7 +275,7 @@ class _Scan:
         self.pairs: list[tuple[Fraction, int]] = []
         self.irrational: tuple[int, str] | None = None
 
-    def __call__(self, eq: sde_mod.SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+    def __call__(self, eq: sde_mod.PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
         if e_max > self.hi and (self.irrational is None or e_max < self.irrational[0]):
             try:
                 self.pairs += _power_pairs(eq, self.hi + 1, e_max)
@@ -287,7 +287,9 @@ class _Scan:
         return [(b, e) for b, e in self.pairs if e <= e_max]
 
 
-def _single_pass(f: UniPoly, eq: sde_mod.SDE, powers=_power_pairs) -> Decomposition:
+def _single_pass(
+    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, powers=_power_pairs
+) -> Decomposition:
     """powers(eq, e_min, e_max) gives the power solutions (_power_pairs or
     a _Scan)."""
     r = eq.order
@@ -339,7 +341,7 @@ def decompose_distinct_nodes(
 
 
 def _peel(
-    f: UniPoly, eq: sde_mod.SDE, stats: list | None = None, powers=_power_pairs
+    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, stats: list | None = None, powers=_power_pairs
 ) -> Decomposition:
     """powers serves the first pass, as in _single_pass; later passes scan
     their own equations."""
@@ -421,14 +423,14 @@ def decompose_small_intervals(f: UniPoly, delta: int | None = None) -> Decomposi
     """
     _require_nonzero(f)
     if delta is None:
-        return _width_scan(f, sde_mod.find_min_sde(f, 0))
+        return _width_scan(f, sde_mod.find_min_sde(f, 0, lazy=True))
     delta = _parse_int(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     return _at_width(f, delta)
 
 
-def _width_scan(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
+def _width_scan(f: UniPoly, eq: sde_mod.PendingSDE) -> Decomposition:
     last: ReconstructionFailed | None = None
     reasons = []
     try:
@@ -443,7 +445,7 @@ def _width_scan(f: UniPoly, eq: sde_mod.SDE) -> Decomposition:
             f"decomposition ({'; '.join(reasons)})"
         ) from last
     finally:
-        last = eq = None  # an error's traceback holds this frame: clear errors and equation
+        last = eq = reasons = None  # an error's traceback holds this frame: keep only its message
 
 
 def _window(deg: int, r: int, delta: int) -> tuple[int, int]:
@@ -469,20 +471,22 @@ def _empty_window(deg: int, delta: int) -> ReconstructionFailed:
     )
 
 
-def _at_width(f: UniPoly, delta: int, eq: sde_mod.SDE | None = None) -> Decomposition:
-    """Width delta on f; eq, if given, is f's minimal shift-delta equation."""
+def _at_width(f: UniPoly, delta: int, eq: sde_mod.PendingSDE | None = None) -> Decomposition:
+    """Width delta on f; eq, if given, is f's minimal shift-delta equation.
+    The equation is lifted only once its lead is known to have a rational
+    root or cannot be refused mod p (PendingSDE.rootless)."""
     cap = _order_cap(f.degree, delta)
     if eq is None and cap >= 1:
-        eq = sde_mod.find_min_sde(f, delta, max_order=cap)
+        eq = sde_mod.find_min_sde(f, delta, max_order=cap, lazy=True)
     if eq is None or eq.order > cap:
         raise _empty_window(f.degree, delta)
     e_min, e_max = _window(f.degree, eq.order, delta)
-    top = eq.polys[eq.order]
-    if top.degree < 1:
+    if eq.lead_degree < 1:
         raise ReconstructionFailed("top equation coefficient has no roots")
-    nodes = sorted(eq._lead_roots(eq.order)[0])
+    nodes = [] if eq.rootless else sorted(eq.exact()._lead_roots(eq.order)[0])
     if not nodes:
         raise ReconstructionFailed("top equation coefficient has no rational roots")
+    eq = eq.exact()
     candidates = [
         (c, sol)
         for c in nodes
@@ -508,7 +512,14 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
     with automatic width; return the first verified decomposition and the
     name of the strategy that produced it.
 
-    Every strategy runs on one shift-0 equation of f.  The big_gaps answer
+    Every strategy runs on one shift-0 equation of f, held unlifted
+    (sde.PendingSDE), as are the equations of the other widths.  A forced
+    equation ((a) in the sde module docstring) whose lead has degree 0, or
+    degree >= 2 and no root mod p (d), is refused without its lift: by
+    small_intervals at its width, and by big_gaps and distinct_nodes over
+    each scanned exponent run where the norm N(t) built from the lead mod p
+    is nonzero at every t (c).  Anything else lifts the equation and runs
+    the exact path, with the same answer or error.  The big_gaps answer
     is tagged big_exponents when its nodes are distinct, and its error
     counts for both.  Its power solutions and those of distinct_nodes'
     first pass, whose ranges share their start, come from one _Scan that
@@ -519,7 +530,7 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
     ReconstructionFailed.
     """
     _require_nonzero(f)
-    eq = sde_mod.find_min_sde(f, 0)
+    eq = sde_mod.find_min_sde(f, 0, lazy=True)
     scan = _Scan(_ceil_half((eq.order + 1) ** 2))
     irrational: IrrationalNodeDetected | None = None
     last: ReconstructionFailed | None = None

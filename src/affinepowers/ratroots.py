@@ -11,7 +11,8 @@ verified exactly before being reported.  The roots modulo p are those of
 g = gcd(sf, x^p - x) mod p, one per degree of g: a constant g proves there is
 no rational root, and otherwise g is split by gcds with (x + a)^((p-1)/2) - 1
 for a = 1, 2, ..., which separate the roots r by the quadratic character of
-r + a, until every factor is linear.
+r + a, until every factor has degree at most 2; a quadratic factor is solved
+by one square root mod p.
 """
 
 from __future__ import annotations
@@ -196,10 +197,44 @@ def _linear_part_mod(sf: Sequence[int], p: int) -> list[int]:
     return _poly_gcd_mod(sf, acc, p)
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p
+    (Tonelli-Shanks; one power when p = 3 mod 4)."""
+    q, s = p - 1, 0
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    if s == 1 or not a % p:
+        return pow(a, (q + 1) // 2, p)
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _quadratic_roots_mod(g: Sequence[int], p: int) -> list[int]:
+    """The roots modulo the odd prime p of g = c + b x + a x^2, p not
+    dividing a: none when the discriminant is a non-residue (Euler's
+    criterion), else (-b +- sqrt(disc)) / 2a."""
+    c, b, a = g
+    disc = (b * b - 4 * a * c) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s, inv = _sqrt_mod(disc, p), pow(2 * a, -1, p)
+    return sorted({(s - b) * inv % p, (-s - b) * inv % p})
+
+
 def _split_mod(g: list[int], p: int, a: int = 1) -> list[int]:
     """The roots modulo the odd prime p of g, a product of distinct linear
-    factors mod p, split by r = -a and the quadratic character of r + a,
-    (x + a)^((p-1)/2) = +-1; some a < p separates any two roots."""
+    factors mod p: directly at degree <= 2, else split by r = -a and the
+    quadratic character of r + a, (x + a)^((p-1)/2) = +-1; some a < p
+    separates any two roots."""
+    if len(g) == 3:
+        return _quadratic_roots_mod(g, p)
     if len(g) <= 2:
         return [-g[0] * pow(g[1], -1, p) % p] if len(g) == 2 else []
     w = _power_mod(a, (p - 1) // 2, g, p)

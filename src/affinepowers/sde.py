@@ -17,6 +17,25 @@ fc is the first free column and the vector is the one a Bareiss kernel
 returns there.  An unlucky prime (fc independent over Q) falls back to the
 per-order Bareiss kernels, which remain the reference path.
 
+The dispatcher holds the equation unlifted (PendingSDE) and refuses modulo
+p where it can, with the one prime of the modular pass:
+  (a) forced: the first n_rows columns are independent mod p, so fc =
+      n_rows + 1.  They are then independent over Q and fc depends on them
+      by counting, so the kernel mod p is the lifted vector reduced, up to
+      a unit; its entry at fc, a divisor of the unit det B, is a unit.  So
+      P_order has the same degree mod p as over Q and every rational root
+      of P_order reduces to a root mod p.
+  (b), (c) nodes: N(t), the norm below built from P_order mod p and its
+      neighbour P_(order-1), is nonzero mod p at every t = e-order+1 of a
+      run, so no node of the run is irrational.
+  (d) roots: P_order of degree 0 has no root; one of degree >= 2 has no
+      rational root if it has none mod p (Euler's criterion on the
+      discriminant at degree 2, gcd(P_order, x^p - x) above).
+A forced equation whose lead passes (d) has no power solution in a run that
+passes (c), and its width search finds no node, all without a lift.  Every
+other equation, and every run where N vanishes or is not built (deg P_order
+>= p), takes the exact path: it is lifted and searched as below.
+
 Solutions at a node c are found, and returned, in the node's basis
 y = x - c.  There the equation maps y^m to sum_i m!/(m-i)! * y^(m-i) *
 P_i(y + c), whose y^(m-order+j) entry is sum_i m!/(m-i)! * w_j[i] for the
@@ -47,7 +66,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import linalg, ratroots
@@ -310,7 +329,7 @@ def _split_sde(vec: Sequence, order: int, shift: int) -> SDE:
     return SDE(order=order, shift=shift, polys=tuple(polys))
 
 
-def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | None:
+def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: bool = False):
     """Smallest-order equation of the given shift satisfied by f, or None
     when no order up to max_order works (default max_order: deg(f) + 1,
     which always succeeds).
@@ -319,6 +338,12 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | 
     matrix at the minimal order: the one supported on the columns up to
     its first dependent column, scaled to primitive integers with positive
     first nonzero coefficient.
+
+    With lazy=True the result is a PendingSDE whose exact() is that
+    equation.  A forced equation ((a) in the module docstring) is then
+    lifted only on its first exact use; any other is lifted here, since
+    only the lift tells whether an unlucky prime hid a higher order or no
+    equation at all.
     """
     shift = _parse_int(shift)
     max_order = f.degree + 1 if max_order is None else _parse_int(max_order)
@@ -347,13 +372,79 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None) -> SDE | 
     else:
         return None  # independent mod p up to max_order, hence over Q
 
+    if len(cols) == n_rows + 1:
+        eq = PendingSDE(k, shift, profile, cols)
+        return eq if lazy else eq.exact()
     # The columns before fc are independent over Q; an exact dependency
     # ending at fc proves fc is the first free column of the order-k matrix.
     vec = _lift_dependency(profile, cols)
     if vec is None:  # fc is independent over Q: p was unlucky
-        return _bareiss_search(derivs, shift, n_rows, k, max_order)
-    # columns past fc carry zeros, which _split_sde leaves implicit
-    return _split_sde(linalg._canonical_int_vector(vec), k, shift)
+        s = _bareiss_search(derivs, shift, n_rows, k, max_order)
+    else:  # columns past fc carry zeros, which _split_sde leaves implicit
+        s = _split_sde(linalg._canonical_int_vector(vec), k, shift)
+    return s if not lazy or s is None else PendingSDE(s.order, shift, lifted=s)
+
+
+class PendingSDE:
+    """An equation of find_min_sde(..., lazy=True), held as its modular
+    pass left it and lifted once, on the first call of exact().
+
+    forced is condition (a) of the module docstring; only a forced equation
+    is held unlifted, and only it answers rootless and refuses from its
+    vector mod p.
+    """
+
+    def __init__(self, order: int, shift: int, profile=None, cols=None, lifted: SDE | None = None):
+        self.order, self.shift = order, shift
+        self.forced = lifted is None
+        self._pass = profile, cols
+        self._sde = lifted
+
+    def exact(self) -> SDE:
+        if self._sde is None:
+            vec = _lift_dependency(*self._pass)  # a forced dependency always lifts
+            self._sde = _split_sde(linalg._canonical_int_vector(vec), self.order, self.shift)
+        return self._sde
+
+    @cached_property
+    def _leads(self) -> tuple[list[int], list[int]]:
+        """P_order and P_(order-1) modulo p, up to one unit, from the kernel
+        vector mod p; P_order ends in its coefficient at fc, 1."""
+        profile, cols = self._pass
+        vec = profile.solver()([-cols[-1][r] for r in profile.pivot_rows]) + [1]
+        start = [i * self.shift + i * (i + 1) // 2 for i in (self.order - 1, self.order)]
+        return vec[start[1] :], vec[start[0] : start[1]]
+
+    @cached_property
+    def lead_degree(self) -> int:
+        """deg P_order, exact mod p by (a)."""
+        return len(self._leads[0]) - 1 if self.forced else self.exact().polys[self.order].degree
+
+    @cached_property
+    def rootless(self) -> bool:
+        """True when (a) and (d) prove P_order has no rational root; False
+        when they do not decide it."""
+        if not self.forced or self.lead_degree == 1:
+            return False
+        lead, p = self._leads[0], ratroots._PRIME
+        if len(lead) == 3:
+            return not ratroots._quadratic_roots_mod(lead, p)
+        return len(lead) == 1 or len(ratroots._linear_part_mod(lead, p)) == 1
+
+    def refuses(self, e_min: int, e_max: int) -> bool:
+        """True when power_solutions over e_min..e_max is proved empty, and
+        free of irrational nodes, without the lift: e_min >= order (one run,
+        led by P_order), (a) and (d), and above degree 0 (c) at every t =
+        e-order+1 of the range."""
+        if not self.rootless or e_min < self.order:
+            return False
+        if self.lead_degree == 0:
+            return True
+        (lead, below), p = self._leads, ratroots._PRIME
+        norm = _norm_mod(lead, ratroots._deriv(lead), below, p)
+        return norm is not None and all(
+            _falling_eval_mod(norm, e - self.order + 1, p) for e in range(e_min, e_max + 1)
+        )
 
 
 # -- power solutions ------------------------------------------------------
@@ -375,10 +466,15 @@ def _node_table(s: SDE) -> list[list[list[int]]]:
 def _at_node(table: list[list[list[int]]], node: Fraction) -> list[list[int]]:
     """The table (or some of its rows) evaluated at b = node = a/d, all
     entries scaled by d^D, D their largest degree in b, so they are integers."""
+    return list(_rows_at_node(table, node))
+
+
+def _rows_at_node(table: list[list[list[int]]], node: Fraction):
+    """The rows of _at_node(table, node), each evaluated when it is read."""
     a, d = node.numerator, node.denominator
     top = max(len(w) for row in table for w in row) - 1
     weights = [a**j * d ** (top - j) for j in range(top + 1)]
-    return [[sum(map(operator.mul, w, weights)) for w in row] for row in table]
+    return ([sum(map(operator.mul, w, weights)) for w in row] for row in table)
 
 
 def _norm_mod(h: list[int], a: list[int], b: list[int], p: int) -> list[int] | None:
@@ -488,9 +584,10 @@ def _irrational_part(h: list[int], rows: list[list[list[int]]], falls: list[int]
     return g
 
 
-def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     """All pairs (b, e) with e_min <= e <= e_max such that (x - b)^e with
-    rational b satisfies the equation, sorted by (e, b).
+    rational b satisfies the equation, sorted by (e, b).  A PendingSDE is
+    lifted unless it refuses the range (PendingSDE.refuses).
 
     Raises IrrationalNodeDetected, with the exponent as its exponent
     attribute, when some admissible node is provably irrational, i.e. the
@@ -511,6 +608,10 @@ def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
+    if isinstance(s, PendingSDE):
+        if s.refuses(e_min, e_max):
+            return []
+        s = s.exact()
     table = _node_table(s)
     runs = [(e, e) for e in range(e_min, min(s.order, e_max + 1))]
     if e_max >= s.order:
@@ -595,7 +696,8 @@ def shifted_poly_solutions(
     other column contributes, so I(e+t) = 0: where its row is kept the
     kernel forces it, and where the row is dropped for a negative power of y
     the entry is 0 already, because perm(m, i) = 0 for i > m.  Every other
-    exponent has an empty kernel.  The roots come from _integer_roots.
+    exponent has an empty kernel.  The roots come from _integer_roots, and
+    the rows other than w are evaluated at the node only when there are any.
 
     The basis is deterministic: the candidates, by increasing exponent, are
     the columns of one integer matrix, and the pivot columns of its Bareiss
@@ -608,9 +710,16 @@ def shifted_poly_solutions(
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
-    rows = _at_node(_node_table(s), Fraction(node))
+    rows, at_node = [], _rows_at_node(_node_table(s), Fraction(node))
+    for row in at_node:  # up to the lowest row nonzero at the node
+        rows.append(row)
+        if any(row):
+            break
     # the indicial filter: solve only at e with I(e + t) = 0 for some t <= delta
-    roots = _integer_roots(next(row for row in rows if any(row)), e_min, e_max + delta)
+    roots = _integer_roots(rows[-1], e_min, e_max + delta)
+    if not roots:
+        return []
+    rows += at_node
     live = sorted({e for r in roots for e in range(max(r - delta, e_min), min(r, e_max) + 1)})
     windows = {m: _image(rows, m) for m in {e + t for e in live for t in range(delta + 1)}}
     candidates: list[dict[int, Fraction]] = []

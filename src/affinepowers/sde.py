@@ -10,12 +10,22 @@ restricted to polynomials has dimension at most k.
 The minimal-order search makes one modular pass.  The order-k matrix is the
 order-(k-1) matrix with columns appended, so its columns are eliminated one
 at a time modulo a prime until the first one, fc, that depends on those
-before it.  The earlier columns are then independent over Q as well; the
-dependency ending at fc is lifted p-adically (Dixon), rationally
-reconstructed and checked exactly against the integer matrix, which proves
-fc is the first free column and the vector is the one a Bareiss kernel
-returns there.  An unlucky prime (fc independent over Q) falls back to the
-per-order Bareiss kernels, which remain the reference path.
+before it.  The elimination keeps reduced entries only on its pivot rows and
+on one witness row, the lowest row that is not a pivot: a column costs a
+forward substitution on the pivot rows and one residual entry, and a witness
+that becomes a pivot the entries of the next one, however many rows of
+x-degree there are.  A nonzero witness entry proves the column independent;
+where it is zero, the residual is formed on every row (the all-row check),
+and only a residual zero on every row makes the column dependent.  So fc is
+the first dependent column of the full matrix, and the dependency ending at
+fc, unique mod p up to a unit, does not depend on which rows are pivots.
+The earlier columns are then independent over Q as well; the dependency is
+lifted p-adically (Dixon) on the pivot rows, where the square system has
+that one solution, rationally reconstructed and checked exactly against the
+integer matrix, which proves fc is the first free column and the vector is
+the one a Bareiss kernel returns there.  An unlucky prime (fc independent
+over Q) falls back to the per-order Bareiss kernels, which remain the
+reference path.
 
 The dispatcher holds the equation unlifted (PendingSDE) and refuses modulo
 p where it can, with the one prime of the modular pass:
@@ -185,23 +195,40 @@ def _dependency_matrix(derivs: list[list[int]], k: int, shift: int, n_rows: int)
 
 
 class _ModularProfile:
-    """Column-by-column elimination modulo p.
+    """Column-by-column elimination modulo p, on the pivot rows and one
+    witness row.
 
     Column c is written as sum_{t<=c} upper[c][t] * reduced[t], where
     reduced[t] is 1 at its pivot row, 0 at the pivot rows chosen before it
     and upper[c][c] is nonzero (its inverse, which normalized reduced[c],
     is kept in inverses[c]).  On the pivot rows this is an LU factorization
-    of the columns added so far, which solver() reuses.  The reduced
-    columns are stored by row: by_row[r][t] = reduced[t][r].
+    of the columns added so far, which solver() reuses.
+
+    Reduced entries are kept only on the pivot rows (lower) and on the
+    witness, the lowest row that is not a pivot (at_witness).  A new
+    column's coordinates come from the pivot rows and its residual is
+    formed on the witness alone: nonzero there, the column is independent
+    and the witness becomes its pivot.  Zero there, the all-row check takes
+    the column's coordinates w on the added columns (cols) and forms
+    col - sum_s w[s] * cols[s] on every row: zero everywhere, the column is
+    dependent; otherwise its first nonzero row becomes the pivot.  A column
+    is called dependent only on every row, so the first dependent column is
+    that of the full matrix, and its dependency mod p, unique up to a unit,
+    is the same whichever rows are pivots.  A row's reduced entries, for a
+    new pivot or witness, come from the columns by _reduced_at; rows that
+    are never reached cost nothing.
     """
 
     def __init__(self, p: int, n_rows: int):
         self.p = p
+        self.n_rows = n_rows
+        self.cols: list[Sequence[int]] = []
         self.pivot_rows: list[int] = []
         self.lower: list[list[int]] = []  # lower[t][s] = reduced[s][pivot_rows[t]], s < t
         self.upper: list[list[int]] = []
         self.inverses: list[int] = []
-        self.by_row: list[list[int]] = [[] for _ in range(n_rows)]
+        self.witness = 0
+        self.at_witness: list[int] = []  # at_witness[t] = reduced[t][witness]
 
     def _coords(self, y: Sequence[int]) -> list[int]:
         """Forward substitution: coordinates on the reduced columns of a
@@ -212,23 +239,48 @@ class _ModularProfile:
             z.append((yt - sum(map(operator.mul, low, z))) % p)
         return z
 
+    def _reduced_at(self, r: int) -> list[int]:
+        """reduced[t][r] for every added column t, from reduced[t] =
+        (cols[t] - sum_{s<t} upper[t][s] * reduced[s]) * inverses[t]."""
+        p = self.p
+        z: list[int] = []
+        for col, up, inv in zip(self.cols, self.upper, self.inverses):
+            z.append((col[r] - sum(map(operator.mul, up, z))) * inv % p)
+        return z
+
     def add(self, col: Sequence[int]) -> bool:
         """Append a column; False (and nothing stored) when it is dependent
         on the columns before it modulo p."""
-        p = self.p
-        coords = self._coords([col[r] for r in self.pivot_rows])
-        res = [(x - sum(map(operator.mul, row, coords))) % p for x, row in zip(col, self.by_row)]
-        piv = next((r for r, x in enumerate(res) if x), None)
-        if piv is None:
+        p, w = self.p, self.witness
+        if w == self.n_rows:  # every row is a pivot
             return False
-        inv = pow(res[piv], -1, p)
-        coords.append(res[piv])
+        y = [col[r] for r in self.pivot_rows]
+        coords = self._coords(y)
+        x = (col[w] - sum(map(operator.mul, self.at_witness, coords))) % p
+        if x:
+            piv, low = w, self.at_witness
+        else:  # the all-row check, on the columns themselves
+            res = list(col)
+            for c, v in zip(self.cols, self.solver()(y)):
+                if v:
+                    res = [a - v * b for a, b in zip(res, c)]
+            piv = next((r for r, a in enumerate(res) if a % p), None)
+            if piv is None:
+                return False
+            x, low = res[piv] % p, self._reduced_at(piv)
+        coords.append(x)
         self.upper.append(coords)
-        self.inverses.append(inv)
-        self.lower.append(list(self.by_row[piv]))
+        self.inverses.append(pow(x, -1, p))
+        self.cols.append(col)
+        self.lower.append(low)
         self.pivot_rows.append(piv)
-        for row, x in zip(self.by_row, res):
-            row.append(x * inv % p)
+        if piv != w:
+            self.at_witness.append(0)
+            return True
+        while w in self.pivot_rows:
+            w += 1
+        self.witness = w
+        self.at_witness = self._reduced_at(w) if w < self.n_rows else []
         return True
 
     def solver(self):
@@ -309,8 +361,12 @@ def _annihilates(vec: Sequence[int], cols: list[list[int]]) -> bool:
 
 def _bareiss_search(derivs: list[list[int]], shift: int, n_rows: int, k_start: int, max_order: int) -> SDE | None:
     """Reference search: the canonical first kernel vector of the
-    dependency matrix at the first order from k_start that has one."""
+    dependency matrix at the first order from k_start that has one.
+    derivs holds f^(i) up to order k_start at least and is extended as the
+    orders are tried."""
     for k in range(k_start, max_order + 1):
+        if len(derivs) == k:
+            derivs.append(ratroots._deriv(derivs[-1]))
         basis = linalg.kernel(linalg.IntMatrix.from_rows(_dependency_matrix(derivs, k, shift, n_rows)))
         if basis:
             return _split_sde(basis[0], k, shift)
@@ -356,9 +412,7 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: 
     if max_order < 1:
         return None
 
-    derivs = [ratroots.to_primitive_int(f)]
-    for _ in range(max_order):
-        derivs.append(ratroots._deriv(derivs[-1]))
+    derivs = [ratroots.to_primitive_int(f)]  # f^(k), derived when order k is reached
     n_rows = f.degree + shift + 1
 
     # The order-k matrix is the order-(k-1) one with columns appended, so
@@ -366,6 +420,8 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: 
     profile = _ModularProfile(ratroots._PRIME, n_rows)
     cols: list[list[int]] = []
     for k, j in ((k, j) for k in range(max_order + 1) for j in range(k + shift + 1)):
+        if len(derivs) == k:
+            derivs.append(ratroots._deriv(derivs[-1]))
         cols.append(_column(derivs[k], j, n_rows))
         if not profile.add(cols[-1]):
             break

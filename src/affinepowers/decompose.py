@@ -257,10 +257,6 @@ def _ceil_half(n: int) -> int:
 # -- single-pass reconstruction (large exponents / large gaps) ------------
 
 
-def _power_pairs(eq: sde_mod.SDE | sde_mod.PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
-    return sde_mod.power_solutions(eq, e_min, e_max) if e_min <= e_max else []
-
-
 class _Scan:
     """The power solutions of one equation over ranges that share their
     start, each exponent scanned once: a range reaching past the exponents
@@ -278,7 +274,7 @@ class _Scan:
     def __call__(self, eq: sde_mod.PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
         if e_max > self.hi and (self.irrational is None or e_max < self.irrational[0]):
             try:
-                self.pairs += _power_pairs(eq, self.hi + 1, e_max)
+                self.pairs += sde_mod.power_solutions(eq, self.hi + 1, e_max)
                 self.hi = e_max
             except IrrationalNodeDetected as exc:
                 self.irrational = exc.exponent, str(exc)
@@ -288,11 +284,12 @@ class _Scan:
 
 
 def _single_pass(
-    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, powers=_power_pairs
+    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, powers=None
 ) -> Decomposition:
-    """powers(eq, e_min, e_max) gives the power solutions (_power_pairs or
-    a _Scan)."""
+    """powers(eq, e_min, e_max) gives the power solutions (a _Scan, or
+    sde.power_solutions by default)."""
     r = eq.order
+    powers = powers or sde_mod.power_solutions
     pairs = powers(eq, _ceil_half((r + 1) ** 2), f.degree + (r * r) // 2)
     if not pairs:
         raise ReconstructionFailed("no admissible power solutions in range")
@@ -341,7 +338,7 @@ def decompose_distinct_nodes(
 
 
 def _peel(
-    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, stats: list | None = None, powers=_power_pairs
+    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, stats: list | None = None, powers=None
 ) -> Decomposition:
     """powers serves the first pass, as in _single_pass; later passes scan
     their own equations."""
@@ -354,7 +351,7 @@ def _peel(
         eq = eq if iteration == 0 else sde_mod.find_min_sde(residual, 0)
         t = eq.order
         deg = residual.degree
-        scan = powers if iteration == 0 else _power_pairs
+        scan = powers if iteration == 0 and powers else sde_mod.power_solutions
         pairs = scan(eq, _ceil_half((t + 1) ** 2), deg + ((deg + 2) ** 2) // 8)
         if stats is not None:
             stats.append(

@@ -7,7 +7,8 @@ columns before it.  kernel reads the free columns, dividing only in the
 final substitution, and checks every basis vector A v = 0 in integers;
 solve reads the kernel of [m | -rhs]; sde.shifted_poly_solutions keeps the
 pivot columns of its candidate solutions.  The minimal-equation search in
-sde works modulo a prime and calls kernel only as its fallback.
+sde works modulo a prime, retrying an unlucky one with the next prime, and
+does not call kernel.
 """
 
 from __future__ import annotations

@@ -24,11 +24,14 @@ lifted p-adically (Dixon) on the pivot rows, where the square system has
 that one solution, rationally reconstructed and checked exactly against the
 integer matrix, which proves fc is the first free column and the vector is
 the one a Bareiss kernel returns there.  An unlucky prime (fc independent
-over Q) falls back to the per-order Bareiss kernels, which remain the
-reference path.
+over Q, so the lift fails) is followed by a new pass with the next prime,
+reusing the integer columns already built.  A dependency over Q reduces to
+one mod p, so no pass stops past the true first dependent column; one stops
+before it only at a prime dividing every maximal minor of columns that are
+independent over Q, and there are finitely many such primes.
 
 The dispatcher holds the equation unlifted (PendingSDE) and refuses modulo
-p where it can, with the one prime of the modular pass:
+p where it can, with the prime of the modular pass that found it:
   (a) forced: the first n_rows columns are independent mod p, so fc =
       n_rows + 1.  They are then independent over Q and fc depends on them
       by counting, so the kernel mod p is the lifted vector reduced, up to
@@ -72,6 +75,7 @@ primitive integer coefficients with positive first nonzero coefficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -324,7 +328,10 @@ def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[in
     Candidates are reconstructed at doubling step counts.  Once the modulus
     exceeds 2 H^2, H the Hadamard bound of the system, reconstruction has
     found its unique solution; if that fails the check, no such v exists
-    and the result is None.
+    and the result is None.  Before that, an attempt that fails tests the
+    p-adic solution on the column sums (the columns at x = 1): a dependency
+    over Q vanishes there, so a sum nonzero mod the modulus proves there is
+    none, and an unlucky prime is usually told within a few steps.
     """
     p = profile.p
     rows = profile.pivot_rows
@@ -336,6 +343,7 @@ def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[in
         h2 *= max(1, sum(cols[c][r] ** 2 for r in rows))
     solve = profile.solver()
     acc = [0] * m
+    sums = None
     modulus, steps, attempt = 1, 0, 1
     while True:
         x = solve(res)
@@ -351,26 +359,15 @@ def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[in
             return vec
         if modulus > 2 * h2:
             return None
+        sums = sums or [sum(col) for col in cols]
+        if (sum(map(operator.mul, acc, sums)) + sums[m]) % modulus:
+            return None
 
 
 def _annihilates(vec: Sequence[int], cols: list[list[int]]) -> bool:
     return not any(
         sum(v * col[r] for v, col in zip(vec, cols) if v) for r in range(len(cols[0]))
     )
-
-
-def _bareiss_search(derivs: list[list[int]], shift: int, n_rows: int, k_start: int, max_order: int) -> SDE | None:
-    """Reference search: the canonical first kernel vector of the
-    dependency matrix at the first order from k_start that has one.
-    derivs holds f^(i) up to order k_start at least and is extended as the
-    orders are tried."""
-    for k in range(k_start, max_order + 1):
-        if len(derivs) == k:
-            derivs.append(ratroots._deriv(derivs[-1]))
-        basis = linalg.kernel(linalg.IntMatrix.from_rows(_dependency_matrix(derivs, k, shift, n_rows)))
-        if basis:
-            return _split_sde(basis[0], k, shift)
-    return None
 
 
 def _split_sde(vec: Sequence, order: int, shift: int) -> SDE:
@@ -398,8 +395,9 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: 
     With lazy=True the result is a PendingSDE whose exact() is that
     equation.  A forced equation ((a) in the module docstring) is then
     lifted only on its first exact use; any other is lifted here, since
-    only the lift tells whether an unlucky prime hid a higher order or no
-    equation at all.
+    only the lift tells whether the prime was unlucky.  An unlucky prime is
+    followed by a pass with the next prime, which may end in a forced
+    equation held with that prime.
     """
     shift = _parse_int(shift)
     max_order = f.degree + 1 if max_order is None else _parse_int(max_order)
@@ -414,31 +412,36 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: 
 
     derivs = [ratroots.to_primitive_int(f)]  # f^(k), derived when order k is reached
     n_rows = f.degree + shift + 1
-
-    # The order-k matrix is the order-(k-1) one with columns appended, so
-    # one pass over the columns finds the first dependent one, fc.
-    profile = _ModularProfile(ratroots._PRIME, n_rows)
-    cols: list[list[int]] = []
-    for k, j in ((k, j) for k in range(max_order + 1) for j in range(k + shift + 1)):
-        if len(derivs) == k:
-            derivs.append(ratroots._deriv(derivs[-1]))
-        cols.append(_column(derivs[k], j, n_rows))
-        if not profile.add(cols[-1]):
+    built: list[list[int]] = []  # the columns in (k, j) order, shared by the passes
+    p = ratroots._PRIME
+    while True:
+        # The order-k matrix is the order-(k-1) one with columns appended, so
+        # one pass over the columns finds the first dependent one, fc.
+        profile = _ModularProfile(p, n_rows)
+        order_cols = ((k, j) for k in range(max_order + 1) for j in range(k + shift + 1))
+        for fc, (k, j) in enumerate(order_cols):
+            if fc == len(built):
+                if len(derivs) == k:
+                    derivs.append(ratroots._deriv(derivs[-1]))
+                built.append(_column(derivs[k], j, n_rows))
+            if not profile.add(built[fc]):
+                break
+        else:
+            return None  # independent mod p up to max_order, hence over Q
+        cols = built[: fc + 1]
+        if fc == n_rows:
+            eq = PendingSDE(k, shift, profile, cols)
+            return eq if lazy else eq.exact()
+        # The columns before fc are independent over Q; an exact dependency
+        # ending at fc proves fc is the first free column of the order-k matrix.
+        vec = _lift_dependency(profile, cols)
+        if vec is not None:
             break
-    else:
-        return None  # independent mod p up to max_order, hence over Q
-
-    if len(cols) == n_rows + 1:
-        eq = PendingSDE(k, shift, profile, cols)
-        return eq if lazy else eq.exact()
-    # The columns before fc are independent over Q; an exact dependency
-    # ending at fc proves fc is the first free column of the order-k matrix.
-    vec = _lift_dependency(profile, cols)
-    if vec is None:  # fc is independent over Q: p was unlucky
-        s = _bareiss_search(derivs, shift, n_rows, k, max_order)
-    else:  # columns past fc carry zeros, which _split_sde leaves implicit
-        s = _split_sde(linalg._canonical_int_vector(vec), k, shift)
-    return s if not lazy or s is None else PendingSDE(s.order, shift, lifted=s)
+        # fc is independent over Q: p was unlucky, as only finitely many are
+        p = next(q for q in itertools.count(p + 1) if ratroots._is_prime(q))
+    # columns past fc carry zeros, which _split_sde leaves implicit
+    s = _split_sde(linalg._canonical_int_vector(vec), k, shift)
+    return PendingSDE(k, shift, lifted=s) if lazy else s
 
 
 class PendingSDE:
@@ -482,7 +485,7 @@ class PendingSDE:
         when they do not decide it."""
         if not self.forced or self.lead_degree == 1:
             return False
-        lead, p = self._leads[0], ratroots._PRIME
+        lead, p = self._leads[0], self._pass[0].p
         if len(lead) == 3:
             return not ratroots._quadratic_roots_mod(lead, p)
         return len(lead) == 1 or len(ratroots._linear_part_mod(lead, p)) == 1
@@ -496,7 +499,7 @@ class PendingSDE:
             return False
         if self.lead_degree == 0:
             return True
-        (lead, below), p = self._leads, ratroots._PRIME
+        (lead, below), p = self._leads, self._pass[0].p
         norm = _norm_mod(lead, ratroots._deriv(lead), below, p)
         return norm is not None and all(
             _falling_eval_mod(norm, e - self.order + 1, p) for e in range(e_min, e_max + 1)
@@ -519,14 +522,10 @@ def _node_table(s: SDE) -> list[list[list[int]]]:
     return table
 
 
-def _at_node(table: list[list[list[int]]], node: Fraction) -> list[list[int]]:
-    """The table (or some of its rows) evaluated at b = node = a/d, all
-    entries scaled by d^D, D their largest degree in b, so they are integers."""
-    return list(_rows_at_node(table, node))
-
-
 def _rows_at_node(table: list[list[list[int]]], node: Fraction):
-    """The rows of _at_node(table, node), each evaluated when it is read."""
+    """The rows of the table evaluated at b = node = a/d, each when it is
+    read, all entries scaled by d^D, D their largest degree in b, so they
+    are integers."""
     a, d = node.numerator, node.denominator
     top = max(len(w) for row in table for w in row) - 1
     weights = [a**j * d ** (top - j) for j in range(top + 1)]
@@ -700,7 +699,7 @@ def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[F
                         )
         for b in roots:
             # the other rows can vanish only at the lowest one's zeros
-            rows = (r for r in (_at_node([row], b)[0] for row in table) if any(r))
+            rows = (r for r in _rows_at_node(table, b) if any(r))
             lowest = next(rows)
             zeros = _integer_roots(lowest, lo, hi)
             if zeros:

@@ -303,7 +303,7 @@ def per_exponent_loop(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, in
             linear = math.prod((UniPoly((-b, 1)) ** m for b, m in roots.items()), start=UniPoly([1]))
             h = ratroots.to_primitive_int(s.polys[k].quo_rem(linear)[0])
         above = table[s.order - k + 1 :]
-        candidates = [(b, [w for w in sde._at_node(table, b) if any(w)]) for b in sorted(roots)]
+        candidates = [(b, [w for w in sde._rows_at_node(table, b) if any(w)]) for b in sorted(roots)]
         for e in range(lo, hi + 1):
             falls = [math.perm(e, i) for i in range(s.order + 1)]
             g = h

@@ -1,10 +1,11 @@
 """The modular minimal-equation search against exact references.
 
 find_min_sde finds the first dependent column of the dependency matrix
-modulo a prime and lifts the dependency p-adically.  These tests force tiny
-primes, so that false dependencies and failed lifts are common, and check
-that the result still equals the per-order Bareiss search; a differential
-test compares against sympy's nullspace and rank.
+modulo a prime and lifts the dependency p-adically, retrying with the next
+prime when the lift fails.  These tests force tiny primes, so that false
+dependencies and failed lifts are common, and check that the result still
+equals the per-order Bareiss search; a differential test compares against
+sympy's nullspace and rank, at the default prime and at tiny ones.
 """
 
 import math
@@ -75,14 +76,19 @@ CORPUS = _corpus()
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
+    """(prime, columns) of every lift that failed, i.e. of every unlucky
+    prime find_min_sde retried past."""
     calls = []
-    original = sde._bareiss_search
+    original = sde._lift_dependency
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(profile, cols):
+        vec = original(profile, cols)
+        if vec is None:  # rightly: the last column is independent over Q
+            assert not linalg.kernel(linalg.IntMatrix.from_rows(list(zip(*cols))))
+            calls.append((profile.p, len(cols)))
+        return vec
 
-    monkeypatch.setattr(sde, "_bareiss_search", spy)
+    monkeypatch.setattr(sde, "_lift_dependency", spy)
     return calls
 
 
@@ -114,13 +120,61 @@ def test_matches_bareiss_reference(prime, monkeypatch, fallback_calls):
         assert not fallback_calls
 
 
-def test_fallback_starts_at_the_false_dependency(monkeypatch, fallback_calls):
+def test_retry_starts_after_the_false_dependency(monkeypatch, fallback_calls):
     # f = x^3 + 3x^2 - 1 has f' = 3x^2 + 6x, zero mod 3: the column of f'
-    # is a false dependency, found at order 1
+    # is a false dependency, found at order 1; the pass at 5 needs no retry
     f = UniPoly([-1, 0, 3, 1])
     monkeypatch.setattr(ratroots, "_PRIME", 3)
     assert flat(find_min_sde(f, 0)) == bareiss_reference(f, 0)
-    assert [call[3] for call in fallback_calls] == [1]
+    assert fallback_calls == [(3, 2)]
+
+
+def test_forced_equation_from_a_retry_prime(monkeypatch, fallback_calls):
+    # f' = 6x^5 - 30x^4 - 12x^3 - 27x^2 - 12x - 9 is zero mod 3, so at shift
+    # 1 the column of f', after f and x f, is a false dependency at 3; the
+    # pass at 5 runs to the forced column, and the equation is held unlifted
+    # with prime 5
+    f = UniPoly([-6, -9, -6, -9, -3, -6, 1])
+    lo, hi = 2, f.degree + (f.degree + 2) ** 2 // 8
+    monkeypatch.setattr(ratroots, "_PRIME", 3)
+    eq = find_min_sde(f, 1, lazy=True)
+    assert fallback_calls == [(3, 3)]
+    assert eq.forced and eq._pass[0].p == 5
+    assert (eq.order, eq.lead_degree) == (2, 3)
+    # decided with 5, as a pass started at 5 decides them
+    verdicts = eq.rootless, eq.refuses(lo, hi)
+    assert verdicts == (True, True)
+    monkeypatch.setattr(ratroots, "_PRIME", 5)
+    direct = find_min_sde(f, 1, lazy=True)
+    assert direct._pass[0].p == 5 and (direct.rootless, direct.refuses(lo, hi)) == verdicts
+    # and both verdicts hold for the lifted equation
+    s = eq.exact()
+    assert flat(s) == bareiss_reference(f, 1)
+    assert not ratroots.rational_roots_with_cofactor(s.polys[s.order])[0]
+    assert sde.power_solutions(s, lo, hi) == []
+
+
+def test_failed_lift_ends_at_its_second_attempt(monkeypatch, fallback_calls):
+    # the column sums tell each unlucky prime at modulus p^2, long before
+    # the Hadamard bound (68 to 434 steps here) would
+    attempts = []
+    original = sde._reconstruct_vector
+
+    def spy(xs, modulus):
+        attempts.append(modulus)
+        return original(xs, modulus)
+
+    monkeypatch.setattr(sde, "_reconstruct_vector", spy)
+    monkeypatch.setattr(ratroots, "_PRIME", 3)
+    rng = random.Random(30)
+    f = UniPoly([rng.randint(-9, 9) for _ in range(30)] + [5])
+    s = find_min_sde(f, 0)
+    unlucky = [p for p, _ in fallback_calls]
+    assert unlucky == [3, 5, 7, 11, 13]
+    # attempts at p and p^2 per unlucky prime, then only the lucky one's
+    assert attempts[:10] == [q for p in unlucky for q in (p, p * p)]
+    assert all(m % 17 == 0 for m in attempts[10:])
+    assert flat(s) == bareiss_reference(f, 0)
 
 
 W = 2**130  # wider than the square of the default prime
@@ -217,8 +271,11 @@ class TestAgainstSympy:
             n_rows, len(cols), lambda r, c: cols[c][r] if r < len(cols[c]) else 0
         )
 
-    def test_nullspace_and_minimality(self):
+    @pytest.mark.parametrize("prime", [None, 3, 5])
+    def test_nullspace_and_minimality(self, prime, monkeypatch, fallback_calls):
         sympy = pytest.importorskip("sympy")
+        if prime is not None:  # tiny primes: the retry path, against sympy
+            monkeypatch.setattr(ratroots, "_PRIME", prime)
         for f, shift in self._cases():
             s = find_min_sde(f, shift)
             null = self._matrix(sympy, f, s.order, shift).nullspace()
@@ -231,3 +288,4 @@ class TestAgainstSympy:
             assert flat(s)[1] == [v // g for v in ints]
             below = self._matrix(sympy, f, s.order - 1, shift)
             assert below.rank() == below.cols
+        assert bool(fallback_calls) == (prime is not None)

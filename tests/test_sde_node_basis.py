@@ -87,7 +87,7 @@ def dense_reference(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[Un
 def unfiltered_windows(s: SDE, node, delta: int, e_min: int, e_max: int) -> dict:
     """{e: window matrix at e} for every exponent of the range, built as
     shifted_poly_solutions built them before the indicial filter."""
-    rows = sde._at_node(sde._node_table(s), F(node))
+    rows = list(sde._rows_at_node(sde._node_table(s), F(node)))
     # windows[m - e_min][j]: the y^(m-order+j) entry of L((x - node)^m)
     windows = []
     for m in range(e_min, e_max + delta + 1):
@@ -352,7 +352,7 @@ def test_window_matches_dense_application():
     assert min(exponents) < eq.order < max(exponents)
     for c in (F(1, 3), F(-2), F(5, 7)):
         scale = F(c.denominator) ** top
-        rows = sde._at_node(table, c)
+        rows = list(sde._rows_at_node(table, c))
         # the symbolic rows evaluated at c, scaled by d^D
         assert rows == [
             [sum(v * c**k for k, v in enumerate(w)) * scale for w in row] for row in table

@@ -25,7 +25,7 @@ from .errors import (
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, _clear_denominators, _frac, _parse_int, _powers
+from .unipoly import UniPoly, _affine_power_ints, _clear_denominators, _frac, _parse_int, _powers
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,17 +195,16 @@ def _coords(
     cols, scales = [], []
     for node, part in candidates:
         a, d, top = node.numerator, node.denominator, max(part)
-        q = math.lcm(*(c.denominator for c in part.values()))
-        d_pow, a_pow = _powers(d, top), _powers(-a, top)
+        nums, q = _clear_denominators(list(part.values()))
+        d_pow = _powers(d, top)
         col = [0] * n_rows
-        for k, c in part.items():
-            scale = c.numerator * (q // c.denominator) * d_pow[top - k]
-            for i in range(k + 1):
-                col[i] += scale * math.comb(k, i) * d_pow[i] * a_pow[k - i]
+        for k, c in zip(part, nums):
+            scale = c * d_pow[top - k]
+            for i, v in enumerate(_affine_power_ints(a, d, k)):
+                col[i] += scale * v
         cols.append(col)
         scales.append(q * d_pow[top])
-    rhs = _clear_denominators([f.coeff(r) for r in range(n_rows)])
-    den = math.lcm(*(c.denominator for c in f.coeffs))
+    rhs, den = _clear_denominators([f.coeff(r) for r in range(n_rows)])
     mat = linalg.IntMatrix.from_rows(zip(*cols))
     try:
         res = linalg.solve(mat, rhs)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .decompose import Criterion, Decomposition, check_conditions
 from .errors import UnsatisfiableSpec
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _parse_int
 
 REGIMES = ("big_exponents", "distinct_nodes", "small_intervals", "big_gaps")
 
@@ -35,6 +35,10 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("s", "node_range", "seed"):
+            object.__setattr__(self, name, _parse_int(getattr(self, name)))
+        for name in ("exp_min", "exp_max", "min_gap"):
+            object.__setattr__(self, name, _optional_int(getattr(self, name)))
         if self.s < 1:
             raise ValueError("need at least one term")
         if self.node_range < 1:
@@ -45,6 +49,10 @@ class InstanceSpec:
             and self.exp_min > self.exp_max
         ):
             raise ValueError("exp_min exceeds exp_max")
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else _parse_int(value)
 
 
 def _nonzero_coeff(rng: random.Random) -> Fraction:
@@ -214,6 +222,7 @@ def generate_instance(
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
+    groups, delta = _optional_int(groups), _optional_int(delta)
     if regime != "small_intervals" and (groups is not None or delta is not None):
         raise ValueError("groups/delta only apply to the small_intervals regime")
     if spec.repeated_nodes and regime != "big_gaps":

@@ -77,7 +77,7 @@ def _bareiss(mat: list[list[int]]) -> list[int]:
 
 def _canonical_int_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to primitive integers with positive first nonzero entry."""
-    ints = _clear_denominators(vec)
+    ints = _clear_denominators(vec)[0]
     g = math.gcd(*ints)
     if g == 0:
         return tuple(Fraction(0) for _ in ints)

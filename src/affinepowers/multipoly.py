@@ -18,13 +18,12 @@ integer point (D = 1) a row entry costs one multiply and one add.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .unipoly import _frac, _parse_int, _powers
+from .unipoly import _clear_denominators, _frac, _parse_int, _powers
 
 
 def _nest(items, rest: int):
@@ -190,8 +189,7 @@ class MultiPoly:
         pt = [_frac(v) for v in point]
         if table is None:
             return Fraction(0)
-        d = math.lcm(*(x.denominator for x in pt))
-        nums = [x.numerator * (d // x.denominator) for x in pt]
+        nums, d = _clear_denominators(pt)
         tables = [_powers(x, top) for x, top in zip(nums, tops)]
         if d == 1:
             return Fraction(_horner(table, tables, nums[-1], None), den)
@@ -202,13 +200,10 @@ class MultiPoly:
         """(den, deg, largest exponent per variable, nested table), with den
         the lcm of the coefficient denominators and the table None for the
         zero polynomial.  See _nest for the table."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        nums, den = _clear_denominators(list(self.terms.values()))
         deg = self.total_degree()
         tops = [max((e[j] for e in self.terms), default=0) for j in range(self.n)]
-        scaled = sorted(
-            ((exps, c.numerator * (den // c.denominator)) for exps, c in self.terms.items()),
-            reverse=True,
-        )
+        scaled = sorted(zip(self.terms, nums), reverse=True)
         return den, deg, tops, _nest(scaled, deg) if scaled else None
 
     def __repr__(self) -> str:

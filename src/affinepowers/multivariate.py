@@ -82,7 +82,7 @@ class AffineChange:
         # M is invertible exactly when the j-th basis vector ends in a
         # nonzero multiple of e_j, the j-th inverse column over that entry;
         # a trailing 1 makes each cleared row end in its scale l_i
-        cleared = [_clear_denominators([*row, 1]) for row in matrix]
+        cleared = [_clear_denominators([*row, 1])[0] for row in matrix]
         mat = linalg.IntMatrix.from_rows(
             [*row[:-1], *(-row[-1] if k == i else 0 for k in range(n))]
             for i, row in enumerate(cleared)
@@ -227,13 +227,12 @@ class MultiDecomposition:
         vec = [_frac(v) for v in point]
         if len(vec) != self.n:
             raise DimensionMismatch("point length != variable count")
-        d = math.lcm(*(x.denominator for x in vec))
-        nums = [d, *(x.numerator * (d // x.denominator) for x in vec)]
+        nums, d = _clear_denominators(vec)
+        nums.insert(0, d)
         num, den = 0, 1
         for t in self.terms:
-            base = (t.form.constant, *t.form.coefficients)
-            b = math.lcm(*(v.denominator for v in base))
-            value = sum(v.numerator * (b // v.denominator) * x for v, x in zip(base, nums))
+            ints, b = _clear_denominators((t.form.constant, *t.form.coefficients))
+            value = sum(v * x for v, x in zip(ints, nums))
             t_den = t.coeff.denominator * (b * d) ** t.exponent
             num = num * t_den + t.coeff.numerator * value**t.exponent * den
             den *= t_den
@@ -247,13 +246,8 @@ class MultiDecomposition:
         out: dict[tuple[int, ...], Fraction] = {}
         for t in self.terms:
             e = t.exponent
-            base = (t.form.constant, *t.form.coefficients)
-            den = math.lcm(*(b.denominator for b in base))
-            live = [
-                (j, _powers(b.numerator * (den // b.denominator), e))
-                for j, b in enumerate(base)
-                if b
-            ]
+            ints, den = _clear_denominators((t.form.constant, *t.form.coefficients))
+            live = [(j, _powers(b, e)) for j, b in enumerate(ints) if b]
             fact = [math.factorial(k) for k in range(e + 1)]
             scale = t.coeff / den**e
             for ks in _compositions(e, len(live)):
@@ -296,8 +290,7 @@ def project_to_axis(
     if change.n != bb.n:
         raise DimensionMismatch("point length != variable count")
     ends = (*change.offset, *(row[axis] for row in change.matrix))
-    den = math.lcm(*(v.denominator for v in ends))
-    ints = [v.numerator * (den // v.denominator) for v in ends]
+    ints, den = _clear_denominators(ends)
     point, step = ints[: bb.n], ints[bb.n :]
     if origin is None:
         origin = bb.eval([Fraction(v, den) for v in point])

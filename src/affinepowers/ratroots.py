@@ -103,7 +103,7 @@ def poly_gcd_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def to_primitive_int(f: UniPoly) -> list[int]:
     """Primitive integer coefficient list proportional to f (positive lead)."""
-    return _primitive(_clear_denominators(f.coeffs))
+    return _primitive(_clear_denominators(f.coeffs)[0])
 
 
 # -- modular machinery ---------------------------------------------------
@@ -277,11 +277,6 @@ def _rational_reconstruct(u: int, m: int, num_bound: int, den_bound: int) -> Fra
     return Fraction(num, den)
 
 
-def _is_root(cs: Sequence[int], cand: Fraction) -> bool:
-    """Exact test cs(cand) == 0, for a nonzero cs."""
-    return _multiplicity(cs, cand) > 0
-
-
 def _roots_of_squarefree(sf: Sequence[int]) -> list[Fraction]:
     """All rational roots of a primitive squarefree integer polynomial."""
     deg = len(sf) - 1
@@ -312,7 +307,7 @@ def _roots_of_squarefree(sf: Sequence[int]) -> list[Fraction]:
     for r0 in _split_mod(_linear_part_mod(sf, p), p):
         lifted, modulus = _hensel_lift(sf, dsf, r0, p, target)
         cand = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
-        if cand is not None and _is_root(sf, cand):
+        if cand is not None and _multiplicity(sf, cand):
             found.append(cand)
     return sorted(set(found))
 

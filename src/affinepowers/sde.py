@@ -85,7 +85,7 @@ from typing import Sequence
 
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
-from .unipoly import ONE, ZERO, UniPoly, _clear_denominators, _parse_int, _powers
+from .unipoly import ONE, ZERO, UniPoly, _affine_power_ints, _clear_denominators, _parse_int
 
 @dataclass(frozen=True)
 class SDE:
@@ -112,7 +112,7 @@ class SDE:
         """Coefficient polynomials as integer lists, all scaled by the
         least common denominator of their coefficients (1 for a canonical
         equation)."""
-        scaled = iter(_clear_denominators([c for p in self.polys for c in p.coeffs]))
+        scaled = iter(_clear_denominators([c for p in self.polys for c in p.coeffs])[0])
         return [[next(scaled) for _ in p.coeffs] for p in self.polys]
 
     def _lead_roots(self, k: int) -> tuple[dict[Fraction, int], int]:
@@ -137,9 +137,8 @@ def apply_sde(s: SDE, f: UniPoly) -> UniPoly:
 
     Summed in integers: with f = F/d and P_i = p_i/l over common
     denominators (p_i from int_polys), the image is sum_i p_i * F^(i) / (l*d)."""
-    d = math.lcm(*(c.denominator for c in f.coeffs))
+    df, d = _clear_denominators(f.coeffs)
     l = math.lcm(*(c.denominator for p in s.polys for c in p.coeffs))
-    df = _clear_denominators(f.coeffs)
     total = [0] * (len(df) + s.shift)
     for i, p in enumerate(s.int_polys()):
         if i:
@@ -206,14 +205,17 @@ class _ModularProfile:
     reduced[t] is 1 at its pivot row, 0 at the pivot rows chosen before it
     and upper[c][c] is nonzero (its inverse, which normalized reduced[c],
     is kept in inverses[c]).  On the pivot rows this is an LU factorization
-    of the columns added so far, which solver() reuses.
+    of the columns added so far, which solve() reuses: forward substitution
+    on lower, back substitution on rows, the upper factor's rows, each
+    extended as a column is added.
 
     Reduced entries are kept only on the pivot rows (lower) and on the
     witness, the lowest row that is not a pivot (at_witness).  A new
     column's coordinates come from the pivot rows and its residual is
     formed on the witness alone: nonzero there, the column is independent
-    and the witness becomes its pivot.  Zero there, the all-row check takes
-    the column's coordinates w on the added columns (cols) and forms
+    and the witness becomes its pivot.  Zero there, the all-row check
+    back-substitutes the coordinates of that test to the column's
+    coordinates w on the added columns (cols) and forms
     col - sum_s w[s] * cols[s] on every row: zero everywhere, the column is
     dependent; otherwise its first nonzero row becomes the pivot.  A column
     is called dependent only on every row, so the first dependent column is
@@ -230,6 +232,7 @@ class _ModularProfile:
         self.pivot_rows: list[int] = []
         self.lower: list[list[int]] = []  # lower[t][s] = reduced[s][pivot_rows[t]], s < t
         self.upper: list[list[int]] = []
+        self.rows: list[list[int]] = []  # rows[c] = [upper[c2][c] for c2 > c]
         self.inverses: list[int] = []
         self.witness = 0
         self.at_witness: list[int] = []  # at_witness[t] = reduced[t][witness]
@@ -265,13 +268,16 @@ class _ModularProfile:
             piv, low = w, self.at_witness
         else:  # the all-row check, on the columns themselves
             res = list(col)
-            for c, v in zip(self.cols, self.solver()(y)):
+            for c, v in zip(self.cols, self._back(coords)):
                 if v:
                     res = [a - v * b for a, b in zip(res, c)]
             piv = next((r for r, a in enumerate(res) if a % p), None)
             if piv is None:
                 return False
             x, low = res[piv] % p, self._reduced_at(piv)
+        for row, u in zip(self.rows, coords):
+            row.append(u)
+        self.rows.append([])
         coords.append(x)
         self.upper.append(coords)
         self.inverses.append(pow(x, -1, p))
@@ -287,22 +293,19 @@ class _ModularProfile:
         self.at_witness = self._reduced_at(w) if w < self.n_rows else []
         return True
 
-    def solver(self):
-        """y -> B^-1 y mod p, for B the added columns restricted to the
-        pivot rows (rows and y in pivot order)."""
-        p = self.p
-        m = len(self.pivot_rows)
-        upper = [[self.upper[c2][c] for c2 in range(c + 1, m)] for c in range(m)]
-        inv = self.inverses
+    def _back(self, z: Sequence[int]) -> list[int]:
+        """Back substitution: coordinates on the added columns of a vector
+        whose coordinates on the reduced columns are z."""
+        p, rows, inv = self.p, self.rows, self.inverses
+        x = [0] * len(z)
+        for c in range(len(z) - 1, -1, -1):
+            x[c] = (z[c] - sum(map(operator.mul, rows[c], x[c + 1 :]))) * inv[c] % p
+        return x
 
-        def solve(y: Sequence[int]) -> list[int]:
-            z = self._coords(y)
-            x = [0] * m
-            for c in range(m - 1, -1, -1):
-                x[c] = (z[c] - sum(map(operator.mul, upper[c], x[c + 1 :]))) * inv[c] % p
-            return x
-
-        return solve
+    def solve(self, y: Sequence[int]) -> list[int]:
+        """B^-1 y mod p, for B the added columns restricted to the pivot
+        rows (rows and y in pivot order)."""
+        return self._back(self._coords(y))
 
 
 def _reconstruct_vector(xs: Sequence[int], modulus: int) -> list[int] | None:
@@ -341,7 +344,7 @@ def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[in
     h2 = 1
     for c in range(m + 1):
         h2 *= max(1, sum(cols[c][r] ** 2 for r in rows))
-    solve = profile.solver()
+    solve = profile.solve
     acc = [0] * m
     sums = None
     modulus, steps, attempt = 1, 0, 1
@@ -470,7 +473,7 @@ class PendingSDE:
         """P_order and P_(order-1) modulo p, up to one unit, from the kernel
         vector mod p; P_order ends in its coefficient at fc, 1."""
         profile, cols = self._pass
-        vec = profile.solver()([-cols[-1][r] for r in profile.pivot_rows]) + [1]
+        vec = profile.solve([-cols[-1][r] for r in profile.pivot_rows]) + [1]
         start = [i * self.shift + i * (i + 1) // 2 for i in (self.order - 1, self.order)]
         return vec[start[1] :], vec[start[0] : start[1]]
 
@@ -707,8 +710,7 @@ def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[F
                 out += [(b, e) for e in zeros if not any(_image(rows, e))]
     for b, e in out:
         # (d x - a)^e, a multiple of (x - b)^e, in integers
-        ds, nums = _powers(b.denominator, e), _powers(-b.numerator, e)
-        power = UniPoly([math.comb(e, j) * ds[j] * nums[e - j] for j in range(e + 1)])
+        power = UniPoly(_affine_power_ints(b.numerator, b.denominator, e))
         if not apply_sde(s, power).is_zero():
             raise RuntimeError("power solution failed verification")
     out.sort(key=lambda be: (be[1], be[0]))

@@ -15,7 +15,9 @@ from typing import Iterable, Sequence
 from .errors import DuplicateAbscissa, ZeroPolynomial
 
 
-# -- rational-to-integer layer, shared with the other modules -----------
+# -- the rational-to-integer layer: the one implementation of each step --
+# (integer parsing, power tables, common denominators, (d x - a)^e, root
+# multiplicity) that every other module calls
 
 
 def _frac(value) -> Fraction:
@@ -45,11 +47,18 @@ def _powers(base: int, top: int) -> list[int]:
     return out
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
-    """values times the lcm of their denominators, the least positive
-    integer that makes every entry integral."""
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(values times lcm, lcm), lcm the lcm of their denominators: the
+    least positive integer that makes every entry integral."""
     lcm = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (lcm // v.denominator) for v in values]
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
+def _affine_power_ints(a: int, d: int, e: int) -> list[int]:
+    """Coefficients of (d x - a)^e, lowest degree first:
+    C(e, k) d^k (-a)^(e-k) at x^k."""
+    ds, nums = _powers(d, e), _powers(-a, e)
+    return [math.comb(e, k) * ds[k] * nums[e - k] for k in range(e + 1)]
 
 
 def _multiplicity(cs: Sequence[int], root: Fraction) -> int:
@@ -99,15 +108,10 @@ class UniPoly:
             raise ValueError("exponent must be nonnegative")
         a = _frac(node)
         c = _frac(coeff)
-        # with c = n/m and node = p/q the coefficient of x^k is
-        # n * C(e, k) * (-p)^(e-k) / (m * q^(e-k))
-        tops = _powers(-a.numerator, exponent)
-        bottoms = _powers(a.denominator, exponent)
-        return cls([
-            Fraction(c.numerator * math.comb(exponent, k) * tops[exponent - k],
-                     c.denominator * bottoms[exponent - k])
-            for k in range(exponent + 1)
-        ])
+        # with c = n/m and node = p/q this is n (q x - p)^e / (m q^e)
+        den = c.denominator * a.denominator**exponent
+        ints = _affine_power_ints(a.numerator, a.denominator, exponent)
+        return cls([Fraction(c.numerator * v, den) for v in ints])
 
     # -- basic queries ------------------------------------------------
 
@@ -263,7 +267,7 @@ class UniPoly:
         """
         if self.is_zero():
             raise ZeroPolynomial("multiplicity undefined for the zero polynomial")
-        return _multiplicity(_clear_denominators(self.coeffs), _frac(a))
+        return _multiplicity(_clear_denominators(self.coeffs)[0], _frac(a))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
@@ -297,12 +301,10 @@ def interpolate(points: Sequence[tuple]) -> UniPoly:
     m = len(xs) - 1
     if m < 1:
         return UniPoly(ys)
-    big_l = math.lcm(*(x.denominator for x in xs))
-    big_x = [x.numerator * (big_l // x.denominator) for x in xs]
+    big_x, big_l = _clear_denominators(xs)
     w = big_x[1] - big_x[0]
     if all(b - a == w for a, b in zip(big_x[1:], big_x[2:])):
-        den = math.lcm(*(y.denominator for y in ys))
-        diffs = [y.numerator * (den // y.denominator) for y in ys]
+        diffs, den = _clear_denominators(ys)
         for level in range(1, m + 1):
             for i in range(m, level - 1, -1):
                 diffs[i] -= diffs[i - 1]
@@ -317,8 +319,7 @@ def interpolate(points: Sequence[tuple]) -> UniPoly:
         for level in range(1, m + 1):
             for i in range(m, level - 1, -1):
                 dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-        den = math.lcm(*(c.denominator for c in dd))
-        diffs = [c.numerator * (den // c.denominator) for c in dd]
+        diffs, den = _clear_denominators(dd)
         w = big_l
     # Horner: acc <- acc * (L x - X_k) + a_k w^(m-k), lowest degree first
     acc = [diffs[m]]

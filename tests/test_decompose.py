@@ -376,7 +376,7 @@ def solve_in_basis(target: UniPoly, basis: list[UniPoly]) -> list[Fraction]:
         raise ReconstructionFailed("no candidate terms to combine")
     n_rows = max([target.degree, 0] + [p.degree for p in basis]) + 1
     rows = [
-        _clear_denominators([p.coeff(r) for p in basis] + [target.coeff(r)])
+        _clear_denominators([p.coeff(r) for p in basis] + [target.coeff(r)])[0]
         for r in range(n_rows)
     ]
     mat = linalg.IntMatrix.from_rows(row[:-1] for row in rows)

@@ -70,6 +70,60 @@ class TestSpecValidation:
             )
 
 
+class TestIntegerFields:
+    """Every integer knob goes through unipoly._parse_int, as SDE, BlackBox,
+    MultiPoly and serialize do: a bool, a float or a non-integral value is
+    refused with ValueError, and None stays None where a field is
+    optional."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("s", True),
+            ("s", 2.5),
+            ("s", 2.0),
+            ("exp_min", 30.5),
+            ("exp_max", False),
+            ("min_gap", 1.5),
+            ("node_range", 2.5),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_spec_refuses(self, field, value):
+        kwargs = {"s": 2, field: value}
+        with pytest.raises(ValueError, match="expected an integer"):
+            InstanceSpec(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [("groups", 1.5), ("groups", True), ("delta", 1.0)])
+    def test_generate_instance_refuses(self, field, value):
+        with pytest.raises(ValueError, match="expected an integer"):
+            generate_instance(InstanceSpec(s=2), "small_intervals", **{field: value})
+
+    def test_optional_fields_stay_none(self):
+        spec = InstanceSpec(s=2)
+        assert (spec.exp_min, spec.exp_max, spec.min_gap) == (None, None, None)
+
+    def test_integer_strings_are_read(self):
+        assert InstanceSpec(s="3", exp_min="10", seed="4") == InstanceSpec(s=3, exp_min=10, seed=4)
+
+    @pytest.mark.parametrize(
+        "regime, kwargs, terms",
+        [
+            ("big_exponents", {}, [(7, 7, 58), (6, -3, 52), (-4, 5, 51)]),
+            ("distinct_nodes", {}, [(-4, 7, 90), (-3, 9, 42), (9, 5, 14)]),
+            ("big_gaps", {}, [(5, 7, 79), (-6, -3, 53), (-4, 7, 26)]),
+            ("small_intervals", {"groups": 2, "delta": 1}, [(7, 7, 58), (-4, 7, 57), (9, 5, 47)]),
+        ],
+    )
+    def test_valid_specs_generate_the_pinned_instances(self, regime, kwargs, terms):
+        # the benchmark pools come from generate_instance, so a valid spec
+        # must keep drawing the same instance
+        spec = InstanceSpec(s=3, seed=11, repeated_nodes=regime == "big_gaps")
+        _, dec = generate_instance(spec, regime, **kwargs)
+        assert [(t.coeff, t.node, t.exponent) for t in dec.terms] == terms
+
+
 class TestDeterminismAndConsistency:
     def test_same_seed_same_instance(self):
         for regime in REGIMES:

@@ -4,7 +4,9 @@ arithmetic.
 Each scaling is pinned down by properties that determine its output
 uniquely (integer entries, proportional to the input, primitive or minimal,
 sign convention), so passing them means the output is exactly the one
-intended, whatever the implementation.
+intended, whatever the implementation.  The two shared steps are checked
+directly: _clear_denominators against the lcm of the denominators, and
+_affine_power_ints against sympy's expansion of (d x - a)^e.
 """
 
 import math
@@ -13,12 +15,13 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from affinepowers import AffineChange, ReconstructionFailed, linalg, ratroots  # noqa: E402
 from affinepowers.decompose import _coords  # noqa: E402
 from affinepowers.sde import canonical_sde  # noqa: E402
-from affinepowers.unipoly import UniPoly  # noqa: E402
+from affinepowers.unipoly import UniPoly, _affine_power_ints, _clear_denominators  # noqa: E402
 
 F = Fraction
 
@@ -50,6 +53,69 @@ def assert_canonical(out, values):
     if any(values):
         assert math.gcd(*(int(v) for v in out)) == 1
         assert next(v for v in out if v) > 0
+
+
+class TestClearDenominators:
+    @PROPERTY
+    @given(vectors)
+    def test_numerators_and_least_common_denominator(self, values):
+        nums, lcm = _clear_denominators(values)
+        assert all(type(v) is int for v in nums)
+        assert lcm == math.lcm(*(v.denominator for v in values))
+        assert [F(n, lcm) for n in nums] == values
+
+    def test_known_and_empty(self):
+        assert _clear_denominators([F(1, 2), F(-2, 3), F(5)]) == ([3, -4, 30], 6)
+        assert _clear_denominators([3, -7]) == ([3, -7], 1)
+        assert _clear_denominators([]) == ([], 1)
+
+
+class TestAffinePowerInts:
+    """_affine_power_ints(a, d, e) is (d x - a)^e in integers, lowest
+    degree first; sympy's Poly expansion is the oracle."""
+
+    @staticmethod
+    def sympy_ints(a, d, e):
+        x = sympy.Symbol("x")
+        return [int(c) for c in reversed(sympy.Poly((d * x - a) ** e, x).all_coeffs())]
+
+    @pytest.mark.parametrize(
+        "a, d, e",
+        [(0, 1, 0), (5, 1, 0), (0, 1, 6), (-3, 1, 4), (1, 2, 9), (-7, 5, 13), (2**70 + 1, 3**40, 5)],
+    )
+    def test_known(self, a, d, e):
+        assert _affine_power_ints(a, d, e) == self.sympy_ints(a, d, e)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.integers(-(10**12), 10**12), st.integers(1, 10**6), st.integers(0, 30))
+    def test_matches_sympy(self, a, d, e):
+        assert _affine_power_ints(a, d, e) == self.sympy_ints(a, d, e)
+
+
+def old_affine_power(coeff, node, e) -> UniPoly:
+    """UniPoly.affine_power as it was before _affine_power_ints: the x^k
+    coefficient n C(e, k) (-p)^(e-k) / (m q^(e-k)) for coeff = n/m and
+    node = p/q."""
+    a, c = F(node), F(coeff)
+    return UniPoly(
+        F(c.numerator * math.comb(e, k) * (-a.numerator) ** (e - k), c.denominator * a.denominator ** (e - k))
+        for k in range(e + 1)
+    )
+
+
+class TestAffinePower:
+    @PROPERTY
+    @given(rationals, rationals, st.integers(0, 40))
+    def test_unchanged_on_rational_nodes_and_coefficients(self, coeff, node, e):
+        got = UniPoly.affine_power(coeff, node, e)
+        assert got == old_affine_power(coeff, node, e)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_known_fractional(self):
+        # 2/3 (x - 1/2)^2 = 2/3 x^2 - 2/3 x + 1/6
+        assert UniPoly.affine_power(F(2, 3), F(1, 2), 2) == UniPoly([F(1, 6), F(-2, 3), F(2, 3)])
+        assert UniPoly.affine_power(F(-5, 7), F(-4, 3), 0) == UniPoly([F(-5, 7)])
+        assert UniPoly.affine_power(0, F(1, 2), 5) == UniPoly()
 
 
 class TestCanonicalIntVector:

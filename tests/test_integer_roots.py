@@ -5,7 +5,11 @@ I(m) = sum_i perm(m, i) * row[i] vanishes, by a forward-difference sweep
 clipped to a root bound.  direct() is the per-exponent evaluation it
 replaced.  Rows built from known integer roots (times rational and
 irreducible factors, and scaled past 2^1100) are checked on ranges far wider
-than any root, where the clip decides what is swept.
+than any root, where the clip decides what is swept.  sympy is an outside
+oracle: it expands I(m) from its falling factorials (ff, expand_func) and
+finds its integer roots (Poly.ground_roots), for small rows and for rows
+with coefficients near 2^1100, where the integer Fujiwara bound clips the
+sweep.
 """
 
 import math
@@ -14,6 +18,8 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+sympy = pytest.importorskip("sympy")
 
 from affinepowers import sde  # noqa: E402
 
@@ -111,3 +117,61 @@ def test_huge_coefficients_and_a_huge_root():
 def test_constant_row_has_no_roots():
     assert sde._integer_roots([5], 0, 100) == []
     assert sde._integer_roots([5, 0, 0], 0, 100) == []
+
+
+ORACLE = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+
+def sympy_roots(row, lo, hi):
+    """The integer roots of I(m) = sum_i row[i] * ff(m, i) in lo..hi, by
+    sympy; ground_roots gives every rational root."""
+    m = sympy.Symbol("m")
+    poly = sympy.Poly(sympy.expand_func(sum(c * sympy.ff(m, i) for i, c in enumerate(row))), m)
+    if poly.degree() < 1:
+        return []
+    return sorted(int(r) for r in poly.ground_roots() if r.is_integer and lo <= r <= hi)
+
+
+@ORACLE
+@given(rows, st.integers(0, 12), st.integers(-3, 60))
+@example([0, 0, 0, 1], 0, 10)
+@example([-6, 1, 0, 0], 1, 20)
+def test_small_rows_match_sympy(row, lo, length):
+    hi = lo + length
+    assert sde._integer_roots(row, lo, hi) == sympy_roots(row, lo, hi)
+
+
+BIG = 1 << 1100
+
+
+@ORACLE
+@given(
+    st.lists(st.integers(-20, 60), max_size=4),
+    st.lists(st.sampled_from(FACTORS), max_size=1),
+    st.sampled_from([BIG + 1, -(BIG - 3), 3 * BIG]),
+    st.integers(0, 30),
+)
+def test_huge_rows_match_sympy(roots, extra, scale, lo):
+    # the scale alone is huge, so the bound, from ratios of coefficients,
+    # clips the sweep far below hi
+    row = falling_row(with_roots(roots, extra, scale))
+    assert sde._integer_roots(row, lo, 10**9) == sympy_roots(row, lo, 10**9)
+
+
+@pytest.mark.parametrize(
+    "roots, scale, lo, hi",
+    [
+        # a root near 2^1100 puts the bound beyond any range: hi ends the sweep
+        ([3, BIG], BIG + 7, 1, 1000),
+        ([5, 17, BIG + 1], 1, 0, 2000),
+        ([BIG], 1, 0, 500),
+        # huge coefficients with small roots: the bound ends the sweep
+        ([2, 9], BIG - 1, 0, 10**9),
+        ([1500, 7], BIG + 3, 0, 10**9),
+        ([0, 30, 61], -3 * BIG, 0, 10**9),
+    ],
+)
+def test_clipped_sweeps_match_sympy(roots, scale, lo, hi):
+    row = falling_row(with_roots(roots, scale=scale))
+    assert max(abs(c) for c in row).bit_length() > 1000
+    assert sde._integer_roots(row, lo, hi) == sympy_roots(row, lo, hi)

@@ -15,13 +15,13 @@ F = Fraction
 def M(rows) -> IntMatrix:
     """Integer matrix from rational rows, each cleared of its denominators
     (row scaling keeps the null space)."""
-    return IntMatrix.from_rows(_clear_denominators([F(v) for v in row]) for row in rows)
+    return IntMatrix.from_rows(_clear_denominators([F(v) for v in row])[0] for row in rows)
 
 
 def system(rows, rhs) -> tuple[IntMatrix, list[int]]:
     """Integer system from a rational one, each row cleared together with
     its rhs entry (row scaling keeps the solution set)."""
-    cleared = [_clear_denominators([*map(F, row), F(v)]) for row, v in zip(rows, rhs)]
+    cleared = [_clear_denominators([*map(F, row), F(v)])[0] for row, v in zip(rows, rhs)]
     return IntMatrix.from_rows(r[:-1] for r in cleared), [r[-1] for r in cleared]
 
 

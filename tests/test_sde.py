@@ -47,7 +47,7 @@ def coeff_rank(fs) -> int:
     deg = max((f.degree for f in fs), default=-1)
     if deg < 0:
         return 0
-    cols = [_clear_denominators([f.coeff(k) for f in fs]) for k in range(deg + 1)]
+    cols = [_clear_denominators([f.coeff(k) for f in fs])[0] for k in range(deg + 1)]
     return len(fs) - len(kernel(IntMatrix.from_rows(cols)))
 
 
@@ -378,7 +378,7 @@ class TestShiftedPolySolutions:
         sols = solutions_in_x(s, F(1), 1, 10, 15)
         assert len(sols) == 1
         deg = max(sols[0].degree, f.degree)
-        rows = [_clear_denominators([sols[0].coeff(k), f.coeff(k)]) for k in range(deg + 1)]
+        rows = [_clear_denominators([sols[0].coeff(k), f.coeff(k)])[0] for k in range(deg + 1)]
         res = solve(IntMatrix.from_rows(r[:1] for r in rows), [r[1] for r in rows])
         assert res.unique
 

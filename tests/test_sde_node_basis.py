@@ -65,7 +65,7 @@ def dense_reference(s: SDE, node, delta: int, e_min: int, e_max: int) -> list[Un
     for e in range(e_min, e_max + 1):
         n_rows = max(1, max(applied[e + t].degree for t in range(delta + 1)) + 1)
         mat = [[applied[e + t].coeff(r) for t in range(delta + 1)] for r in range(n_rows)]
-        for vec in linalg.kernel(linalg.IntMatrix.from_rows(map(_clear_denominators, mat))):
+        for vec in linalg.kernel(linalg.IntMatrix.from_rows(_clear_denominators(row)[0] for row in mat)):
             combo = UniPoly()
             for t, coef in enumerate(vec):
                 combo = combo + powers[e + t].scale(coef)

@@ -65,20 +65,15 @@ class FullRowProfile:
             row.append(x * inv % p)
         return True
 
-    def solver(self):
+    def solve(self, y):
         p = self.p
         m = len(self.pivot_rows)
         upper = [[self.upper[c2][c] for c2 in range(c + 1, m)] for c in range(m)]
-        inv = self.inverses
-
-        def solve(y):
-            z = self._coords(y)
-            x = [0] * m
-            for c in range(m - 1, -1, -1):
-                x[c] = (z[c] - sum(map(operator.mul, upper[c], x[c + 1 :]))) * inv[c] % p
-            return x
-
-        return solve
+        z = self._coords(y)
+        x = [0] * m
+        for c in range(m - 1, -1, -1):
+            x[c] = (z[c] - sum(map(operator.mul, upper[c], x[c + 1 :]))) * self.inverses[c] % p
+        return x
 
 
 def derivatives(f, order):
@@ -99,7 +94,7 @@ def modular_pass(profile_cls, f, shift, max_order=None):
     columns = (sde._column(derivs[k], j, n_rows) for k in range(max_order + 1) for j in range(k + shift + 1))
     for fc, col in enumerate(columns, 1):
         if not profile.add(col):
-            return fc, profile.solver()([-col[r] for r in profile.pivot_rows]) + [1], profile
+            return fc, profile.solve([-col[r] for r in profile.pivot_rows]) + [1], profile
     return None, None, profile
 
 

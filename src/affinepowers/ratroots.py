@@ -167,6 +167,24 @@ def _reduce_mod(r: list[int], low: Sequence[int], p: int) -> list[int]:
     return [x % p for x in r[:n]]
 
 
+def _resultant_mod(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Res(a, b) modulo the prime p for a monic a: the product of b over
+    the roots of a, i.e. the determinant of multiplication by b modulo a.
+    By the Euclidean remainder sequence: Res(a, b) = Res(a, b mod a), and
+    for r = b mod a of degree m with leading coefficient c, Res(a, r) =
+    (-1)^(m deg a) c^(deg a) Res(r / c, a)."""
+    low, res = [c % p for c in a[:-1]], 1  # a = x^n + sum low[k] x^k
+    while low:
+        r = _strip(_reduce_mod(list(b), low, p))
+        if not r:
+            return 0
+        n, m, c = len(low), len(r) - 1, r[-1]
+        res = res * pow(c, n, p) * (-1) ** (n * m) % p
+        inv = pow(c, -1, p)
+        low, b = [x * inv % p for x in r[:-1]], low + [1]
+    return res
+
+
 def _square_mod(cs: Sequence[int], p: int) -> list[int]:
     """The square of a polynomial with entries in 0..p-1, modulo p, by one
     integer product (Kronecker substitution): each entry gets a slot of

@@ -64,10 +64,10 @@ instead of testing each exponent.  The nodes of pure powers (x - c)^e are
 the rational roots of the lead P_k, k the largest i <= min(e, order) with
 P_i nonzero; the part h of P_k without rational roots is reduced by gcd
 against the rows with c symbolic, behind a screen modulo a prime: the next
-row is coprime to h wherever the norm N(t) = det(multiplication by
-t * P_k' + P_{k-1} modulo h) is nonzero at t = e-k+1.  A nonconstant gcd
-proves an irrational node.  Every pair found is checked once more with
-apply_sde.
+row is coprime to h wherever the norm N(t) = Res(h / lc(h), t * P_k' +
+P_{k-1}), the product of t * P_k' + P_{k-1} over the roots of h, is nonzero
+at t = e-k+1.  A nonconstant gcd proves an irrational node.  Every pair
+found is checked once more with apply_sde.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -85,7 +85,7 @@ from typing import Sequence
 
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
-from .unipoly import ONE, ZERO, UniPoly, _affine_power_ints, _clear_denominators, _parse_int
+from .unipoly import ONE, ZERO, UniPoly, _affine_power_ints, _clear_denominators, _differences, _parse_int
 
 @dataclass(frozen=True)
 class SDE:
@@ -142,7 +142,7 @@ def apply_sde(s: SDE, f: UniPoly) -> UniPoly:
     total = [0] * (len(df) + s.shift)
     for i, p in enumerate(s.int_polys()):
         if i:
-            df = [k * df[k] for k in range(1, len(df))]
+            df = ratroots._deriv(df)
         for j, c in enumerate(p):
             if c:
                 for k, v in enumerate(df, j):
@@ -536,59 +536,26 @@ def _rows_at_node(table: list[list[list[int]]], node: Fraction):
 
 
 def _norm_mod(h: list[int], a: list[int], b: list[int], p: int) -> list[int] | None:
-    """N(t) = det of multiplication by t*a + b in Q[x]/(h), modulo the prime
-    p, in the falling-factorial basis: N(t) = sum_j c[j] * t!/(t-j)!.  N(t)
-    is nonzero, so t*a + b is coprime to h, wherever N(t) mod p is.  None
-    when p divides lc(h) (h mod p has lower degree) or deg h >= p (too few
-    points to interpolate)."""
+    """N(t) = Res(h / lc(h), t*a + b), the norm of t*a + b from Q[x]/(h),
+    modulo the prime p, in the falling-factorial basis: N(t) = sum_j c[j] *
+    t!/(t-j)!, from the resultants at t = 0..deg h and their forward
+    differences.  N(t) is nonzero, so t*a + b is coprime to h, wherever
+    N(t) mod p is.  None when p divides lc(h) (h mod p has lower degree) or
+    deg h >= p (too few points to interpolate)."""
     d = len(h) - 1
     if h[-1] % p == 0 or d >= p:
         return None
     inv = pow(h[-1], -1, p)
     low = [c * inv % p for c in h[:-1]]  # h made monic mod p
-
-    def columns(q: list[int]) -> list[list[int]]:
-        """q * x^i mod h for i < d, padded to d entries."""
-        col = ratroots._reduce_mod(list(q), low, p)
-        cols = []
-        for _ in range(d):
-            col += [0] * (d - len(col))
-            cols.append(col)
-            col = ratroots._reduce_mod([0] + col, low, p)
-        return cols
-
-    ma, mb = columns(a), columns(b)
-    values = [
-        _det_mod([[(t * x + y) % p for x, y in zip(ca, cb)] for ca, cb in zip(ma, mb)], p)
-        for t in range(d + 1)
-    ]
-    # forward differences at t = 0..d give the falling-factorial coefficients
+    ra, rb = (ratroots._reduce_mod(list(q), low, p) for q in (a, b))
+    pairs = list(itertools.zip_longest(ra, rb, fillvalue=0))
+    values = [ratroots._resultant_mod(low + [1], [t * x + y for x, y in pairs], p) for t in range(d + 1)]
+    # the forward differences at t = 0 are j! times the coefficients
     coeffs, fact = [], 1
-    for j in range(d + 1):
-        coeffs.append(values[0] * pow(fact, -1, p) % p)
-        values = [(v - u) % p for u, v in zip(values, values[1:])]
+    for j, v in enumerate(_differences(values)):
+        coeffs.append(v * pow(fact, -1, p) % p)
         fact = fact * (j + 1) % p
     return coeffs
-
-
-def _det_mod(m: list[list[int]], p: int) -> int:
-    """Determinant modulo the prime p by Gaussian elimination, which
-    overwrites m."""
-    det = 1
-    for c in range(len(m)):
-        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for r in range(c + 1, len(m)):
-            f = m[r][c] * inv % p
-            if f:
-                m[r][c:] = [(x - f * y) % p for x, y in zip(m[r][c:], m[c][c:])]
-    return det % p
 
 
 def _integer_roots(row: list[int], lo: int, hi: int) -> list[int]:
@@ -607,9 +574,7 @@ def _integer_roots(row: list[int], lo: int, hi: int) -> list[int]:
         t = max(c.bit_length() - top.bit_length(), 0)
         exp = max(exp, -(-(t + (top << t < c)) // i))
     hi = min(hi, 2 << exp) if deg > 0 else lo - 1
-    diffs = [sum(c * m**j for j, c in enumerate(cs)) for m in range(lo, lo + deg + 1)]
-    for j in range(1, deg + 1):
-        diffs[j:] = [v - u for u, v in zip(diffs[j - 1 :], diffs[j:])]
+    diffs = _differences([sum(c * m**j for j, c in enumerate(cs)) for m in range(lo, lo + deg + 1)])
     out = []
     for m in range(lo, hi + 1):
         if not diffs[0]:

@@ -54,6 +54,17 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
+def _differences(values: Sequence[int]) -> list[int]:
+    """The leading forward differences [v_0, Delta v_0, ..., Delta^n v_0]
+    of n + 1 values, by one in-place pass per level."""
+    diffs = list(values)
+    n = len(diffs) - 1
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    return diffs
+
+
 def _affine_power_ints(a: int, d: int, e: int) -> list[int]:
     """Coefficients of (d x - a)^e, lowest degree first:
     C(e, k) d^k (-a)^(e-k) at x^k."""
@@ -304,10 +315,8 @@ def interpolate(points: Sequence[tuple]) -> UniPoly:
     big_x, big_l = _clear_denominators(xs)
     w = big_x[1] - big_x[0]
     if all(b - a == w for a, b in zip(big_x[1:], big_x[2:])):
-        diffs, den = _clear_denominators(ys)
-        for level in range(1, m + 1):
-            for i in range(m, level - 1, -1):
-                diffs[i] -= diffs[i - 1]
+        nums, den = _clear_denominators(ys)
+        diffs = _differences(nums)
         scale = 1  # m!/k!, from k = m down to k = 0
         for k in range(m - 1, -1, -1):
             scale *= k + 1

@@ -539,3 +539,66 @@ class TestSmallPrimes:
                 assert set(wide) <= set(seen)
                 extra += len(seen) - len(wide)
         assert extra > 0
+
+
+# the fractional user-built equations above, with ranges below and above the
+# irrational node of fractional_node at exponent 10
+FRACTIONAL = [
+    (SDE(2, 1, (P(F(7, 3)), P(F(1, 2), F(-5, 6)), P(F(1, 4), F(-1, 2), F(1, 4)))), [(1, 30)]),
+    (SCREENED["fractional"], [(1, 45)]),
+    (SCREENED["fractional_node"], [(1, 9), (11, 45)]),
+]
+
+
+class TestAgainstSympySubstitution:
+    """sympy as an outside oracle.  Every pair (b, e) power_solutions
+    returns is substituted: sympy expands sum_i P_i * g^(i) for
+    g = (x - b)^e over QQ, and the sum must vanish.  From the order on, every
+    node of a solution is a root of P_order, so the pairs returned there
+    must be exactly the (b, e) with b a rational root of P_order
+    (Poly.ground_roots) whose substitution vanishes.  Those substitutions
+    run in y = x - b, an invertible change of variable: sympy's shift gives
+    P_i(y + b), and g = y^e is one term of a sparse ring."""
+
+    @staticmethod
+    def check(s: SDE, lo: int, hi: int):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        ring, y = sympy.ring("y", sympy.QQ)
+        polys = [
+            sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in p.coeffs[::-1]] or [0], x, domain="QQ")
+            for p in s.polys
+        ]
+
+        def vanishes(gs, g, d):
+            total = 0
+            for p in gs:
+                total += p * g
+                g = d(g)
+            return total == 0
+
+        got = power_solutions(s, lo, hi)
+        for b, e in got:
+            g = sympy.Poly((x - sympy.Rational(b.numerator, b.denominator)) ** e, x, domain="QQ")
+            assert vanishes(polys, g, lambda q: q.diff(x))
+        want = set()
+        for b in polys[-1].ground_roots():
+            shifted = [ring.from_list(p.shift(b).all_coeffs()) for p in polys]
+            node = F(int(b.p), int(b.q))
+            exponents = range(max(lo, s.order), hi + 1)
+            want |= {(node, e) for e in exponents if vanishes(shifted, y**e, lambda q: q.diff(y))}
+        assert {(b, e) for b, e in got if e >= s.order} == want
+        return got
+
+    @pytest.mark.parametrize("regime, extra, terms, seed", PLANTED)
+    def test_planted(self, regime, extra, terms, seed):
+        f, planted = generate_instance(InstanceSpec(s=terms, seed=seed, **extra), regime)
+        s = find_min_sde(f, 0)
+        got = self.check(s, 1, f.degree + s.order**2)
+        assert {(t.node, t.exponent) for t in planted} <= set(got)
+
+    @pytest.mark.parametrize("case", range(len(FRACTIONAL)))
+    def test_fractional(self, case):
+        s, spans = FRACTIONAL[case]
+        for lo, hi in spans:
+            self.check(s, lo, hi)

@@ -28,7 +28,6 @@ from .decompose import (
     decompose_big_gaps,
     decompose_distinct_nodes,
     decompose_small_intervals,
-    expand,
 )
 from .errors import (
     DeltaExhausted,
@@ -98,7 +97,6 @@ __all__ = [
     "decompose_big_gaps",
     "decompose_distinct_nodes",
     "decompose_small_intervals",
-    "expand",
     "expand_multi",
     "expand_sparsest",
     "expand_waring",

@@ -187,7 +187,7 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     f = _parse_poly(args.poly)
     dec = serialize.decomposition_from_json(_read_json_arg(args.decomposition))
-    ok = decompose.expand(dec) == f
+    ok = dec.expand() == f
     if args.json:
         print(json.dumps({"verified": ok}))
     else:

@@ -25,7 +25,7 @@ from .errors import (
     ReconstructionFailed,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, _affine_power_ints, _clear_denominators, _frac, _parse_int, _powers
+from .unipoly import UniPoly, _affine_sum, _clear_denominators, _frac, _parse_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,10 +90,9 @@ class Decomposition:
         return iter(self.terms)
 
     def expand(self) -> UniPoly:
-        total = UniPoly()
-        for t in self.terms:
-            total = total + t.expand()
-        return total
+        """The sum of the terms, in integers over one denominator (_affine_sum)."""
+        nums, den = _affine_sum((t.coeff, t.node, t.exponent) for t in self.terms)
+        return UniPoly(Fraction(v, den) for v in nums)
 
     def max_coeff_bits(self) -> int:
         bits = 0
@@ -101,10 +100,6 @@ class Decomposition:
             for v in (t.coeff, t.node):
                 bits = max(bits, v.numerator.bit_length(), v.denominator.bit_length())
         return bits
-
-
-def expand(d: Decomposition) -> UniPoly:
-    return d.expand()
 
 
 # -- admission conditions -------------------------------------------------
@@ -185,27 +180,16 @@ def _coords(
 ) -> list[Fraction]:
     """Coordinates of f in the basis of the candidates, each a polynomial
     sum_k coeff_k (x - node)^k given as (node, {k: coeff_k}); requires a
-    unique solution.  For node a/d, top k K and q the common denominator of
-    the coeff_k, the column is q d^K times the candidate, which is
-    sum_k (q coeff_k) d^(K-k) (d x - a)^k in integers; the right-hand side
-    is f times its common denominator."""
+    unique solution.  Each column is the candidate's numerators over its
+    common denominator from unipoly._affine_sum (for node a/d, top k K and
+    integer coeff_k, sum_k coeff_k d^(K-k) (d x - a)^k over d^K); the
+    right-hand side is f times its common denominator."""
     if not candidates:
         raise ReconstructionFailed("no candidate terms to combine")
     n_rows = max(f.degree, *(max(part) for _, part in candidates)) + 1
-    cols, scales = [], []
-    for node, part in candidates:
-        a, d, top = node.numerator, node.denominator, max(part)
-        nums, q = _clear_denominators(list(part.values()))
-        d_pow = _powers(d, top)
-        col = [0] * n_rows
-        for k, c in zip(part, nums):
-            scale = c * d_pow[top - k]
-            for i, v in enumerate(_affine_power_ints(a, d, k)):
-                col[i] += scale * v
-        cols.append(col)
-        scales.append(q * d_pow[top])
+    sums = [_affine_sum((c, node, k) for k, c in part.items()) for node, part in candidates]
     rhs, den = _clear_denominators([f.coeff(r) for r in range(n_rows)])
-    mat = linalg.IntMatrix.from_rows(zip(*cols))
+    mat = linalg.IntMatrix.from_rows(zip(*(col + [0] * (n_rows - len(col)) for col, _ in sums)))
     try:
         res = linalg.solve(mat, rhs)
     except Inconsistent as exc:
@@ -214,7 +198,7 @@ def _coords(
         ) from exc
     if not res.unique:
         raise ReconstructionFailed("candidate terms are linearly dependent")
-    return [y * s / den for y, s in zip(res.vector, scales)]
+    return [y * s / den for y, (_, s) in zip(res.vector, sums)]
 
 
 def _fit(
@@ -379,14 +363,12 @@ def _peel(
         j = d_r - (r_pick * r_pick) // 2
         target = residual.derivative(j)
         betas = _coords(target, [(b, {e - j: math.perm(e, j)}) for b, e in pairs[:r_pick]])
-        partial = UniPoly()
-        for beta, (b, e) in zip(betas, pairs[:r_pick]):
-            if beta:
-                partial = partial + UniPoly.affine_power(beta, b, e)
-                collected.append((beta, b, e))
-        if partial.is_zero():
+        found = [(beta, b, e) for beta, (b, e) in zip(betas, pairs) if beta]
+        nums, den = _affine_sum(found)
+        if not any(nums):
             raise ReconstructionFailed("peeling step recovered nothing")
-        residual = residual - partial
+        collected += found
+        residual = residual - UniPoly(Fraction(v, den) for v in nums)
     raise ReconstructionFailed("iteration limit exceeded without convergence")
 
 

@@ -89,7 +89,8 @@ from .unipoly import ONE, ZERO, UniPoly, _affine_power_ints, _clear_denominators
 
 @dataclass(frozen=True)
 class SDE:
-    """A shifted differential equation in canonical form."""
+    """A shifted differential equation, canonical when find_min_sde or
+    canonical_sde builds it; its memos (_int_form, _lead_roots) are not fields."""
 
     order: int
     shift: int
@@ -108,12 +109,13 @@ class SDE:
             if p.degree > i + self.shift:
                 raise ValueError(f"deg(P_{i}) exceeds {i} + shift")
 
-    def int_polys(self) -> list[list[int]]:
-        """Coefficient polynomials as integer lists, all scaled by the
-        least common denominator of their coefficients (1 for a canonical
-        equation)."""
-        scaled = iter(_clear_denominators([c for p in self.polys for c in p.coeffs])[0])
-        return [[next(scaled) for _ in p.coeffs] for p in self.polys]
+    @cached_property
+    def _int_form(self) -> tuple[list[list[int]], int]:
+        """(p_i, l), built once per equation: the integer lists p_i = l P_i,
+        l the least common denominator of all coefficients (1 if canonical)."""
+        scaled, l = _clear_denominators([c for p in self.polys for c in p.coeffs])
+        it = iter(scaled)
+        return [[next(it) for _ in p.coeffs] for p in self.polys], l
 
     def _lead_roots(self, k: int) -> tuple[dict[Fraction, int], int]:
         """ratroots.rational_roots_with_cofactor(P_k), computed once per
@@ -136,11 +138,11 @@ def apply_sde(s: SDE, f: UniPoly) -> UniPoly:
     """sum P_i * f^(i); the zero polynomial iff f satisfies the equation.
 
     Summed in integers: with f = F/d and P_i = p_i/l over common
-    denominators (p_i from int_polys), the image is sum_i p_i * F^(i) / (l*d)."""
+    denominators (p_i and l from s._int_form), the image is sum_i p_i * F^(i) / (l*d)."""
     df, d = _clear_denominators(f.coeffs)
-    l = math.lcm(*(c.denominator for p in s.polys for c in p.coeffs))
+    polys, l = s._int_form
     total = [0] * (len(df) + s.shift)
-    for i, p in enumerate(s.int_polys()):
+    for i, p in enumerate(polys):
         if i:
             df = ratroots._deriv(df)
         for j, c in enumerate(p):
@@ -519,7 +521,7 @@ def _node_table(s: SDE) -> list[list[list[int]]]:
     y^(m-order+j) entry of the image is sum_i perm(m, i) * w_j[i], below the
     order too (perm(m, i) = 0 for i > m)."""
     table = [[[] for _ in range(s.order + 1)] for _ in range(s.order + s.shift + 1)]
-    for i, cs in enumerate(s.int_polys()):
+    for i, cs in enumerate(s._int_form[0]):
         for t in range(len(cs)):
             table[s.order - i + t][i] = [cs[u] * math.comb(u, t) for u in range(t, len(cs))]
     return table

@@ -16,8 +16,8 @@ from .errors import DuplicateAbscissa, ZeroPolynomial
 
 
 # -- the rational-to-integer layer: the one implementation of each step --
-# (integer parsing, power tables, common denominators, (d x - a)^e, root
-# multiplicity) that every other module calls
+# (integer parsing, power tables, common denominators, (d x - a)^e, sums of
+# affine powers, root multiplicity) that every other module calls
 
 
 def _frac(value) -> Fraction:
@@ -72,6 +72,23 @@ def _affine_power_ints(a: int, d: int, e: int) -> list[int]:
     return [math.comb(e, k) * ds[k] * nums[e - k] for k in range(e + 1)]
 
 
+def _affine_sum(terms: Iterable[tuple]) -> tuple[list[int], int]:
+    """sum c (x - a)^e over the rational (c, a, e) as (numerators, den),
+    lowest degree first.  With c = n/m and a = p/q a term is
+    n (q x - p)^e / (m q^e), and the terms are summed over the lcm of those
+    denominators; the empty sum is ([], 1)."""
+    parts = [
+        (c.numerator, c.denominator * a.denominator**e, _affine_power_ints(a.numerator, a.denominator, e))
+        for c, a, e in terms
+    ]
+    den = math.lcm(*(m for _, m, _ in parts))
+    out = [0] * max((len(ints) for *_, ints in parts), default=0)
+    for n, m, ints in parts:
+        scale = n * (den // m)
+        out[: len(ints)] = [o + scale * v for o, v in zip(out, ints)]
+    return out, den
+
+
 def _multiplicity(cs: Sequence[int], root: Fraction) -> int:
     """Multiplicity of root = a/d in the nonzero integer polynomial cs: the
     number of exact divisions by d x - a, each by synthetic division."""
@@ -117,12 +134,8 @@ class UniPoly:
         exponent = _parse_int(exponent)
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        a = _frac(node)
-        c = _frac(coeff)
-        # with c = n/m and node = p/q this is n (q x - p)^e / (m q^e)
-        den = c.denominator * a.denominator**exponent
-        ints = _affine_power_ints(a.numerator, a.denominator, exponent)
-        return cls([Fraction(c.numerator * v, den) for v in ints])
+        nums, den = _affine_sum([(_frac(coeff), _frac(node), exponent)])
+        return cls(Fraction(v, den) for v in nums)
 
     # -- basic queries ------------------------------------------------
 

@@ -28,7 +28,6 @@ from affinepowers import (
     decompose_big_gaps,
     decompose_distinct_nodes,
     decompose_small_intervals,
-    expand,
     find_min_sde,
     generate_instance,
     linalg,
@@ -123,7 +122,8 @@ class TestDecomposition:
         assert D((1, 0, 3)).expand() == P(0, 0, 0, 1)
         # (x+1)^2 - (x-1)^2 = 4x
         assert D((1, -1, 2), (-1, 1, 2)).expand() == P(0, 4)
-        assert expand(D((1, -1, 2), (-1, 1, 2))) == P(0, 4)
+        # (x-1/3)^2/2 - (x+1/3)^2/2 = -2x/3, over the common denominator 18
+        assert D((F(1, 2), F(1, 3), 2), (F(-1, 2), F(-1, 3), 2)).expand() == P(0, F(-2, 3))
 
     def test_iteration(self):
         d = D((1, 0, 2), (2, 1, 1))

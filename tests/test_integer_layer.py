@@ -6,7 +6,9 @@ uniquely (integer entries, proportional to the input, primitive or minimal,
 sign convention), so passing them means the output is exactly the one
 intended, whatever the implementation.  The two shared steps are checked
 directly: _clear_denominators against the lcm of the denominators, and
-_affine_power_ints against sympy's expansion of (d x - a)^e.
+_affine_power_ints against sympy's expansion of (d x - a)^e.  The one
+expansion of sums of affine powers, _affine_sum, and Decomposition.expand
+on top of it are checked against sympy's expansion of sum c (x - a)^e.
 """
 
 import math
@@ -18,10 +20,10 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from affinepowers import AffineChange, ReconstructionFailed, linalg, ratroots  # noqa: E402
+from affinepowers import AffineChange, Decomposition, ReconstructionFailed, linalg, ratroots  # noqa: E402
 from affinepowers.decompose import _coords  # noqa: E402
 from affinepowers.sde import canonical_sde  # noqa: E402
-from affinepowers.unipoly import UniPoly, _affine_power_ints, _clear_denominators  # noqa: E402
+from affinepowers.unipoly import UniPoly, _affine_power_ints, _affine_sum, _clear_denominators  # noqa: E402
 
 F = Fraction
 
@@ -116,6 +118,94 @@ class TestAffinePower:
         assert UniPoly.affine_power(F(2, 3), F(1, 2), 2) == UniPoly([F(1, 6), F(-2, 3), F(2, 3)])
         assert UniPoly.affine_power(F(-5, 7), F(-4, 3), 0) == UniPoly([F(-5, 7)])
         assert UniPoly.affine_power(0, F(1, 2), 5) == UniPoly()
+
+
+class TestAffineSum:
+    """_affine_sum(terms) is sum c (x - a)^e over one common denominator,
+    the lcm of the c.denominator * a.denominator^e, with one numerator per
+    degree up to the largest exponent; sympy.expand is the oracle, for it
+    and for Decomposition.expand."""
+
+    terms = st.lists(st.tuples(rationals, rationals, st.integers(0, 25)), max_size=5)
+
+    @staticmethod
+    def sympy_coeffs(terms) -> list[Fraction]:
+        x = sympy.Symbol("x")
+        q = lambda v: sympy.Rational(v.numerator, v.denominator)  # noqa: E731
+        expr = sympy.expand(sum((q(c) * (x - q(a)) ** e for c, a, e in terms), sympy.Integer(0)))
+        cs = [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    def check(self, terms):
+        want = self.sympy_coeffs(terms)
+        nums, den = _affine_sum(terms)
+        assert all(type(v) is int for v in nums)
+        assert den == math.lcm(*(c.denominator * a.denominator**e for c, a, e in terms))
+        assert len(nums) == max((e + 1 for _, _, e in terms), default=0)
+        assert UniPoly(F(v, den) for v in nums).coeffs == tuple(want)
+        assert Decomposition.of(terms).expand().coeffs == tuple(want)
+        return nums, den
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(terms)
+    def test_matches_sympy(self, terms):
+        self.check(terms)
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(terms)
+    def test_negated_terms_cancel(self, terms):
+        nums, _ = self.check(terms + [(-c, a, e) for c, a, e in terms])
+        assert not any(nums)
+
+    def test_known(self):
+        assert self.check([]) == ([], 1)
+        # 2/3 (x - 1/2)^2 + 5/7 (x + 4/3)^0 = 2/3 x^2 - 2/3 x + 1/6 + 5/7 over 3 * 2^2 and 7
+        assert self.check([(F(2, 3), F(1, 2), 2), (F(5, 7), F(-4, 3), 0)]) == ([74, -56, 56], 84)
+        # (x-1/3)^2/2 - (x+1/3)^2/2 + 2x/3 = 0, over 2 * 3^2 and 3
+        nums, den = self.check([(F(1, 2), F(1, 3), 2), (F(-1, 2), F(-1, 3), 2), (F(2, 3), F(0), 1)])
+        assert (nums, den) == ([0, 0, 0], 18)
+        assert self.check([(F(3), F(7), 0), (F(-3), F(-2, 9), 0)]) == ([0], 1)
+
+
+def old_columns(candidates, n_rows) -> list[list[int]]:
+    """The columns _coords built by its own loop before _affine_sum: for node
+    a/d, top k K and integer coeff_k, sum_k coeff_k d^(K-k) (d x - a)^k."""
+    cols = []
+    for node, part in candidates:
+        a, d, top = node.numerator, node.denominator, max(part)
+        col = [0] * n_rows
+        for k, c in part.items():
+            for i, v in enumerate(_affine_power_ints(a, d, k)):
+                col[i] += c * d ** (top - k) * v
+        cols.append(col)
+    return cols
+
+
+class TestIntColumnsUnchanged:
+    """With integer coefficients, as every solver passes, the columns of
+    _coords are those of its former loop, entry for entry."""
+
+    @PROPERTY
+    @given(
+        st.lists(
+            st.tuples(rationals, st.dictionaries(st.integers(0, 9), st.integers(-50, 50).filter(bool), min_size=1, max_size=4)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(rationals, max_size=11),
+    )
+    def test_same_columns(self, cands, f_coeffs):
+        f = UniPoly(f_coeffs)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_calls(mp, "solve")
+            try:
+                _coords(f, cands)
+            except ReconstructionFailed:
+                pass
+        ((m, _),) = seen
+        assert [list(col) for col in zip(*m.entries)] == old_columns(cands, m.rows)
 
 
 class TestCanonicalIntVector:

@@ -93,7 +93,7 @@ def reference_at(s: SDE, q, e: int) -> list[tuple[Fraction, int]]:
 def reference(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     if e_min < 1:
         raise ValueError("e_min must be at least 1")
-    q = shifted_coeff_polys(s.int_polys())
+    q = shifted_coeff_polys(s._int_form[0])
     out = []
     for e in range(e_min, e_max + 1):
         out.extend(reference_at(s, q, e))

@@ -247,7 +247,7 @@ def test_lead_mod_p_is_the_exact_lead_up_to_a_unit():
         f = _pinned_generic(deg)
         eq = sde.find_min_sde(f, 0, lazy=True)
         lead, below = eq._leads
-        exact = eq.exact().int_polys()
+        exact = eq.exact()._int_form[0]
         unit = exact[eq.order][-1] % p
         assert [c * unit % p for c in lead] == [c % p for c in exact[eq.order]]
         padded = exact[eq.order - 1] + [0] * (len(below) - len(exact[eq.order - 1]))

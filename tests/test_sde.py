@@ -17,6 +17,7 @@ from affinepowers import (
     shifted_poly_solutions,
     wronskian,
 )
+from affinepowers import sde
 from affinepowers.linalg import IntMatrix, kernel, solve
 from affinepowers.errors import Inconsistent
 from affinepowers.ratroots import to_primitive_int
@@ -125,13 +126,37 @@ class TestSDEContainer:
         with pytest.raises(ValueError):
             SDE(**args)
 
-    def test_int_polys(self):
+    def test_int_form(self):
         s = SDE(1, 0, (P(5), P(2, -1)))
-        assert s.int_polys() == [[5], [2, -1]]
+        assert s._int_form == ([[5], [2, -1]], 1)
 
-    def test_int_polys_clears_one_common_denominator(self):
+    def test_int_form_clears_one_common_denominator(self):
         s = SDE(1, 1, (P(F(-3, 2), F(1, 3)), P(F(-1, 2), F(1, 2), 2)))
-        assert s.int_polys() == [[-9, 2], [-3, 3, 12]]
+        assert s._int_form == ([[-9, 2], [-3, 3, 12]], 6)
+
+    def test_int_form_is_built_once(self, monkeypatch):
+        # 50 applications clear the equation's denominators once, and each
+        # call clears those of its argument alone
+        s = SDE(1, 1, (P(F(-3, 2), F(1, 3)), P(F(-1, 2), F(1, 2), 2)))
+        flat = [c for p in s.polys for c in p.coeffs]
+        seen, real = [], sde._clear_denominators
+        monkeypatch.setattr(sde, "_clear_denominators", lambda vs: seen.append(list(vs)) or real(vs))
+        f = UniPoly.affine_power(F(2, 3), F(1, 5), 4)
+        images = {apply_sde(s, f) for _ in range(50)}
+        assert len(images) == 1
+        assert sum(v == flat for v in seen) == 1
+        assert len(seen) == 51
+
+    def test_rational_equation_image(self):
+        # l = 6: the images the Fraction-summed definition gives, pinned
+        s = SDE(1, 1, (P(F(-3, 2), F(1, 3)), P(F(-1, 2), F(1, 2), 2)))
+        cases = [
+            (UniPoly.affine_power(F(2, 3), F(1, 5), 4), (F(17, 1875), F(-778, 5625), F(754, 1125), F(-16, 25), F(-137, 45), F(50, 9))),
+            (P(F(1, 7), 0, F(-5, 3)), (F(-3, 14), F(12, 7), F(5, 6), F(-65, 9))),
+        ]
+        for f, want in cases:
+            assert apply_sde(s, f).coeffs == want
+            assert apply_sde(s, f) == s.polys[0] * f + s.polys[1] * f.derivative()
 
     def test_fractional_equation_finds_its_solutions(self):
         # -3/2 g + (x - 1)/2 g' annihilates (x - 1)^3; the coefficients

@@ -158,10 +158,6 @@ def _normalize_term(coeff: Fraction, form: LinearForm, exponent: int) -> MultiTe
     )
 
 
-def _form_key(form: LinearForm):
-    return (form.coefficients, form.constant)
-
-
 @dataclass(frozen=True)
 class MultiDecomposition:
     """Normalized terms sorted by (exponent desc, form asc); the pair
@@ -180,36 +176,24 @@ class MultiDecomposition:
         keys = [(t.form, t.exponent) for t in normalized]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate (form, exponent) pair")
-        ordered = tuple(
-            sorted(normalized, key=lambda t: (-t.exponent, _form_key(t.form)))
-        )
-        object.__setattr__(self, "terms", ordered)
+        ordered = sorted(normalized, key=lambda t: (-t.exponent, t.form.coefficients, t.form.constant))
+        object.__setattr__(self, "terms", tuple(ordered))
 
     @classmethod
     def of(cls, n: int, items) -> "MultiDecomposition":
-        """Build from MultiTerms or (coeff, form, exponent) triples, merging
-        duplicates after normalization and dropping zero coefficients."""
-        merged: dict[tuple, tuple[Fraction, LinearForm, int]] = {}
+        """Build from MultiTerms or (coeff, form, exponent) triples: each
+        term is normalized, the coefficients of equal (form, exponent) pairs
+        are summed, and the pairs whose sum is zero are dropped."""
+        merged: dict[tuple[LinearForm, int], Fraction] = {}
         for item in items:
             if isinstance(item, MultiTerm):
                 c, form, e = item.coeff, item.form, item.exponent
             else:
                 c, form, e = item
             t = _normalize_term(_frac(c), form, e)
-            key = (_form_key(t.form), t.exponent)
-            if key in merged:
-                prev_c, _, _ = merged[key]
-                merged[key] = (prev_c + t.coeff, t.form, t.exponent)
-            else:
-                merged[key] = (t.coeff, t.form, t.exponent)
-        return cls(
-            n,
-            tuple(
-                MultiTerm(c, form, e)
-                for c, form, e in merged.values()
-                if c
-            ),
-        )
+            key = (t.form, t.exponent)
+            merged[key] = merged.get(key, 0) + t.coeff
+        return cls(n, tuple(MultiTerm(c, form, e) for (form, e), c in merged.items() if c))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -308,54 +292,42 @@ def _assemble(
 ) -> MultiDecomposition | None:
     """One reconstruction attempt; None means the substituted polynomial is
     identically zero on every axis (checked against the box afterwards).
-    The point t = 0 is the offset on every axis, so it is asked once."""
+    The point t = 0 is the offset on every axis, so it is asked once.
+
+    An axis term alpha (t - a)^e is c (1 + p t)^e with c = alpha (-a)^e and
+    p = -1/a, and each axis becomes one table {(c, e): p}.  The axes must
+    agree on the keys; a term's substituted form 1 + sum_j p_j x_j takes
+    p_j from axis j's table and is pulled back through the inverse."""
     origin = bb.eval(change.offset)
     projections = [
         project_to_axis(bb, change, axis, origin) for axis in range(bb.n)
     ]
     if all(p.is_zero() for p in projections):
         return None
-    per_axis: list[list[tuple[Fraction, Fraction, int]]] = []
+    axes: list[dict[tuple[Fraction, int], Fraction]] = []
     for proj in projections:
         if proj.is_zero():
             raise ReconstructionFailed("axis projection vanished unexpectedly")
-        dec = backend(proj)
-        rows = []
-        for term in dec.terms:
-            if term.node == 0:
-                raise ReconstructionFailed(
-                    "axis term has node zero, substitution was unlucky"
-                )
-            # alpha (t - a)^e == alpha (-a)^e (1 + (-1/a) t)^e
-            c = term.coeff * (-term.node) ** term.exponent
-            p = -1 / term.node
-            rows.append((c, p, term.exponent))
-        keys = [(c, e) for c, _, e in rows]
-        if len(set(c for c, _ in keys)) != len(keys):
+        found = backend(proj).terms
+        if any(t.node == 0 for t in found):
+            raise ReconstructionFailed("axis term has node zero, substitution was unlucky")
+        table = {(t.coeff * (-t.node) ** t.exponent, t.exponent): -1 / t.node for t in found}
+        if len({c for c, _ in table}) != len(found):
             raise ReconstructionFailed("axis term coefficients collide")
-        per_axis.append(rows)
-    counts = {len(rows) for rows in per_axis}
-    if len(counts) != 1:
+        axes.append(table)
+    if len({len(table) for table in axes}) != 1:
         raise ReconstructionFailed("axes disagree on the number of terms")
-    base = per_axis[0]
-    maps = []
-    for rows in per_axis[1:]:
-        table = {(c, e): p for c, p, e in rows}
-        maps.append(table)
+    if any(table.keys() != axes[0].keys() for table in axes):
+        raise ReconstructionFailed("axes disagree on term identities")
     terms = []
-    for c, p0, e in base:
-        p_vec = [p0]
-        for table in maps:
-            if (c, e) not in table:
-                raise ReconstructionFailed("axes disagree on term identities")
-            p_vec.append(table[(c, e)])
-        # substituted form 1 + sum_j p_j x_j pulled back through the inverse
+    for c, e in axes[0]:
+        p_vec = [table[c, e] for table in axes]
+        # q = p M^-1 is never zero: every p_j = -1/a with a != 0, and the
+        # inverse M^-1 is invertible (AffineChange.of checks M is)
         q = [
             sum(p_vec[i] * change.inverse[i][j] for i in range(bb.n))
             for j in range(bb.n)
         ]
-        if not any(q):
-            raise ReconstructionFailed("pulled-back form lost all variables")
         const = 1 - sum(qj * lj for qj, lj in zip(q, change.offset))
         terms.append((c, LinearForm(const, tuple(q)), e))
     return MultiDecomposition.of(bb.n, terms)
@@ -395,16 +367,11 @@ def multi_build(
             result = (
                 MultiDecomposition(bb.n, ()) if candidate is None else candidate
             )
-            ok = True
-            for _ in range(_CHECK_POINTS):
-                point = [
-                    Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE))
-                    for _ in range(bb.n)
-                ]
-                if bb.eval(point) != result.evaluate(point):
-                    ok = False
-                    break
-            if ok:
+            points = (
+                [Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE)) for _ in range(bb.n)]
+                for _ in range(_CHECK_POINTS)
+            )
+            if all(bb.eval(point) == result.evaluate(point) for point in points):
                 return result
             last = ReconstructionFailed("candidate failed the random spot check")
         raise ReconstructionFailed(

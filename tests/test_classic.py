@@ -19,6 +19,7 @@ from affinepowers import (
     sparsest_shift,
     waring_decompose,
 )
+from affinepowers import ratroots, sde
 
 F = Fraction
 
@@ -96,6 +97,14 @@ class TestWaring:
         res = waring_decompose(P(0, 1, 0, 1))  # x^3 + x
         assert res.above_threshold
 
+    def test_too_few_rational_power_solutions_above_threshold(self):
+        # 2 + 2x - 3x^6: the minimal plain equation has order 2, within the
+        # threshold, but only one rational degree-6 power solution
+        f = P(2, 2, 0, 0, 0, 0, -3)
+        eq = sde.find_min_sde(f, 0, max_order=2)
+        assert eq.order == 2 and len(sde.power_solutions(eq, 6, 6)) == 1
+        assert waring_decompose(f) == WaringResult(6, None)
+
     def test_irrational_nodes_detected(self):
         with pytest.raises(IrrationalNodeDetected):
             waring_decompose(IRRATIONAL_13)
@@ -168,6 +177,17 @@ class TestSparsestShift:
         res = sparsest_shift(f)
         assert res.above_threshold
         assert res.shift is None and res.support is None
+
+    def test_rational_shifts_too_dense_above_threshold(self):
+        # -165 - 213x - 108x^2 - 24x^3 - 2x^4: the minimal plain equation's
+        # top coefficient 3x^2 + 2x - 21 has the roots -3 and 7/3 and no
+        # irrational factor, and neither shift leaves at most 2 terms
+        f = P(-165, -213, -108, -24, -2)
+        eq = sde.find_min_sde(f, 0, max_order=2)
+        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(eq.polys[eq.order])
+        assert (set(roots), cofactor_deg) == ({F(-3), F(7, 3)}, 0)
+        assert all(sum(map(bool, f.taylor_shift(a).coeffs)) > 2 for a in roots)
+        assert sparsest_shift(f) == SparsestResult(None, None)
 
     def test_irrational_shift_detected_quartic(self):
         # (x-r)^4 + (x+r)^4 with r^2 = 2

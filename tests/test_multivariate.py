@@ -8,6 +8,7 @@ import pytest
 from affinepowers import (
     AffineChange,
     BlackBox,
+    Decomposition,
     DimensionMismatch,
     ExactAlgebraError,
     MultiDecomposition,
@@ -19,6 +20,7 @@ from affinepowers import (
     multi_build,
     project_to_axis,
 )
+from affinepowers import multivariate
 from affinepowers.multipoly import LinearForm
 
 F = Fraction
@@ -488,3 +490,75 @@ class TestMultiBuild:
         bb = BlackBox(2, 13, counting)
         multi_build(bb, rng_seed=0, backend="big_exponents")
         assert len(calls) == 2 * 13 + 1 + 50
+
+    def test_spot_check_failure_is_retried_then_refused(self, monkeypatch):
+        # x1^3 against the box x1^2: each attempt fails at its first point
+        x1, _ = vars2()
+        wrong = MultiDecomposition.of(2, [(F(1), LinearForm.of(0, [1, 0]), 3)])
+        monkeypatch.setattr(multivariate, "_assemble", lambda bb, change, backend: wrong)
+
+        def run():
+            points = []
+
+            def box(pt):
+                points.append(tuple(pt))
+                return (x1**2).evaluate(pt)
+
+            with pytest.raises(ReconstructionFailed) as info:
+                multi_build(BlackBox(2, 2, box), rng_seed=4, backend="big_exponents", retries=2)
+            return str(info.value), type(info.value.__cause__), str(info.value.__cause__), points
+
+        first = run()
+        assert first[:3] == (
+            "no attempt out of 3 produced a verified decomposition",
+            ReconstructionFailed,
+            "candidate failed the random spot check",
+        )
+        assert len(first[3]) == 3
+        assert run() == first
+
+
+class TestAssembleRefusals:
+    """Each refusal of one reconstruction attempt, reached through a fixed
+    substitution with columns (1, 1) and (1, 2), offset (1, 1), and a
+    backend that returns chosen axis answers, one list of (coeff, node,
+    exponent) triples per axis in order."""
+
+    def assemble(self, f, *answers):
+        change = AffineChange.of([[1, 1], [1, 2]], [1, 1])
+        calls = iter(answers)
+        return multivariate._assemble(
+            BlackBox.from_multipoly(f), change, lambda proj: Decomposition.of(next(calls))
+        )
+
+    def test_one_axis_projection_vanishes(self):
+        # (x1 - x2)^2 is 0 at (1 + t, 1 + t) on axis 0, and t^2 on axis 1
+        x1, x2 = vars2()
+        with pytest.raises(ReconstructionFailed, match="^axis projection vanished unexpectedly$"):
+            self.assemble((x1 - x2) ** 2)
+
+    @pytest.mark.parametrize(
+        "answers, message",
+        [
+            ([[(1, 0, 2)]], "axis term has node zero, substitution was unlucky"),
+            # (t - 1)^2 + (t + 1)^2: c = alpha (-a)^e is 1 for both terms
+            ([[(1, 1, 2), (1, -1, 2)]], "axis term coefficients collide"),
+            # (t - 1)^2 - (t - 1)^3: c = 1 for both, at different exponents
+            ([[(1, 1, 2), (-1, 1, 3)]], "axis term coefficients collide"),
+            ([[(1, 1, 2)], [(1, 1, 2), (1, 2, 3)]], "axes disagree on the number of terms"),
+            # (t - 1)^2 against 2 (t - 1)^2: keys (1, 2) and (2, 2)
+            ([[(1, 1, 2)], [(2, 1, 2)]], "axes disagree on term identities"),
+            # (t - 1)^2 against (t - 1)^3: keys (1, 2) and (-1, 3)
+            ([[(1, 1, 2)], [(1, 1, 3)]], "axes disagree on term identities"),
+        ],
+    )
+    def test_refusal(self, answers, message):
+        x1, x2 = vars2()
+        with pytest.raises(ReconstructionFailed, match=f"^{message}$"):
+            self.assemble((x1 + x2) ** 2, *answers)
+
+    def test_matching_axes_pull_back(self):
+        # (x1 + x2)^2 is 4 (t + 1)^2 on axis 0 and 9 (t + 2/3)^2 on axis 1
+        x1, x2 = vars2()
+        md = self.assemble((x1 + x2) ** 2, [(4, -1, 2)], [(9, F(-2, 3), 2)])
+        assert md == MultiDecomposition.of(2, [(F(1), LinearForm.of(0, [1, 1]), 2)])

@@ -3,8 +3,8 @@
 _bareiss is the one elimination: fraction-free, so intermediate entries stay
 at determinant size, with deterministic pivoting (first nonzero entry in
 column order), so a column is a pivot exactly when it is independent of the
-columns before it.  kernel reads the free columns, dividing only in the
-final substitution, and checks every basis vector A v = 0 in integers;
+columns before it.  kernel reads the free columns by back substitution in
+integers, and checks every basis vector A v = 0 in integers;
 solve reads the kernel of [m | -rhs]; sde.shifted_poly_solutions keeps the
 pivot columns of its candidate solutions.  The minimal-equation search in
 sde works modulo a prime, retrying an unlucky one with the next prime, and
@@ -13,6 +13,7 @@ does not call kernel.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -91,22 +92,22 @@ def kernel(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column.
 
     Each vector is in primitive integer form with positive first nonzero
-    entry; the basis order follows the free columns left to right.
+    entry; the basis order follows the free columns left to right.  For a
+    free column fc with r pivots left of it, x[fc] is the r-th Bareiss
+    pivot, the leading r x r minor of those pivot columns, so by Cramer's
+    rule every x[pc] is an integer and each division is exact.
     """
     mat = [list(r) for r in m.entries]
     pivots = _bareiss(mat)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
-        x = [Fraction(0)] * m.cols
-        x[fc] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            s = Fraction(0)
-            for j in range(pc + 1, m.cols):
-                if mat[i][j] and x[j]:
-                    s += mat[i][j] * x[j]
-            x[pc] = -s / mat[i][pc]
+        r = bisect.bisect(pivots, fc)
+        x = [0] * m.cols
+        x[fc] = mat[r - 1][pivots[r - 1]] if r else 1
+        for i in range(r - 1, -1, -1):
+            pc, row = pivots[i], mat[i]
+            x[pc] = -sum(row[j] * x[j] for j in range(pc + 1, fc + 1) if x[j]) // row[pc]
         basis.append(_canonical_int_vector(x))
     for vec in basis:
         ints = [v.numerator for v in vec]

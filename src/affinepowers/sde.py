@@ -21,8 +21,9 @@ the first dependent column of the full matrix, and the dependency ending at
 fc, unique mod p up to a unit, does not depend on which rows are pivots.
 The earlier columns are then independent over Q as well; the dependency is
 lifted p-adically (Dixon) on the pivot rows, where the square system has
-that one solution, rationally reconstructed and checked exactly against the
-integer matrix, which proves fc is the first free column and the vector is
+that one solution, and rationally reconstructed; apply_sde then checks its
+equation on f exactly, which is the vector checked on every row of the
+integer matrix.  That proves fc is the first free column and the vector is
 the one a Bareiss kernel returns there.  An unlucky prime (fc independent
 over Q, so the lift fails) is followed by a new pass with the next prime,
 reusing the integer columns already built.  A dependency over Q reduces to
@@ -67,7 +68,9 @@ against the rows with c symbolic, behind a screen modulo a prime: the next
 row is coprime to h wherever the norm N(t) = Res(h / lc(h), t * P_k' +
 P_{k-1}), the product of t * P_k' + P_{k-1} over the roots of h, is nonzero
 at t = e-k+1.  A nonconstant gcd proves an irrational node.  Every pair
-found is checked once more with apply_sde.
+found is checked once more, in integers and without the table: for b = a/d
+and m = min(e, order), L((d x - a)^e) is (d x - a)^(e-m) times a polynomial
+Q of degree at most order + shift (_power_image), and Q must be zero.
 
 All searches are deterministic and the returned equation is scaled to
 primitive integer coefficients with positive first nonzero coefficient.
@@ -85,7 +88,7 @@ from typing import Sequence
 
 from . import linalg, ratroots
 from .errors import IrrationalNodeDetected, ZeroPolynomial
-from .unipoly import ONE, ZERO, UniPoly, _affine_power_ints, _clear_denominators, _differences, _parse_int
+from .unipoly import ONE, ZERO, UniPoly, _clear_denominators, _differences, _parse_int
 
 @dataclass(frozen=True)
 class SDE:
@@ -190,13 +193,6 @@ def _column(d: list[int], j: int, n_rows: int) -> list[int]:
     col = [0] * n_rows
     col[j : j + len(d)] = d
     return col
-
-
-def _dependency_matrix(derivs: list[list[int]], k: int, shift: int, n_rows: int) -> list[list[int]]:
-    """Rows indexed by x-degree, columns by (i, j) with j <= i + shift,
-    holding the coefficients of x^j * f^(i)."""
-    cols = [_column(derivs[i], j, n_rows) for i in range(k + 1) for j in range(i + shift + 1)]
-    return [[col[r] for col in cols] for r in range(n_rows)]
 
 
 class _ModularProfile:
@@ -325,10 +321,16 @@ def _reconstruct_vector(xs: Sequence[int], modulus: int) -> list[int] | None:
     return [n * (den // d) for n, d in parts] + [den]
 
 
-def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[int] | None:
-    """Integer v with sum_c v[c] * cols[c] = 0 and v[-1] > 0, found by
-    Dixon's p-adic lifting of the square system on the pivot rows of
-    profile (whose columns are cols[:-1]) and checked exactly on all rows.
+def _lift_dependency(
+    profile: _ModularProfile, cols: list[list[int]], f: UniPoly, order: int, shift: int
+) -> SDE | None:
+    """The canonical equation of the given order and shift whose
+    coefficients, in (i, j) column order, are an integer v with
+    sum_c v[c] * cols[c] = 0 and v[-1] > 0 (columns past the last carry
+    zeros), for cols the columns x^j * f^(i).  v is found by Dixon's p-adic
+    lifting of the square system on the pivot rows of profile (whose
+    columns are cols[:-1]); a candidate is kept once apply_sde proves that
+    its equation annihilates f, which is that sum being zero on every row.
 
     Candidates are reconstructed at doubling step counts.  Once the modulus
     exceeds 2 H^2, H the Hadamard bound of the system, reconstruction has
@@ -336,19 +338,17 @@ def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[in
     and the result is None.  Before that, an attempt that fails tests the
     p-adic solution on the column sums (the columns at x = 1): a dependency
     over Q vanishes there, so a sum nonzero mod the modulus proves there is
-    none, and an unlucky prime is usually told within a few steps.
+    none, and an unlucky prime is usually told within a few steps.  H^2 and
+    the sums are built at the first failed attempt; most lifts never fail.
     """
     p = profile.p
     rows = profile.pivot_rows
     m = len(rows)
     bmat = [[cols[c][r] for c in range(m)] for r in rows]
     res = [-cols[m][r] for r in rows]
-    h2 = 1
-    for c in range(m + 1):
-        h2 *= max(1, sum(cols[c][r] ** 2 for r in rows))
     solve = profile.solve
     acc = [0] * m
-    sums = None
+    sums = h2 = None
     modulus, steps, attempt = 1, 0, 1
     while True:
         x = solve(res)
@@ -360,19 +360,16 @@ def _lift_dependency(profile: _ModularProfile, cols: list[list[int]]) -> list[in
             continue
         attempt *= 2
         vec = _reconstruct_vector(acc, modulus)
-        if vec is not None and _annihilates(vec, cols):
-            return vec
+        if vec is not None:
+            eq = _split_sde(linalg._canonical_int_vector(vec), order, shift)
+            if apply_sde(eq, f).is_zero():
+                return eq
+        h2 = h2 or math.prod(max(1, sum(col[r] ** 2 for r in rows)) for col in cols)
         if modulus > 2 * h2:
             return None
         sums = sums or [sum(col) for col in cols]
         if (sum(map(operator.mul, acc, sums)) + sums[m]) % modulus:
             return None
-
-
-def _annihilates(vec: Sequence[int], cols: list[list[int]]) -> bool:
-    return not any(
-        sum(v * col[r] for v, col in zip(vec, cols) if v) for r in range(len(cols[0]))
-    )
 
 
 def _split_sde(vec: Sequence, order: int, shift: int) -> SDE:
@@ -435,46 +432,42 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: 
             return None  # independent mod p up to max_order, hence over Q
         cols = built[: fc + 1]
         if fc == n_rows:
-            eq = PendingSDE(k, shift, profile, cols)
+            eq = PendingSDE(k, shift, profile, cols, f)
             return eq if lazy else eq.exact()
         # The columns before fc are independent over Q; an exact dependency
         # ending at fc proves fc is the first free column of the order-k matrix.
-        vec = _lift_dependency(profile, cols)
-        if vec is not None:
-            break
+        s = _lift_dependency(profile, cols, f, k, shift)
+        if s is not None:
+            return PendingSDE(k, shift, lifted=s) if lazy else s
         # fc is independent over Q: p was unlucky, as only finitely many are
         p = next(q for q in itertools.count(p + 1) if ratroots._is_prime(q))
-    # columns past fc carry zeros, which _split_sde leaves implicit
-    s = _split_sde(linalg._canonical_int_vector(vec), k, shift)
-    return PendingSDE(k, shift, lifted=s) if lazy else s
 
 
 class PendingSDE:
     """An equation of find_min_sde(..., lazy=True), held as its modular
-    pass left it and lifted once, on the first call of exact().
+    pass left it, with f, and lifted once, on the first call of exact().
 
     forced is condition (a) of the module docstring; only a forced equation
     is held unlifted, and only it answers rootless and refuses from its
     vector mod p.
     """
 
-    def __init__(self, order: int, shift: int, profile=None, cols=None, lifted: SDE | None = None):
+    def __init__(self, order: int, shift: int, profile=None, cols=None, f=None, lifted: SDE | None = None):
         self.order, self.shift = order, shift
         self.forced = lifted is None
-        self._pass = profile, cols
+        self._pass = profile, cols, f
         self._sde = lifted
 
     def exact(self) -> SDE:
-        if self._sde is None:
-            vec = _lift_dependency(*self._pass)  # a forced dependency always lifts
-            self._sde = _split_sde(linalg._canonical_int_vector(vec), self.order, self.shift)
+        if self._sde is None:  # a forced dependency always lifts
+            self._sde = _lift_dependency(*self._pass, self.order, self.shift)
         return self._sde
 
     @cached_property
     def _leads(self) -> tuple[list[int], list[int]]:
         """P_order and P_(order-1) modulo p, up to one unit, from the kernel
         vector mod p; P_order ends in its coefficient at fc, 1."""
-        profile, cols = self._pass
+        profile, cols, _ = self._pass
         vec = profile.solve([-cols[-1][r] for r in profile.pivot_rows]) + [1]
         start = [i * self.shift + i * (i + 1) // 2 for i in (self.order - 1, self.order)]
         return vec[start[1] :], vec[start[0] : start[1]]
@@ -609,6 +602,23 @@ def _irrational_part(h: list[int], rows: list[list[list[int]]], falls: list[int]
     return g
 
 
+def _power_image(s: SDE, b: Fraction, e: int) -> list[int]:
+    """Q with L((d x - a)^e) = (d x - a)^(e-m) * Q / l, b = a/d and
+    m = min(e, order): the i-th derivative of (d x - a)^e is
+    perm(e, i) * d^i * (d x - a)^(e-i), so Q = sum_{i<=m} perm(e, i) * d^i *
+    p_i * (d x - a)^(m-i), p_i and l from s._int_form, summed by Horner in
+    d x - a.  Q is zero exactly when (x - b)^e solves the equation, and has
+    degree at most order + shift whatever e is."""
+    a, d = b.numerator, b.denominator
+    q: list[int] = []
+    c = 1  # perm(e, i) * d^i
+    for i, p in enumerate(s._int_form[0][: min(e, s.order) + 1]):
+        q = [d * u - a * v for u, v in zip([0, *q], [*q, 0])]
+        q = [u + c * v for u, v in itertools.zip_longest(q, p, fillvalue=0)]
+        c *= (e - i) * d
+    return q
+
+
 def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     """All pairs (b, e) with e_min <= e <= e_max such that (x - b)^e with
     rational b satisfies the equation, sorted by (e, b).  A PendingSDE is
@@ -625,8 +635,8 @@ def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[F
     is kept at the roots in the run of its indicial polynomial where every
     other row of the table at b vanishes too, the rows evaluated one at a
     time.  The part h without rational roots gets the exact gcds only at
-    the exponents the norm screen flags.  Each pair is certified with
-    apply_sde.
+    the exponents the norm screen flags.  Each pair is certified exactly by
+    _power_image, from the equation's coefficients alone.
     """
     e_min, e_max = _parse_int(e_min), _parse_int(e_max)
     if e_min < 1:
@@ -676,9 +686,7 @@ def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[F
                 rows = [lowest, *rows]
                 out += [(b, e) for e in zeros if not any(_image(rows, e))]
     for b, e in out:
-        # (d x - a)^e, a multiple of (x - b)^e, in integers
-        power = UniPoly(_affine_power_ints(b.numerator, b.denominator, e))
-        if not apply_sde(s, power).is_zero():
+        if any(_power_image(s, b, e)):
             raise RuntimeError("power solution failed verification")
     out.sort(key=lambda be: (be[1], be[0]))
     return out

@@ -244,18 +244,18 @@ class TestIrrationalFactor:
 
 class TestNoGcdChain:
     def test_big_exponents_makes_no_gcd_chain_and_one_check_per_pair(self, monkeypatch):
-        calls = {"poly_gcd_int": 0, "apply_sde": 0, "roots": 0}
+        calls = {"poly_gcd_int": 0, "_power_image": 0, "roots": 0}
         in_roots = [False]
-        gcd, apply, roots_of = ratroots.poly_gcd_int, sde.apply_sde, ratroots.rational_roots_with_cofactor
+        gcd, image, roots_of = ratroots.poly_gcd_int, sde._power_image, ratroots.rational_roots_with_cofactor
 
         def spy_gcd(a, b):
             # the root finder's one squarefree-part gcd is not a chain step
             calls["poly_gcd_int"] += not in_roots[0]
             return gcd(a, b)
 
-        def spy_apply(s, f):
-            calls["apply_sde"] += 1
-            return apply(s, f)
+        def spy_image(s, b, e):
+            calls["_power_image"] += 1
+            return image(s, b, e)
 
         def spy_roots(f):
             calls["roots"] += 1
@@ -269,12 +269,12 @@ class TestNoGcdChain:
         s = find_min_sde(f, 0)
         monkeypatch.setattr(ratroots, "poly_gcd_int", spy_gcd)
         monkeypatch.setattr(ratroots, "rational_roots_with_cofactor", spy_roots)
-        monkeypatch.setattr(sde, "apply_sde", spy_apply)
+        monkeypatch.setattr(sde, "_power_image", spy_image)
         r = s.order
         pairs = power_solutions(s, -(-((r + 1) ** 2) // 2), f.degree + r * r)
         assert sorted(pairs) == sorted((t.node, t.exponent) for t in planted)
-        # apply_sde certifies each returned pair, not each candidate
-        assert calls == {"poly_gcd_int": 0, "apply_sde": len(pairs), "roots": 1}
+        # _power_image certifies each returned pair, not each candidate
+        assert calls == {"poly_gcd_int": 0, "_power_image": len(pairs), "roots": 1}
 
 
 def per_exponent_loop(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:

@@ -20,6 +20,13 @@ from affinepowers.generate import InstanceSpec, generate_instance
 F = Fraction
 
 
+def dependency_matrix(derivs: list[list[int]], k: int, shift: int, n_rows: int) -> list[list[int]]:
+    """Rows indexed by x-degree, columns by (i, j) with j <= i + shift,
+    holding the coefficients of x^j * f^(i)."""
+    cols = [sde._column(derivs[i], j, n_rows) for i in range(k + 1) for j in range(i + shift + 1)]
+    return [[col[r] for col in cols] for r in range(n_rows)]
+
+
 def bareiss_reference(f: UniPoly, shift: int, max_order: int | None = None):
     """(order, canonical kernel vector) from the per-order kernel loop."""
     if max_order is None:
@@ -29,7 +36,7 @@ def bareiss_reference(f: UniPoly, shift: int, max_order: int | None = None):
         derivs.append(ratroots._deriv(derivs[-1]))
     n_rows = f.degree + shift + 1
     for k in range(1, max_order + 1):
-        rows = sde._dependency_matrix(derivs, k, shift, n_rows)
+        rows = dependency_matrix(derivs, k, shift, n_rows)
         basis = linalg.kernel(linalg.IntMatrix.from_rows(rows))
         if basis:
             return k, [int(v) for v in basis[0]]
@@ -81,12 +88,12 @@ def fallback_calls(monkeypatch):
     calls = []
     original = sde._lift_dependency
 
-    def spy(profile, cols):
-        vec = original(profile, cols)
-        if vec is None:  # rightly: the last column is independent over Q
+    def spy(profile, cols, *rest):
+        eq = original(profile, cols, *rest)
+        if eq is None:  # rightly: the last column is independent over Q
             assert not linalg.kernel(linalg.IntMatrix.from_rows(list(zip(*cols))))
             calls.append((profile.p, len(cols)))
-        return vec
+        return eq
 
     monkeypatch.setattr(sde, "_lift_dependency", spy)
     return calls
@@ -103,7 +110,7 @@ def test_nullity_above_one_at_minimal_order():
     derivs = [ratroots.to_primitive_int(f)]
     for _ in range(s.order):
         derivs.append(ratroots._deriv(derivs[-1]))
-    rows = sde._dependency_matrix(derivs, s.order, shift, f.degree + shift + 1)
+    rows = dependency_matrix(derivs, s.order, shift, f.degree + shift + 1)
     assert len(linalg.kernel(linalg.IntMatrix.from_rows(rows))) > 1
 
 

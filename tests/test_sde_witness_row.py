@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from affinepowers import Decomposition, UniPoly, find_min_sde, ratroots, sde  # noqa: E402
+from test_sde_modular import dependency_matrix  # noqa: E402
 
 PRIMES = [None, 3, 5, 7]
 
@@ -202,7 +203,7 @@ def test_witness_misses_on_structured_inputs():
 def first_free_column(f, shift, order, p):
     """1 + the first non-pivot column of sympy's rref of the order-`order`
     dependency matrix over GF(p); None when every column is a pivot."""
-    rows = sde._dependency_matrix(derivatives(f, order), order, shift, f.degree + shift + 1)
+    rows = dependency_matrix(derivatives(f, order), order, shift, f.degree + shift + 1)
     _, pivots = DomainMatrix.from_list(rows, sympy.ZZ).convert_to(sympy.GF(p)).rref()
     free = next((c for c in range(len(rows[0])) if c not in pivots), None)
     return None if free is None else free + 1

@@ -421,7 +421,7 @@ def _width_scan(f: UniPoly, eq: sde_mod.PendingSDE) -> Decomposition:
         raise DeltaExhausted(
             f"no interval width up to {_DELTA_MAX} yielded a verified "
             f"decomposition ({'; '.join(reasons)})"
-        ) from last
+        ) from last.with_traceback(None)
     finally:
         last = eq = reasons = None  # an error's traceback holds this frame: keep only its message
 
@@ -529,7 +529,9 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
                     tag = "big_exponents"
                 return dec, tag
         if irrational is not None:
-            raise irrational
-        raise ReconstructionFailed("no strategy produced a verified decomposition") from last
+            raise irrational.with_traceback(None)
+        raise ReconstructionFailed(
+            "no strategy produced a verified decomposition"
+        ) from last.with_traceback(None)
     finally:
         irrational = last = eq = scan = args = None  # an error's traceback holds this frame: clear errors, equation and scan

@@ -376,6 +376,6 @@ def multi_build(
             last = ReconstructionFailed("candidate failed the random spot check")
         raise ReconstructionFailed(
             f"no attempt out of {max(retries, 0) + 1} produced a verified decomposition"
-        ) from last
+        ) from last.with_traceback(None)
     finally:
         last = None  # a caught error's traceback holds this frame: drop it on every exit

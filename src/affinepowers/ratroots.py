@@ -17,6 +17,7 @@ by one square root mod p.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -24,8 +25,22 @@ from typing import Sequence
 from .errors import ZeroPolynomial
 from .unipoly import UniPoly, _clear_denominators, _multiplicity
 
-# Prime for modular screens and elimination (sde.find_min_sde, poly_gcd_int).
-_PRIME = (1 << 61) - 1
+# Word-size primes, just below 2^30 and = 3 mod 4 (so _sqrt_mod is one
+# power).  A residue below 2^30 is one 30-bit CPython digit and a product of
+# two at most two digits, where below 2^61 they take three and five: a
+# modular dot product of length 25 takes about half the time.  The first prime serves the modular pass of
+# sde.find_min_sde, the checks (a), (c) and (d) of sde.PendingSDE, the norm
+# screen of sde.power_solutions and the screen of poly_gcd_int.  The next ones
+# are the retries after an unlucky prime (_next_prime) and the further primes
+# on which a forced equation's lead is tested before it is lifted.
+_PRIMES = (
+    1073741783, 1073741723, 1073741719, 1073741671,
+    1073741663, 1073741651, 1073741567, 1073741527,
+)
+
+# Prime of a forced equation's lift (sde.PendingSDE.exact): that lift runs
+# over every row, and a prime twice as wide halves its steps.
+_LIFT_PRIME = (1 << 61) - 1
 
 # -- integer polynomial helpers (dense int lists, lowest degree first) --
 
@@ -86,11 +101,12 @@ def poly_gcd_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """
     a = _primitive(a)
     b = _primitive(b)
+    p = _PRIMES[0]
     if (
         a and b
-        and max(map(abs, a + b)).bit_length() * (len(a) + len(b) - 2) > 2 * _PRIME.bit_length()
-        and (a[-1] % _PRIME or b[-1] % _PRIME)
-        and len(_poly_gcd_mod(a, b, _PRIME)) == 1
+        and max(map(abs, a + b)).bit_length() * (len(a) + len(b) - 2) > 2 * p.bit_length()
+        and (a[-1] % p or b[-1] % p)
+        and len(_poly_gcd_mod(a, b, p)) == 1
     ):
         return [1]
     if len(a) < len(b):
@@ -132,6 +148,19 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _primes_after(p: int) -> tuple[int, ...]:
+    """The primes of _PRIMES after p, none when p is not in it."""
+    return _PRIMES[_PRIMES.index(p) + 1 :] if p in _PRIMES else ()
+
+
+def _next_prime(p: int) -> int:
+    """The prime after p in _PRIMES; past its end, or for a p not in it,
+    the least prime above p and every prime of the list."""
+    return next(iter(_primes_after(p)), None) or next(
+        q for q in itertools.count(max(p, *_PRIMES) + 1) if _is_prime(q)
+    )
 
 
 def _poly_gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

@@ -9,7 +9,8 @@ restricted to polynomials has dimension at most k.
 
 The minimal-order search makes one modular pass.  The order-k matrix is the
 order-(k-1) matrix with columns appended, so its columns are eliminated one
-at a time modulo a prime until the first one, fc, that depends on those
+at a time modulo a prime, the first of ratroots._PRIMES (word size, so
+residues are single digits), until the first one, fc, that depends on those
 before it.  The elimination keeps reduced entries only on its pivot rows and
 on one witness row, the lowest row that is not a pivot: a column costs a
 forward substitution on the pivot rows and one residual entry, and a witness
@@ -24,15 +25,21 @@ lifted p-adically (Dixon) on the pivot rows, where the square system has
 that one solution, and rationally reconstructed; apply_sde then checks its
 equation on f exactly, which is the vector checked on every row of the
 integer matrix.  That proves fc is the first free column and the vector is
-the one a Bareiss kernel returns there.  An unlucky prime (fc independent
-over Q, so the lift fails) is followed by a new pass with the next prime,
-reusing the integer columns already built.  A dependency over Q reduces to
-one mod p, so no pass stops past the true first dependent column; one stops
-before it only at a prime dividing every maximal minor of columns that are
-independent over Q, and there are finitely many such primes.
+the one a Bareiss kernel returns there.  The lift runs modulo the pass's
+prime, except for a forced equation ((a) below): its n_rows columns are
+factored again modulo ratroots._LIFT_PRIME, twice as wide, and lifted
+there in half the steps of a lift over every row (modulo the pass's prime
+if they are dependent modulo that one).  An unlucky prime (fc independent
+over Q, so the lift fails) is followed by a new pass with the next prime
+(ratroots._next_prime), reusing the integer columns already built.  A
+dependency over Q reduces to one mod p, so no pass stops past the true
+first dependent column; one stops before it only at a prime dividing every
+maximal minor of columns that are independent over Q, and there are
+finitely many such primes.
 
 The dispatcher holds the equation unlifted (PendingSDE) and refuses modulo
-p where it can, with the prime of the modular pass that found it:
+p where it can, with the prime of the modular pass that found it or a later
+one of ratroots._PRIMES at which (a) holds too:
   (a) forced: the first n_rows columns are independent mod p, so fc =
       n_rows + 1.  They are then independent over Q and fc depends on them
       by counting, so the kernel mod p is the lifted vector reduced, up to
@@ -45,6 +52,12 @@ p where it can, with the prime of the modular pass that found it:
   (d) roots: P_order of degree 0 has no root; one of degree >= 2 has no
       rational root if it has none mod p (Euler's criterion on the
       discriminant at degree 2, gcd(P_order, x^p - x) above).
+Where P_order of degree >= 2 has a root mod the pass's prime, the pass is
+run again over the equation's own columns modulo each later prime q of the
+list: a q where they are dependent is skipped, and the first q where (d)
+holds decides, since every rational root reduces to a root mod each prime
+where (a) holds.  (c) is then built mod q.  A linear lead has a root, so it
+tries no other prime.
 A forced equation whose lead passes (d) has no power solution in a run that
 passes (c), and its width search finds no node, all without a lift.  Every
 other equation, and every run where N vanishes or is not built (deg P_order
@@ -332,7 +345,9 @@ def _lift_dependency(
     columns are cols[:-1]); a candidate is kept once apply_sde proves that
     its equation annihilates f, which is that sum being zero on every row.
 
-    Candidates are reconstructed at doubling step counts.  Once the modulus
+    Candidates are reconstructed at step counts growing by half (1, 2, 3,
+    4, 6, 9, ...), which overshoots the steps needed less than doubling
+    does.  Once the modulus
     exceeds 2 H^2, H the Hadamard bound of the system, reconstruction has
     found its unique solution; if that fails the check, no such v exists
     and the result is None.  Before that, an attempt that fails tests the
@@ -358,7 +373,7 @@ def _lift_dependency(
         steps += 1
         if steps < attempt:
             continue
-        attempt *= 2
+        attempt = max(attempt + 1, attempt * 3 // 2)
         vec = _reconstruct_vector(acc, modulus)
         if vec is not None:
             eq = _split_sde(linalg._canonical_int_vector(vec), order, shift)
@@ -415,7 +430,7 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: 
     derivs = [ratroots.to_primitive_int(f)]  # f^(k), derived when order k is reached
     n_rows = f.degree + shift + 1
     built: list[list[int]] = []  # the columns in (k, j) order, shared by the passes
-    p = ratroots._PRIME
+    p = ratroots._PRIMES[0]
     while True:
         # The order-k matrix is the order-(k-1) one with columns appended, so
         # one pass over the columns finds the first dependent one, fc.
@@ -440,7 +455,22 @@ def find_min_sde(f: UniPoly, shift: int, max_order: int | None = None, *, lazy: 
         if s is not None:
             return PendingSDE(k, shift, lifted=s) if lazy else s
         # fc is independent over Q: p was unlucky, as only finitely many are
-        p = next(q for q in itertools.count(p + 1) if ratroots._is_prime(q))
+        p = ratroots._next_prime(p)
+
+
+def _forced_profile(p: int, cols: list[list[int]]) -> _ModularProfile | None:
+    """The modular pass over cols, as many as rows, modulo p; None when they
+    are dependent mod p, where an equation ending past them is not forced."""
+    profile = _ModularProfile(p, len(cols))
+    return profile if all(map(profile.add, cols)) else None
+
+
+def _rootless_mod(lead: list[int], p: int) -> bool:
+    """(d): True when lead, of degree 0 or >= 2 and a unit leading
+    coefficient mod p, has no root modulo p."""
+    if len(lead) == 3:
+        return not ratroots._quadratic_roots_mod(lead, p)
+    return len(lead) == 1 or len(ratroots._linear_part_mod(lead, p)) == 1
 
 
 class PendingSDE:
@@ -448,8 +478,9 @@ class PendingSDE:
     pass left it, with f, and lifted once, on the first call of exact().
 
     forced is condition (a) of the module docstring; only a forced equation
-    is held unlifted, and only it answers rootless and refuses from its
-    vector mod p.
+    is held unlifted, and only it answers rootless and refuses, from its
+    vector modulo the pass's prime or a later one of ratroots._PRIMES
+    (decided_at).
     """
 
     def __init__(self, order: int, shift: int, profile=None, cols=None, f=None, lifted: SDE | None = None):
@@ -459,45 +490,72 @@ class PendingSDE:
         self._sde = lifted
 
     def exact(self) -> SDE:
+        """The lifted equation.  A forced one lifts over every row, so it is
+        lifted modulo ratroots._LIFT_PRIME, or modulo the pass's prime where
+        its columns are dependent modulo that one."""
         if self._sde is None:  # a forced dependency always lifts
-            self._sde = _lift_dependency(*self._pass, self.order, self.shift)
+            profile, cols, f = self._pass
+            wide = _forced_profile(ratroots._LIFT_PRIME, cols[:-1])
+            self._sde = _lift_dependency(wide or profile, cols, f, self.order, self.shift)
         return self._sde
 
-    @cached_property
-    def _leads(self) -> tuple[list[int], list[int]]:
-        """P_order and P_(order-1) modulo p, up to one unit, from the kernel
-        vector mod p; P_order ends in its coefficient at fc, 1."""
-        profile, cols, _ = self._pass
+    def _leads(self, profile: _ModularProfile) -> tuple[list[int], list[int]]:
+        """P_order and P_(order-1) modulo profile.p, up to one unit, from
+        the kernel vector there; P_order ends in its coefficient at fc, 1."""
+        cols = self._pass[1]
         vec = profile.solve([-cols[-1][r] for r in profile.pivot_rows]) + [1]
-        start = [i * self.shift + i * (i + 1) // 2 for i in (self.order - 1, self.order)]
-        return vec[start[1] :], vec[start[0] : start[1]]
+        below, lead = (self._start(i) for i in (self.order - 1, self.order))
+        return vec[lead:], vec[below:lead]
+
+    def _start(self, i: int) -> int:
+        """The index of column (i, 0), the first of x^j * f^(i)."""
+        return i * self.shift + i * (i + 1) // 2
 
     @cached_property
     def lead_degree(self) -> int:
-        """deg P_order, exact mod p by (a)."""
-        return len(self._leads[0]) - 1 if self.forced else self.exact().polys[self.order].degree
+        """deg P_order, exact mod p by (a): its entry at fc, the last
+        column, is its top one."""
+        if self.forced:
+            return len(self._pass[1]) - 1 - self._start(self.order)
+        return self.exact().polys[self.order].degree
 
     @cached_property
+    def _decision(self) -> tuple[int, list[int], list[int]] | None:
+        """(q, P_order mod q, P_(order-1) mod q) at the first prime q where
+        (a) and (d) prove P_order rootless; None when none does.  A linear
+        lead always has a root, so it tries no prime."""
+        if not self.forced or self.lead_degree == 1:
+            return None
+        profile, cols, _ = self._pass
+        later = (_forced_profile(q, cols[:-1]) for q in ratroots._primes_after(profile.p))
+        for prof in itertools.chain([profile], filter(None, later)):
+            lead, below = self._leads(prof)
+            if _rootless_mod(lead, prof.p):
+                return prof.p, lead, below
+        return None
+
+    @property
     def rootless(self) -> bool:
         """True when (a) and (d) prove P_order has no rational root; False
         when they do not decide it."""
-        if not self.forced or self.lead_degree == 1:
-            return False
-        lead, p = self._leads[0], self._pass[0].p
-        if len(lead) == 3:
-            return not ratroots._quadratic_roots_mod(lead, p)
-        return len(lead) == 1 or len(ratroots._linear_part_mod(lead, p)) == 1
+        return self._decision is not None
+
+    @property
+    def decided_at(self) -> int | None:
+        """The prime at which (d) proved P_order rootless, None when no
+        prime did."""
+        return self._decision[0] if self._decision else None
 
     def refuses(self, e_min: int, e_max: int) -> bool:
         """True when power_solutions over e_min..e_max is proved empty, and
         free of irrational nodes, without the lift: e_min >= order (one run,
         led by P_order), (a) and (d), and above degree 0 (c) at every t =
-        e-order+1 of the range."""
+        e-order+1 of the range, modulo the prime that decided (d)."""
         if not self.rootless or e_min < self.order:
             return False
         if self.lead_degree == 0:
             return True
-        (lead, below), p = self._leads, self._pass[0].p
+        p, lead, below = self._decision
         norm = _norm_mod(lead, ratroots._deriv(lead), below, p)
         return norm is not None and all(
             _falling_eval_mod(norm, e - self.order + 1, p) for e in range(e_min, e_max + 1)
@@ -651,7 +709,7 @@ def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[F
     runs = [(e, e) for e in range(e_min, min(s.order, e_max + 1))]
     if e_max >= s.order:
         runs.append((max(e_min, s.order), e_max))
-    p = ratroots._PRIME
+    p = ratroots._PRIMES[0]
     out: list[tuple[Fraction, int]] = []
     for lo, hi in runs:
         k = next((i for i in range(min(lo, s.order), -1, -1) if not s.polys[i].is_zero()), None)

@@ -870,6 +870,34 @@ class TestCaughtErrorsLeaveNoCycles:
             gc.set_debug(0)
             gc.garbage.clear()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: decompose_auto(_generic_degree_20()),
+            lambda: decompose_auto(IRRATIONAL_30),
+            lambda: decompose_small_intervals(_generic_degree_20()),
+            lambda: multi_build(_product_box(), backend="big_exponents"),
+        ],
+        ids=["auto-generic", "auto-irrational", "small-intervals-auto-width", "multi-build"],
+    )
+    def test_causes_hold_no_traceback(self, call):
+        # a kept refusal holds no strategy's frames: below the top-level
+        # error no cause has a traceback, and a kept IrrationalNodeDetected
+        # is raised again from decompose_auto alone
+        with pytest.raises((ReconstructionFailed, IrrationalNodeDetected)) as info:
+            call()
+        below, exc = [], info.value
+        while exc.__cause__ is not None or exc.__context__ is not None:
+            exc = exc.__cause__ or exc.__context__
+            below.append(exc)
+        assert below or isinstance(info.value, IrrationalNodeDetected)
+        assert [e.__traceback__ for e in below] == [None] * len(below)
+        tb = info.value.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        if isinstance(info.value, IrrationalNodeDetected):
+            assert tb.tb_frame.f_code.co_name == "decompose_auto"
+
     def test_refusal_keeps_no_shift_zero_equation(self):
         # a caller that keeps the error keeps the frames of its tracebacks:
         # the shared shift-0 equation must not stay alive in them

@@ -503,7 +503,7 @@ class TestSmallPrimes:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_outcomes_unchanged(self, monkeypatch, p):
         want = [outcome(per_exponent_loop, s, lo, hi) for s in self.CASES for lo, hi in chain_ranges(s)]
-        monkeypatch.setattr(ratroots, "_PRIME", p)
+        monkeypatch.setattr(ratroots, "_PRIMES", (p,))
         got = [outcome(power_solutions, s, lo, hi) for s in self.CASES for lo, hi in chain_ranges(s)]
         assert got == want
 
@@ -512,13 +512,13 @@ class TestSmallPrimes:
     )
     def test_chain_at_every_exponent_when_the_screen_is_off(self, monkeypatch, s, h):
         row = sde._node_table(s)[1]  # t P_2' + P_1 at t = e - 1
-        assert sde._norm_mod(h, row[2], row[1], ratroots._PRIME) not in (None, [0, 0, 0])
+        assert sde._norm_mod(h, row[2], row[1], ratroots._PRIMES[0]) not in (None, [0, 0, 0])
         assert sde._norm_mod(h, row[2], row[1], 7) in (None, [0, 0, 0])
         want = per_exponent_loop(s, 2, 30)
         seen = spy_chain(monkeypatch)
         assert power_solutions(s, 2, 30) == want
         assert seen == []
-        monkeypatch.setattr(ratroots, "_PRIME", 7)
+        monkeypatch.setattr(ratroots, "_PRIMES", (7,))
         assert power_solutions(s, 2, 30) == want
         assert seen == list(range(2, 31))
 
@@ -534,7 +534,7 @@ class TestSmallPrimes:
             for p in (3, 5):
                 with monkeypatch.context() as mp:
                     seen = spy_chain(mp)
-                    mp.setattr(ratroots, "_PRIME", p)
+                    mp.setattr(ratroots, "_PRIMES", (p,))
                     outcome(power_solutions, s, 2, 40)
                 assert set(wide) <= set(seen)
                 extra += len(seen) - len(wide)

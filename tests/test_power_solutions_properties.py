@@ -73,5 +73,5 @@ def test_matches_reference_from_one(s, e_max):
 def test_screen_matches_per_exponent_loop(s, start, length, prime):
     lo = s.order + start
     want = outcome(per_exponent_loop, s, lo, lo + length)
-    with mock.patch.object(ratroots, "_PRIME", prime or ratroots._PRIME):
+    with mock.patch.object(ratroots, "_PRIMES", (prime,) if prime else ratroots._PRIMES):
         assert outcome(power_solutions, s, lo, lo + length) == want

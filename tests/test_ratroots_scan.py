@@ -192,7 +192,7 @@ def test_linear_part_matches_the_schoolbook_loops(degree):
     rng = random.Random(degree)
     tried = 0
     # 2^61 - 1 takes 61 squarings: only at the lower degrees
-    primes = (1009, 1013, 7919) + ((ratroots._PRIME,) if degree <= 30 else ())
+    primes = (1009, 1013, 7919) + ((ratroots._PRIMES[0],) if degree <= 30 else ())
     while tried < 4:
         cs = [rng.randint(-50, 50) for _ in range(degree)] + [rng.randint(1, 50)]
         if len(ratroots.poly_gcd_int(cs, ratroots._deriv(cs))) > 1:

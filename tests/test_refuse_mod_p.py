@@ -6,10 +6,13 @@ has no rational root (degree 0, or degree >= 2 and no root mod p) and, for
 the power solutions, the norm N(t) is nonzero mod p over the scanned run.
 The reference here lifts every equation at once, which is the exact path;
 both must give the same answer, or an error of the same type with the same
-str(), exponent and messages along __cause__, also with 3, 5 and 7 patched
-in as the prime.  sympy's ground_roots is an outside oracle for the
-rational-root question, both for rational_roots_with_cofactor and for the
-certificate's verdict on the leads of generic equations.
+str(), exponent and messages along __cause__, also with lists of small
+primes patched in as ratroots._PRIMES: the first serves the modular pass,
+and a forced lead with a root there is tried at the others, where the
+equation is forced too, before it is lifted.  sympy's ground_roots is an
+outside oracle for the rational-root question, both for
+rational_roots_with_cofactor and for the certificate's verdict on the leads
+of generic equations, at whichever prime decided it.
 """
 
 import math
@@ -29,7 +32,9 @@ from affinepowers.errors import DeltaExhausted, ReconstructionFailed  # noqa: E4
 
 F = Fraction
 
-PRIMES = [None, 3, 5, 7]
+# None keeps the default list; a tuple is patched in as ratroots._PRIMES
+PRIMES = [None, (3,), (5, 3, 7), (7, 3, 5, 11, 13)]
+PRIME_IDS = [None if p is None else "-".join(map(str, p)) for p in PRIMES]
 FIND_MIN_SDE = sde.find_min_sde
 
 
@@ -53,9 +58,14 @@ def outcome(solver, *args):
         return chain
 
 
-def both_paths(prime, solver, *args):
-    """(modular path, reference) outcomes with prime patched in, if given."""
-    with mock.patch.object(ratroots, "_PRIME", prime or ratroots._PRIME):
+def patched_primes(primes):
+    return mock.patch.object(ratroots, "_PRIMES", primes or ratroots._PRIMES)
+
+
+def both_paths(primes, solver, *args):
+    """(modular path, reference) outcomes with the primes patched in, if
+    given."""
+    with patched_primes(primes):
         got = outcome(solver, *args)
         with mock.patch.object(sde, "find_min_sde", lifted_at_once):
             want = outcome(solver, *args)
@@ -91,7 +101,7 @@ def planted_inputs(draw):
     return f
 
 
-@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("prime", PRIMES, ids=PRIME_IDS)
 @DIFFERENTIAL
 @given(f=st.one_of(generic_inputs, planted_inputs()))
 def test_auto_matches_lifting_every_equation(prime, f):
@@ -99,7 +109,7 @@ def test_auto_matches_lifting_every_equation(prime, f):
     assert got == want
 
 
-@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("prime", PRIMES, ids=PRIME_IDS)
 @DIFFERENTIAL
 @given(f=st.one_of(generic_inputs, planted_inputs()), delta=st.sampled_from([None, 0, 1, 2]))
 def test_small_intervals_matches_lifting_every_equation(prime, f, delta):
@@ -112,22 +122,81 @@ def _pinned_generic(deg: int) -> UniPoly:
     return UniPoly([rng.randint(-9, 9) for _ in range(deg)] + [5])
 
 
-@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("prime", PRIMES, ids=PRIME_IDS)
 def test_generic_refusals_both_ways(prime):
     # generic degrees 20-40: some shift-0 equations are refused unlifted
     # over the whole scan, the others are lifted, and every refusal is the
-    # reference's
+    # reference's.  The default list is pinned to its first two primes,
+    # which refuse 7 of the 11 (the first alone 2, the full list 8)
+    full, prime = prime is None, prime or ratroots._PRIMES[:2]
     verdicts = []
-    for deg in range(20, 41, 2 if prime is None else 10):
+    for deg in range(20, 41, 2 if full else 10):
         f = _pinned_generic(deg)
         got, want = both_paths(prime, decompose_auto, f)
         assert got == want and got[0][0] is ReconstructionFailed
-        with mock.patch.object(ratroots, "_PRIME", prime or ratroots._PRIME):
+        with patched_primes(prime):
             eq = sde.find_min_sde(f, 0, lazy=True)
             lo = -(-((eq.order + 1) ** 2) // 2)
             verdicts.append(eq.refuses(lo, deg + (deg + 2) ** 2 // 8))
-    if prime is None:
+    if full:
         assert 3 <= verdicts.count(True) <= len(verdicts) - 3
+
+
+def _forced_generic(primes):
+    """The forced shift-0 and shift-1 equations of generic degrees 8-30,
+    found with the primes patched in."""
+    out = []
+    with patched_primes(primes):
+        for deg in range(8, 31):
+            f = generic(deg, random.Random(deg))
+            for shift in (0, 1):
+                eq = sde.find_min_sde(f, shift, lazy=True)
+                if eq.forced:
+                    out.append(eq)
+    return out
+
+
+def test_later_primes_both_decide_and_fail_to_decide():
+    # with small primes many leads have a root at the pass's prime: some
+    # are decided by a later prime of the list, and some by none, which
+    # are lifted; the differential covers both
+    decided_later = undecided = 0
+    primes = (5, 3, 7, 11, 13)
+    with patched_primes(primes):
+        for eq in _forced_generic(primes):
+            if eq.lead_degree < 2:
+                continue
+            decided_later += eq.decided_at not in (None, eq._pass[0].p)
+            undecided += eq.decided_at is None
+            f = eq._pass[2]
+            got, want = both_paths(primes, decompose_auto, f)
+            assert got == want
+    assert decided_later >= 3 and undecided >= 3
+
+
+def test_prime_where_not_forced_is_skipped(monkeypatch):
+    # 3 divides the determinant of some equations' columns: there the pass
+    # is not forced, and the lead is not read modulo 3
+    primes = (1009, 3, 5, 7)
+    read_at = []
+    leads = sde.PendingSDE._leads
+    monkeypatch.setattr(sde.PendingSDE, "_leads", lambda eq, prof: read_at.append(prof.p) or leads(eq, prof))
+    skipped = 0
+    with patched_primes(primes):
+        for eq in _forced_generic(primes):
+            if eq.lead_degree < 2:
+                continue
+            profile, cols, _ = eq._pass
+            later = ratroots._primes_after(profile.p)
+            forced_at = [q for q in later if sde._forced_profile(q, cols[:-1]) is not None]
+            read_at.clear()
+            decided = eq.decided_at
+            # the pass's prime, then each later prime where it is forced, up
+            # to the one that decided
+            tried = [profile.p] + forced_at
+            assert read_at == (tried[: tried.index(decided) + 1] if decided else tried)
+            skipped += 3 in later and 3 not in forced_at
+    assert skipped >= 3
 
 
 NO_ROOTS = "top equation coefficient has no roots"
@@ -196,17 +265,30 @@ def test_rational_roots_match_sympy(f):
     assert cofactor_deg == f.degree - sum(want.values())
 
 
+@pytest.mark.parametrize("prime", [None, (5, 3, 7, 11, 13)], ids=[None, "5-3-7-11-13"])
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(f=generic_inputs, shift=st.integers(0, 2))
-def test_rootless_verdict_matches_sympy(f, shift):
-    # a lead the certificate calls rootless has no rational root, and the
-    # lead's degree mod p is its exact degree
-    eq = sde.find_min_sde(f, shift, max_order=12, lazy=True)
-    hypothesis.assume(eq is not None and eq.forced)
-    lead = eq.exact().polys[eq.order]
-    assert eq.lead_degree == lead.degree
-    if eq.rootless:
-        assert sympy_roots(ratroots.to_primitive_int(lead)) == {}
+def test_rootless_verdict_matches_sympy(prime, f, shift):
+    # a lead the certificate calls rootless, at whichever prime of the list
+    # decided it, has no rational root, and the lead's degree mod p is its
+    # exact degree; decided_at is set exactly when it is rootless
+    with patched_primes(prime):
+        eq = sde.find_min_sde(f, shift, max_order=12, lazy=True)
+        hypothesis.assume(eq is not None and eq.forced)
+        lead = eq.exact().polys[eq.order]
+        assert eq.lead_degree == lead.degree
+        assert (eq.decided_at is not None) == eq.rootless
+        if eq.rootless:
+            assert eq.decided_at in (eq._pass[0].p, *ratroots._primes_after(eq._pass[0].p))
+            assert sympy_roots(ratroots.to_primitive_int(lead)) == {}
+
+
+def test_unforced_equation_has_no_deciding_prime():
+    # (x - 1)^12 + (x + 2)^11: order 3, found before the forced column and
+    # lifted by find_min_sde
+    f = UniPoly.affine_power(1, 1, 12) + UniPoly.affine_power(1, -2, 11)
+    eq = sde.find_min_sde(f, 0, lazy=True)
+    assert not eq.forced and not eq.rootless and eq.decided_at is None
 
 
 # -- the quadratic roots modulo p -----------------------------------------------
@@ -242,11 +324,11 @@ def test_split_solves_a_quadratic_without_splitting_powers(monkeypatch):
 
 
 def test_lead_mod_p_is_the_exact_lead_up_to_a_unit():
-    p = ratroots._PRIME
+    p = ratroots._PRIMES[0]
     for deg in (20, 24, 29, 33):
         f = _pinned_generic(deg)
         eq = sde.find_min_sde(f, 0, lazy=True)
-        lead, below = eq._leads
+        lead, below = eq._leads(eq._pass[0])
         exact = eq.exact()._int_form[0]
         unit = exact[eq.order][-1] % p
         assert [c * unit % p for c in lead] == [c % p for c in exact[eq.order]]

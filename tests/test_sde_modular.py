@@ -116,7 +116,7 @@ def test_nullity_above_one_at_minimal_order():
 
 @pytest.mark.parametrize("prime", [(1 << 61) - 1, 3, 5, 7])
 def test_matches_bareiss_reference(prime, monkeypatch, fallback_calls):
-    monkeypatch.setattr(ratroots, "_PRIME", prime)
+    monkeypatch.setattr(ratroots, "_PRIMES", (prime,))
     for f, shift, max_order in CORPUS:
         assert flat(find_min_sde(f, shift, max_order)) == bareiss_reference(
             f, shift, max_order
@@ -131,7 +131,7 @@ def test_retry_starts_after_the_false_dependency(monkeypatch, fallback_calls):
     # f = x^3 + 3x^2 - 1 has f' = 3x^2 + 6x, zero mod 3: the column of f'
     # is a false dependency, found at order 1; the pass at 5 needs no retry
     f = UniPoly([-1, 0, 3, 1])
-    monkeypatch.setattr(ratroots, "_PRIME", 3)
+    monkeypatch.setattr(ratroots, "_PRIMES", (3,))
     assert flat(find_min_sde(f, 0)) == bareiss_reference(f, 0)
     assert fallback_calls == [(3, 2)]
 
@@ -143,7 +143,7 @@ def test_forced_equation_from_a_retry_prime(monkeypatch, fallback_calls):
     # with prime 5
     f = UniPoly([-6, -9, -6, -9, -3, -6, 1])
     lo, hi = 2, f.degree + (f.degree + 2) ** 2 // 8
-    monkeypatch.setattr(ratroots, "_PRIME", 3)
+    monkeypatch.setattr(ratroots, "_PRIMES", (3,))
     eq = find_min_sde(f, 1, lazy=True)
     assert fallback_calls == [(3, 3)]
     assert eq.forced and eq._pass[0].p == 5
@@ -151,7 +151,7 @@ def test_forced_equation_from_a_retry_prime(monkeypatch, fallback_calls):
     # decided with 5, as a pass started at 5 decides them
     verdicts = eq.rootless, eq.refuses(lo, hi)
     assert verdicts == (True, True)
-    monkeypatch.setattr(ratroots, "_PRIME", 5)
+    monkeypatch.setattr(ratroots, "_PRIMES", (5,))
     direct = find_min_sde(f, 1, lazy=True)
     assert direct._pass[0].p == 5 and (direct.rootless, direct.refuses(lo, hi)) == verdicts
     # and both verdicts hold for the lifted equation
@@ -172,15 +172,16 @@ def test_failed_lift_ends_at_its_second_attempt(monkeypatch, fallback_calls):
         return original(xs, modulus)
 
     monkeypatch.setattr(sde, "_reconstruct_vector", spy)
-    monkeypatch.setattr(ratroots, "_PRIME", 3)
+    monkeypatch.setattr(ratroots, "_PRIMES", (3,))
     rng = random.Random(30)
     f = UniPoly([rng.randint(-9, 9) for _ in range(30)] + [5])
     s = find_min_sde(f, 0)
     unlucky = [p for p, _ in fallback_calls]
     assert unlucky == [3, 5, 7, 11, 13]
-    # attempts at p and p^2 per unlucky prime, then only the lucky one's
+    # attempts at p and p^2 per unlucky prime, then only the lucky one's:
+    # the pass at 17 is forced, and its equation is lifted at the lift prime
     assert attempts[:10] == [q for p in unlucky for q in (p, p * p)]
-    assert all(m % 17 == 0 for m in attempts[10:])
+    assert attempts[10:] and all(m % ratroots._LIFT_PRIME == 0 for m in attempts[10:])
     assert flat(s) == bareiss_reference(f, 0)
 
 
@@ -218,7 +219,7 @@ class TestGcdScreen:
 
     @pytest.mark.parametrize("prime", [3, 5, 7, (1 << 61) - 1])
     def test_matches_exact_gcd(self, prime, monkeypatch):
-        monkeypatch.setattr(ratroots, "_PRIME", prime)
+        monkeypatch.setattr(ratroots, "_PRIMES", (prime,))
         for a, b, g in self.CASES:
             assert ratroots.poly_gcd_int(a, b) == g
             assert ratroots.poly_gcd_int(b, a) == g
@@ -234,14 +235,14 @@ class TestGcdScreen:
         assert calls
 
     def test_prime_dividing_both_leads_runs_the_chain(self, monkeypatch):
-        monkeypatch.setattr(ratroots, "_PRIME", 3)
+        monkeypatch.setattr(ratroots, "_PRIMES", (3,))
         calls = self._chain_calls(monkeypatch)
         assert ratroots.poly_gcd_int([5, 16, 3], [7, 22, 3]) == [1, 3]
         assert calls
 
     def test_unlucky_prime_runs_the_chain(self, monkeypatch):
         # x + 1 and x + 10 are coprime over Q but equal mod 3
-        monkeypatch.setattr(ratroots, "_PRIME", 3)
+        monkeypatch.setattr(ratroots, "_PRIMES", (3,))
         calls = self._chain_calls(monkeypatch)
         assert ratroots.poly_gcd_int([1, 1], [10, 1]) == [1]
         assert calls
@@ -282,7 +283,7 @@ class TestAgainstSympy:
     def test_nullspace_and_minimality(self, prime, monkeypatch, fallback_calls):
         sympy = pytest.importorskip("sympy")
         if prime is not None:  # tiny primes: the retry path, against sympy
-            monkeypatch.setattr(ratroots, "_PRIME", prime)
+            monkeypatch.setattr(ratroots, "_PRIMES", (prime,))
         for f, shift in self._cases():
             s = find_min_sde(f, shift)
             null = self._matrix(sympy, f, s.order, shift).nullspace()
@@ -296,3 +297,84 @@ class TestAgainstSympy:
             below = self._matrix(sympy, f, s.order - 1, shift)
             assert below.rank() == below.cols
         assert bool(fallback_calls) == (prime is not None)
+
+
+def _lift_moduli(monkeypatch):
+    moduli = []
+    original = sde._reconstruct_vector
+
+    def spy(xs, modulus):
+        moduli.append(modulus)
+        return original(xs, modulus)
+
+    monkeypatch.setattr(sde, "_reconstruct_vector", spy)
+    return moduli
+
+
+def _steps(moduli, p):
+    """The step count of each attempt, modulus p^steps."""
+    out = []
+    for m in moduli:
+        k = 0
+        while m > 1:
+            m, r = divmod(m, p)
+            assert r == 0
+            k += 1
+        out.append(k)
+    return out
+
+
+def _generic(deg):
+    rng = random.Random(deg)
+    return UniPoly([rng.randint(-9, 9) for _ in range(deg)] + [5])
+
+
+@pytest.mark.parametrize(
+    "f, shift, forced",
+    [
+        (_generic(30), 0, True),
+        (
+            UniPoly.affine_power(3, F(22, 7), 30)
+            + UniPoly.affine_power(-2, F(5, 3), 28)
+            + UniPoly.affine_power(1, F(-4, 11), 26),
+            0,
+            False,
+        ),
+    ],
+    ids=["forced", "unforced"],
+)
+def test_lift_attempts_grow_by_half(f, shift, forced, monkeypatch):
+    # candidates are reconstructed after 1, 2, 3, 4, 6, 9, ... steps, at
+    # the lift prime for a forced equation and at the pass's prime
+    # otherwise, and the lifted equation is the reference's
+    moduli = _lift_moduli(monkeypatch)
+    eq = find_min_sde(f, shift, lazy=True)
+    assert eq.forced == forced
+    s = eq.exact()
+    steps = _steps(moduli, ratroots._LIFT_PRIME if forced else ratroots._PRIMES[0])
+    want = [1]
+    while len(want) < len(steps):
+        want.append(max(want[-1] + 1, want[-1] * 3 // 2))
+    assert steps == want and len(steps) >= 4
+    assert flat(s) == bareiss_reference(f, shift)
+
+
+def test_forced_lift_falls_back_to_the_pass_prime(monkeypatch):
+    # with 11 as the lift prime, some forced equations have columns
+    # dependent mod 11: those are lifted at the pass's prime, the others at
+    # 11, and both give the reference's equation
+    monkeypatch.setattr(ratroots, "_LIFT_PRIME", 11)
+    moduli = _lift_moduli(monkeypatch)
+    at = {11: 0, ratroots._PRIMES[0]: 0}
+    for deg in range(8, 26):
+        f = _generic(deg)
+        eq = find_min_sde(f, 0, lazy=True)
+        if not eq.forced:
+            continue
+        moduli.clear()
+        cols = eq._pass[1]
+        p = 11 if sde._forced_profile(11, cols[:-1]) else eq._pass[0].p
+        assert flat(eq.exact()) == bareiss_reference(f, 0)
+        assert moduli and all(m % p == 0 for m in moduli)
+        at[p] += 1
+    assert min(at.values()) >= 2

@@ -91,7 +91,7 @@ def modular_pass(profile_cls, f, shift, max_order=None):
     max_order = f.degree + 1 if max_order is None else max_order
     derivs = derivatives(f, max_order)
     n_rows = f.degree + shift + 1
-    profile = profile_cls(ratroots._PRIME, n_rows)
+    profile = profile_cls(ratroots._PRIMES[0], n_rows)
     columns = (sde._column(derivs[k], j, n_rows) for k in range(max_order + 1) for j in range(k + shift + 1))
     for fc, col in enumerate(columns, 1):
         if not profile.add(col):
@@ -141,7 +141,7 @@ DIFFERENTIAL = settings(derandomize=True, max_examples=30, deadline=None, databa
 
 
 def patched_prime(prime):
-    return mock.patch.object(ratroots, "_PRIME", prime or ratroots._PRIME)
+    return mock.patch.object(ratroots, "_PRIMES", (prime,) if prime else ratroots._PRIMES)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -158,7 +158,7 @@ def equation(f, shift):
     """find_min_sde's lazy and exact outputs, and a forced equation's
     leads mod p."""
     eq = find_min_sde(f, shift, lazy=True)
-    leads = eq._leads if eq.forced else None
+    leads = eq._leads(eq._pass[0]) if eq.forced else None
     return eq.order, eq.forced, leads, eq.exact(), find_min_sde(f, shift)
 
 
@@ -218,4 +218,4 @@ def test_first_free_column_matches_sympy_rref(prime):
             order = f.degree + 1
             if fc is not None:  # the order whose columns end at or past fc
                 order = next(k for k in range(order + 1) if (k + 1) * (k + 2) // 2 + (k + 1) * shift >= fc)
-            assert fc == first_free_column(f, shift, order, prime or ratroots._PRIME)
+            assert fc == first_free_column(f, shift, order, prime or ratroots._PRIMES[0])

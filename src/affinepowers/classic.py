@@ -118,7 +118,7 @@ def sparsest_shift(f: UniPoly) -> SparsestResult:
     if eq is None:
         return SparsestResult(None, None)
     top = eq.polys[eq.order]
-    roots, cofactor_deg = rational_roots_with_cofactor(top)
+    roots, cofactor = rational_roots_with_cofactor(top)
     best_shift: Fraction | None = None
     best_support: tuple[tuple[int, Fraction], ...] | None = None
     for a in sorted(roots):
@@ -131,7 +131,7 @@ def sparsest_shift(f: UniPoly) -> SparsestResult:
     if best_support is not None and len(best_support) ** 2 <= d:
         _verify(Decomposition.of((c, best_shift, e) for e, c in best_support), f)
         return SparsestResult(best_shift, best_support)
-    if cofactor_deg > 0:
+    if len(cofactor) > 1:
         raise IrrationalNodeDetected(
             "the sparsest shift below the threshold, if any, is irrational"
         )

@@ -176,7 +176,7 @@ def _require_nonzero(f: UniPoly) -> None:
 
 
 def _coords(
-    f: UniPoly, candidates: Sequence[tuple[Fraction, dict[int, Fraction]]]
+    f: UniPoly, candidates: Sequence[tuple[Fraction, dict[int, int]]]
 ) -> list[Fraction]:
     """Coordinates of f in the basis of the candidates, each a polynomial
     sum_k coeff_k (x - node)^k given as (node, {k: coeff_k}); requires a
@@ -202,7 +202,7 @@ def _coords(
 
 
 def _fit(
-    f: UniPoly, candidates: Sequence[tuple[Fraction, dict[int, Fraction]]]
+    f: UniPoly, candidates: Sequence[tuple[Fraction, dict[int, int]]]
 ) -> Decomposition:
     """Solve f in the basis of the candidates (see _coords) and read the
     answer off as affine-power terms: equal (node, exponent) keys merge and
@@ -349,12 +349,12 @@ def _peel(
             raise ReconstructionFailed("no admissible power solutions in range")
         pairs.sort(key=lambda be: (-be[1], be[0]))
         count = len(pairs)
-        sentinel = Fraction((t + 1) ** 2, 2)
         r_pick = None
         for r in range(1, count + 1):
-            d_r = pairs[r - 1][1]
-            d_next = Fraction(pairs[r][1]) if r < count else sentinel
-            if d_r - d_next > Fraction(r * r, 2) and d_next < deg:
+            # the docstring's gap test doubled, to stay in integers:
+            # D = 2 d_(r+1), or (t+1)^2 for the sentinel
+            big_d = 2 * pairs[r][1] if r < count else (t + 1) ** 2
+            if 2 * pairs[r - 1][1] - big_d > r * r and big_d < 2 * deg:
                 r_pick = r
                 break
         if r_pick is None:

@@ -4,11 +4,11 @@ _bareiss is the one elimination: fraction-free, so intermediate entries stay
 at determinant size, with deterministic pivoting (first nonzero entry in
 column order), so a column is a pivot exactly when it is independent of the
 columns before it.  kernel reads the free columns by back substitution in
-integers, and checks every basis vector A v = 0 in integers;
-solve reads the kernel of [m | -rhs]; sde.shifted_poly_solutions keeps the
-pivot columns of its candidate solutions.  The minimal-equation search in
-sde works modulo a prime, retrying an unlucky one with the next prime, and
-does not call kernel.
+integers, checks A v = 0 in integers and returns each basis vector as ints;
+solve divides the kernel of [m | -rhs] into Fractions;
+sde.shifted_poly_solutions keeps the pivot columns of its candidate
+solutions.  The minimal-equation search in sde works modulo a prime,
+retrying an unlucky one with the next prime, and does not call kernel.
 """
 
 from __future__ import annotations
@@ -76,22 +76,20 @@ def _bareiss(mat: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _canonical_int_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to primitive integers with positive first nonzero entry."""
+def _canonical_int_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale rationals to primitive integers with positive first nonzero
+    entry; a zero vector stays zero."""
     ints = _clear_denominators(vec)[0]
-    g = math.gcd(*ints)
-    if g == 0:
-        return tuple(Fraction(0) for _ in ints)
-    first = next(v for v in ints if v)
-    if first < 0:
+    g = math.gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
         g = -g
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(v // g for v in ints)
 
 
-def kernel(m: IntMatrix) -> list[tuple[Fraction, ...]]:
+def kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the right null space, one vector per free column.
 
-    Each vector is in primitive integer form with positive first nonzero
+    Each vector is a tuple of primitive ints with positive first nonzero
     entry; the basis order follows the free columns left to right.  For a
     free column fc with r pivots left of it, x[fc] is the r-th Bareiss
     pivot, the leading r x r minor of those pivot columns, so by Cramer's
@@ -110,8 +108,7 @@ def kernel(m: IntMatrix) -> list[tuple[Fraction, ...]]:
             x[pc] = -sum(row[j] * x[j] for j in range(pc + 1, fc + 1) if x[j]) // row[pc]
         basis.append(_canonical_int_vector(x))
     for vec in basis:
-        ints = [v.numerator for v in vec]
-        if any(sum(map(operator.mul, row, ints)) for row in m.entries):
+        if any(sum(map(operator.mul, row, vec)) for row in m.entries):
             raise RuntimeError("kernel verification failed")
     return basis
 
@@ -134,4 +131,4 @@ def solve(m: IntMatrix, rhs: Sequence[int]) -> SolveResult:
     if not basis or not basis[-1][-1]:
         raise Inconsistent("nonzero rhs with no unknowns" if m.cols == 0 else "no solution exists")
     *x, d = basis[-1]
-    return SolveResult(tuple(v / d for v in x), unique=len(basis) == 1)
+    return SolveResult(tuple(Fraction(v, d) for v in x), unique=len(basis) == 1)

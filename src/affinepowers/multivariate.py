@@ -94,7 +94,7 @@ class AffineChange:
             if any(bool(v) != (k == j) for k, v in enumerate(vec[n:])):
                 raise ValueError("matrix is singular")
         inverse = tuple(
-            tuple(vec[i] / vec[n + j] for j, vec in enumerate(basis)) for i in range(n)
+            tuple(Fraction(vec[i], vec[n + j]) for j, vec in enumerate(basis)) for i in range(n)
         )
         return cls(
             matrix=matrix,

@@ -309,7 +309,7 @@ def _hensel_lift(cs: Sequence[int], dcs: Sequence[int], root: int, p: int, targe
     return r, modulus
 
 
-def _rational_reconstruct(u: int, m: int, num_bound: int, den_bound: int) -> Fraction | None:
+def _rational_reconstruct(u: int, m: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:
     r0, s0 = m, 0
     r1, s1 = u % m, 1
     while r1 > num_bound:
@@ -321,7 +321,7 @@ def _rational_reconstruct(u: int, m: int, num_bound: int, den_bound: int) -> Fra
     num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
     if den > den_bound or math.gcd(num, den) != 1:
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 def _roots_of_squarefree(sf: Sequence[int]) -> list[Fraction]:
@@ -354,29 +354,25 @@ def _roots_of_squarefree(sf: Sequence[int]) -> list[Fraction]:
     for r0 in _split_mod(_linear_part_mod(sf, p), p):
         lifted, modulus = _hensel_lift(sf, dsf, r0, p, target)
         cand = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
-        if cand is not None and _multiplicity(sf, cand):
-            found.append(cand)
+        if cand is not None and _multiplicity(sf, *cand)[0]:
+            found.append(Fraction(*cand))
     return sorted(set(found))
 
 
-def rational_roots_with_cofactor(f: UniPoly) -> tuple[dict[Fraction, int], int]:
-    """Rational roots of f with multiplicities, plus the degree of the
-    remaining factor of f that has no rational root."""
+def rational_roots_with_cofactor(f: UniPoly) -> tuple[dict[Fraction, int], list[int]]:
+    """Rational roots of f with multiplicities, plus the cofactor without
+    rational roots ([1] if none): the primitive quotient, positive lead,
+    left by the exact divisions that count the multiplicities."""
     cs = to_primitive_int(f)
     if not cs:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     roots: dict[Fraction, int] = {}
-    total_deg = len(cs) - 1
-    zero_mult = 0
-    while cs and cs[0] == 0:
-        cs = cs[1:]
-        zero_mult += 1
-    if zero_mult:
-        roots[Fraction(0)] = zero_mult
+    zeros, cs = _multiplicity(cs, 0, 1)
+    if zeros:
+        roots[Fraction(0)] = zeros
     if len(cs) > 1:
         gcd_sf = poly_gcd_int(cs, _deriv(cs))
         sf = _exact_div(cs, gcd_sf) if len(gcd_sf) > 1 else cs
         for root in _roots_of_squarefree(sf):
-            roots[root] = _multiplicity(cs, root)
-    cofactor_degree = total_deg - sum(roots.values())
-    return roots, cofactor_degree
+            roots[root], cs = _multiplicity(cs, *root.as_integer_ratio())
+    return roots, cs

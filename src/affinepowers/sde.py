@@ -76,7 +76,8 @@ deg(R) below an integer root of I, and both shifted_poly_solutions and
 power_solutions read those roots off I by one sweep (_integer_roots)
 instead of testing each exponent.  The nodes of pure powers (x - c)^e are
 the rational roots of the lead P_k, k the largest i <= min(e, order) with
-P_i nonzero; the part h of P_k without rational roots is reduced by gcd
+P_i nonzero; the part h of P_k without rational roots, the quotient that
+the divisions counting their multiplicities leave, is reduced by gcd
 against the rows with c symbolic, behind a screen modulo a prime: the next
 row is coprime to h wherever the norm N(t) = Res(h / lc(h), t * P_k' +
 P_{k-1}), the product of t * P_k' + P_{k-1} over the roots of h, is nonzero
@@ -133,7 +134,7 @@ class SDE:
         it = iter(scaled)
         return [[next(it) for _ in p.coeffs] for p in self.polys], l
 
-    def _lead_roots(self, k: int) -> tuple[dict[Fraction, int], int]:
+    def _lead_roots(self, k: int) -> tuple[dict[Fraction, int], list[int]]:
         """ratroots.rational_roots_with_cofactor(P_k), computed once per
         equation and k: power_solutions and the width-0 search of
         decompose_small_intervals share it."""
@@ -329,8 +330,8 @@ def _reconstruct_vector(xs: Sequence[int], modulus: int) -> list[int] | None:
         q = ratroots._rational_reconstruct(x * den % modulus, modulus, bound, bound // den)
         if q is None:
             return None
-        den *= q.denominator
-        parts.append((q.numerator, den))
+        den *= q[1]
+        parts.append((q[0], den))
     return [n * (den // d) for n, d in parts] + [den]
 
 
@@ -718,11 +719,7 @@ def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[F
                 f"every node solves the equation at exponent {lo}; "
                 "the requested range is below the meaningful threshold"
             )
-        roots, cofactor_deg = s._lead_roots(k)
-        h = [1]
-        if cofactor_deg:
-            linear = math.prod((UniPoly((-b, 1)) ** m for b, m in roots.items()), start=ONE)
-            h = ratroots.to_primitive_int(s.polys[k].quo_rem(linear)[0])
+        roots, h = s._lead_roots(k)
         above = table[s.order - k + 1 :]
         if len(h) > 1:
             norm = _norm_mod(h, above[0][k], above[0][k - 1], p) if k and hi > lo else None
@@ -762,10 +759,10 @@ def _image(rows: list[list[int]], m: int) -> list[int]:
 
 def shifted_poly_solutions(
     s: SDE, node, delta: int, e_min: int, e_max: int
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int]]:
     """Basis of the solutions R(x) * (x - node)^e with deg(R) <= delta and
     e_min <= e <= e_max, each given in the node's basis as
-    {k: coefficient of (x - node)^k}, zeros left out.
+    {k: integer coefficient of (x - node)^k}, zeros left out.
 
     The search runs in the basis y = x - node, where the node table gives
     the image of y^m, a window on the exponents m-order..m+shift.  The
@@ -812,7 +809,7 @@ def shifted_poly_solutions(
     rows += at_node
     live = sorted({e for r in roots for e in range(max(r - delta, e_min), min(r, e_max) + 1)})
     windows = {m: _image(rows, m) for m in {e + t for e in live for t in range(delta + 1)}}
-    candidates: list[dict[int, Fraction]] = []
+    candidates: list[dict[int, int]] = []
     for e in live:
         # column t on y^(e-order)..y^(e+delta+shift), negative powers dropped
         cols = [[0] * t + windows[e + t] + [0] * (delta - t) for t in range(delta + 1)]
@@ -821,5 +818,5 @@ def shifted_poly_solutions(
             candidates.append({e + t: v for t, v in enumerate(vec) if v})
     # a row per power of y, a column per candidate
     powers = sorted({k for sol in candidates for k in sol})
-    mat = [[int(sol.get(k, 0)) for sol in candidates] for k in powers]
+    mat = [[sol.get(k, 0) for sol in candidates] for k in powers]
     return [candidates[c] for c in linalg._bareiss(mat)]

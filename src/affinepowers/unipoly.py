@@ -89,21 +89,21 @@ def _affine_sum(terms: Iterable[tuple]) -> tuple[list[int], int]:
     return out, den
 
 
-def _multiplicity(cs: Sequence[int], root: Fraction) -> int:
-    """Multiplicity of root = a/d in the nonzero integer polynomial cs: the
-    number of exact divisions by d x - a, each by synthetic division."""
-    a, d, m = root.numerator, root.denominator, 0
+def _multiplicity(cs: list[int], a: int, d: int) -> tuple[int, list[int]]:
+    """(m, cs / (d x - a)^m), m the multiplicity of the root a/d (d > 0) in
+    the nonzero integer polynomial cs: exact synthetic divisions by d x - a."""
+    m = 0
     while len(cs) > 1:
         q = [0]  # from the top, q[j-1] = (cs[j] + a q[j]) / d; cs[0] + a q[0] remains
         for c in reversed(cs[1:]):
             top, rem = divmod(c + a * q[-1], d)
             if rem:
-                return m
+                return m, cs
             q.append(top)
         if cs[0] + a * q[-1]:
-            return m
+            return m, cs
         cs, m = q[:0:-1], m + 1
-    return m
+    return m, cs
 
 
 class UniPoly:
@@ -291,7 +291,7 @@ class UniPoly:
         """
         if self.is_zero():
             raise ZeroPolynomial("multiplicity undefined for the zero polynomial")
-        return _multiplicity(_clear_denominators(self.coeffs)[0], _frac(a))
+        return _multiplicity(_clear_denominators(self.coeffs)[0], *_frac(a).as_integer_ratio())[0]
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"

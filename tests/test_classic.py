@@ -184,8 +184,8 @@ class TestSparsestShift:
         # irrational factor, and neither shift leaves at most 2 terms
         f = P(-165, -213, -108, -24, -2)
         eq = sde.find_min_sde(f, 0, max_order=2)
-        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(eq.polys[eq.order])
-        assert (set(roots), cofactor_deg) == ({F(-3), F(7, 3)}, 0)
+        roots, cofactor = ratroots.rational_roots_with_cofactor(eq.polys[eq.order])
+        assert (set(roots), len(cofactor) - 1) == ({F(-3), F(7, 3)}, 0)
         assert all(sum(map(bool, f.taylor_shift(a).coeffs)) > 2 for a in roots)
         assert sparsest_shift(f) == SparsestResult(None, None)
 

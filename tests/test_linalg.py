@@ -279,6 +279,7 @@ class TestAgainstSympy:
         ref = [linalg._canonical_int_vector([F(int(c.p), int(c.q)) for c in v])
                for v in self.to_sympy(sympy, m).nullspace()]
         assert kernel(m) == ref
+        assert all(type(v) is int for vec in kernel(m) for v in vec)
         assert m.cols - len(kernel(m)) == self.to_sympy(sympy, m).rank()
 
     @pytest.mark.parametrize("m", sympy_cases())

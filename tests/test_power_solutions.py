@@ -77,11 +77,11 @@ def reference_at(s: SDE, q, e: int) -> list[tuple[Fraction, int]]:
         g = ratroots.poly_gcd_int(g, nxt)
     if len(g) == 1:
         return []
-    roots, cofactor_deg = ratroots.rational_roots_with_cofactor(UniPoly(g))
-    if cofactor_deg > 0:
+    roots, cofactor = ratroots.rational_roots_with_cofactor(UniPoly(g))
+    if len(cofactor) - 1 > 0:
         raise IrrationalNodeDetected(
             f"nodes at exponent {e} satisfy an irreducible condition of "
-            f"degree {cofactor_deg} with no rational root"
+            f"degree {len(cofactor) - 1} with no rational root"
         )
     found = []
     for b in sorted(roots):
@@ -196,8 +196,8 @@ class TestAgainstShiftedPolySolutions:
         # of P_order are the powers (x - b)^e that power_solutions returns
         f, _ = generate_instance(InstanceSpec(s=terms, seed=seed, **extra), regime)
         s = find_min_sde(f, 0)
-        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[-1])
-        assert not cofactor_deg  # P_order splits over Q for these seeds
+        roots, cofactor = ratroots.rational_roots_with_cofactor(s.polys[-1])
+        assert not len(cofactor) - 1  # P_order splits over Q for these seeds
         for lo, hi in ranges(s, f):
             pairs = power_solutions(s, lo, hi)
             for b in roots:
@@ -212,8 +212,8 @@ class TestIrrationalFactor:
         # the node condition of +-sqrt(2): power_solutions raises there
         f = pair_sum(2, 13) + UniPoly.affine_power(3, 1, 9)
         s = find_min_sde(f, 0)
-        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[-1])
-        assert roots and cofactor_deg == 2
+        roots, cofactor = ratroots.rational_roots_with_cofactor(s.polys[-1])
+        assert roots and len(cofactor) - 1 == 2
         message = (
             "nodes at exponent 13 satisfy an irreducible condition of "
             "degree 2 with no rational root"
@@ -297,11 +297,12 @@ def per_exponent_loop(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, in
                 f"every node solves the equation at exponent {lo}; "
                 "the requested range is below the meaningful threshold"
             )
-        roots, cofactor_deg = ratroots.rational_roots_with_cofactor(s.polys[k])
+        roots, cofactor = ratroots.rational_roots_with_cofactor(s.polys[k])
         h = [1]
-        if cofactor_deg:
+        if len(cofactor) - 1:
             linear = math.prod((UniPoly((-b, 1)) ** m for b, m in roots.items()), start=UniPoly([1]))
             h = ratroots.to_primitive_int(s.polys[k].quo_rem(linear)[0])
+        assert h == cofactor
         above = table[s.order - k + 1 :]
         candidates = [(b, [w for w in sde._rows_at_node(table, b) if any(w)]) for b in sorted(roots)]
         for e in range(lo, hi + 1):

@@ -44,8 +44,8 @@ def full_scan(sf):
     for r0 in residues:
         lifted, modulus = ratroots._hensel_lift(sf, dsf, r0, p, target)
         cand = ratroots._rational_reconstruct(lifted, modulus, num_bound, den_bound)
-        if cand is not None and _multiplicity(sf, cand):
-            found.append(cand)
+        if cand is not None and _multiplicity(sf, *cand)[0]:
+            found.append(F(*cand))
     return sorted(set(found))
 
 
@@ -106,7 +106,7 @@ def test_matches_full_scan(f):
     roots, (p, g) = scan_with_gcd(sf)
     assert roots == full_scan(sf)
     assert len(g) - 1 == sum(1 for x in range(p) if ratroots._eval_mod(sf, x, p) == 0)
-    assert all(_multiplicity(sf, r) for r in roots)
+    assert all(_multiplicity(sf, *r.as_integer_ratio())[0] for r in roots)
 
 
 @pytest.mark.parametrize("sf", NO_ROOTS_MOD_P)

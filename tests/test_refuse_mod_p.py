@@ -259,10 +259,15 @@ def root_products(draw):
 @ORACLE
 @given(root_products())
 def test_rational_roots_match_sympy(f):
-    roots, cofactor_deg = ratroots.rational_roots_with_cofactor(f)
+    roots, cofactor = ratroots.rational_roots_with_cofactor(f)
     want = {F(int(r.p), int(r.q)): m for r, m in sympy_roots(ratroots.to_primitive_int(f)).items()}
     assert roots == want
-    assert cofactor_deg == f.degree - sum(want.values())
+    assert len(cofactor) - 1 == f.degree - sum(want.values())
+    # the cofactor is the product of the irreducible factors of degree >= 2
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(ratroots.to_primitive_int(f))), x).factor_list()
+    rest = math.prod((g**m for g, m in factors if g.degree() >= 2), start=sympy.Poly(1, x))
+    assert cofactor == ratroots._primitive([int(c) for c in reversed(rest.all_coeffs())])
 
 
 @pytest.mark.parametrize("prime", [None, (5, 3, 7, 11, 13)], ids=[None, "5-3-7-11-13"])

@@ -109,7 +109,7 @@ def keep_if_independent(vec: dict, registry: dict) -> bool:
         m = min(vec)
         row = registry.get(m)
         if row is None:
-            inv = 1 / vec[m]
+            inv = Fraction(1, vec[m])
             registry[m] = {k: v * inv for k, v in vec.items()}
             return True
         factor = vec[m]

@@ -9,10 +9,14 @@ to `terms` would not reach it.
 The form is a Horner scheme nested by the exponent of x_1, then x_2, and so
 on: each outer level lists (gap to the next lower exponent, inner table), and
 the innermost is one dense row of integer numerators c*den in x_n (den the
-lcm of the coefficient denominators).  A point N_1/D, ..., N_n/D costs one
-multiply by a power of N_j per gap and two multiplies per row entry; the
-powers of D that homogenise the sum enter only at the row entries.  At an
-integer point (D = 1) a row entry costs one multiply and one add.
+lcm of the coefficient denominators).  The powers of N_j are built only as
+far as the scheme reads them, the largest gap at level j or the largest row
+low for x_n: [1, N_j] for a dense box.  At an integer point (D = 1) in
+n >= 2 variables a row entry costs one multiply and one add, and the level
+above the rows runs each row's loop inline, so calls recurse only above
+that level (n >= 3).  Other points N_1/D, ..., N_n/D take the D path: one
+call per row and two multiplies per row entry, with the powers of D that
+homogenise the sum entering only at the row entries.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from .errors import DimensionMismatch
 from .unipoly import _clear_denominators, _frac, _parse_int, _powers
 
 
-def _nest(items, rest: int):
+def _nest(items, rest: int, reads: list[int]):
     """Horner table of (exponent tuple, integer) pairs that share their
     leading exponents, sorted by decreasing exponents; rest is the total
-    degree less the shared exponents.
+    degree less the shared exponents.  reads[j] is raised to the largest
+    power of the j-th variable that the table reads: its largest gap, or
+    for the last variable its largest row low.
 
     With one variable left the table is a dense row (numerators from the top
     exponent down to the lowest, 0 in the gaps, the D exponent rest - top of
@@ -42,34 +48,51 @@ def _nest(items, rest: int):
         row = [0] * (top - low + 1)
         for (e,), c in items:
             row[top - e] = c
+        reads[-1] = max(reads[-1], low)
         return tuple(row), rest - top, low
     groups = [
         (e, [(exps[1:], c) for exps, c in run])
         for e, run in itertools.groupby(items, key=lambda item: item[0][0])
     ]
-    lower = [e for e, _ in groups[1:]] + [0]
-    return tuple((e - below, _nest(sub, rest - e)) for (e, sub), below in zip(groups, lower))
+    gaps = [e - below for (e, _), below in zip(groups, [below for below, _ in groups[1:]] + [0])]
+    j = len(reads) - len(items[0][0])
+    reads[j] = max(reads[j], *gaps)
+    return tuple((gap, _nest(sub, rest - e, reads)) for gap, (e, sub) in zip(gaps, groups))
 
 
-def _horner(table, tables: list[list[int]], x: int, d_pow: list[int] | None) -> int:
-    """Value of a _nest table: tables[j] the powers of the j-th remaining
-    variable's numerator, x the last one, d_pow the powers of D, or None
-    for an integer point (D = 1)."""
+def _horner(table, tables: list[list[int]], x: int, d_pow: list[int]) -> int:
+    """Value of a _nest table at N / D: tables[j] the powers of the j-th
+    remaining variable's numerator, x the last one, d_pow the powers of D."""
     pw = tables[0]
     if len(tables) == 1:
         row, r, low = table
         acc = 0
-        if d_pow is None:
-            for c in row:
-                acc = acc * x + c
-        else:
-            for c, dk in zip(row, d_pow[r:]):
-                acc = acc * x + c * dk
+        for c, dk in zip(row, d_pow[r:]):
+            acc = acc * x + c * dk
         return acc * pw[low]
     inner = tables[1:]
     acc = 0
     for gap, sub in table:
         acc = (acc + _horner(sub, inner, x, d_pow)) * pw[gap]
+    return acc
+
+
+def _horner_int(table, tables: list[list[int]], x: int) -> int:
+    """Value of a _nest table in two or more variables at an integer point
+    (D = 1), as _horner: the level above the rows runs them inline."""
+    pw = tables[0]
+    acc = 0
+    if len(tables) == 2:
+        lows = tables[1]
+        for gap, (row, _, low) in table:
+            v = 0
+            for c in row:
+                v = v * x + c
+            acc = (acc + v * lows[low]) * pw[gap]
+        return acc
+    inner = tables[1:]
+    for gap, sub in table:
+        acc = (acc + _horner_int(sub, inner, x)) * pw[gap]
     return acc
 
 
@@ -172,39 +195,36 @@ class MultiPoly:
 
         With den the lcm of the coefficient denominators, deg the total
         degree and the point written as N_j / D over its common denominator,
-        f(point) = sum (c*den) * prod N_j^e_j * D^(deg-|e|) / (den * D^deg).
-        The sum runs as a nested Horner scheme over the table that
-        _integer_form builds on the first call and keeps on the instance:
-        by x_1, then x_2, and so on, one multiply by a power table entry
-        per exponent gap, and along each innermost row
-        acc = acc*N_n + (c*den)*D^(deg-|e|), so D enters only at the
-        leaves.  At an integer point (D = 1) the rows run acc = acc*N_n + c,
-        with no powers of D; the D path serves rational points only.
+        f(point) = sum (c*den) * prod N_j^e_j * D^(deg-|e|) / (den * D^deg),
+        by the Horner scheme of the module docstring over the table that
+        _integer_form builds on the first call and keeps on the instance.
+        At an integer point in n >= 2 variables each row runs acc*N_n + c
+        inline in the level above it; otherwise the D path runs
+        acc*N_n + (c*den)*D^(deg-|e|), one call per row.
         """
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
         if self._int_form is None:
             self._int_form = self._integer_form()
-        den, deg, tops, table = self._int_form
-        pt = [_frac(v) for v in point]
+        den, deg, reads, table = self._int_form
+        nums, d = _clear_denominators(list(map(_frac, point)))
         if table is None:
             return Fraction(0)
-        nums, d = _clear_denominators(pt)
-        tables = [_powers(x, top) for x, top in zip(nums, tops)]
-        if d == 1:
-            return Fraction(_horner(table, tables, nums[-1], None), den)
+        tables = [_powers(x, top) for x, top in zip(nums, reads)]
+        if d == 1 and self.n > 1:
+            return Fraction(_horner_int(table, tables, nums[-1]), den)
         d_pow = _powers(d, deg)
         return Fraction(_horner(table, tables, nums[-1], d_pow), den * d_pow[deg])
 
     def _integer_form(self):
-        """(den, deg, largest exponent per variable, nested table), with den
-        the lcm of the coefficient denominators and the table None for the
-        zero polynomial.  See _nest for the table."""
+        """(den, deg, largest power read per variable, nested table), with
+        den the lcm of the coefficient denominators and the table None for
+        the zero polynomial.  See _nest for the table."""
         nums, den = _clear_denominators(list(self.terms.values()))
-        deg = self.total_degree()
-        tops = [max((e[j] for e in self.terms), default=0) for j in range(self.n)]
         scaled = sorted(zip(self.terms, nums), reverse=True)
-        return den, deg, tops, _nest(scaled, deg) if scaled else None
+        reads = [0] * self.n
+        deg = self.total_degree()
+        return den, deg, reads, _nest(scaled, deg, reads) if scaled else None
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items())

@@ -12,8 +12,9 @@ back through the substitution.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -54,7 +55,7 @@ class BlackBox:
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.n:
             raise ValueError("wrong point dimension")
-        return _frac(self.func([_frac(v) for v in point]))
+        return _frac(self.func(list(map(_frac, point))))
 
     @classmethod
     def from_multipoly(cls, p: MultiPoly, degree_bound: int | None = None) -> "BlackBox":
@@ -118,10 +119,7 @@ class AffineChange:
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
         vec = [_frac(v) for v in point]
-        return [
-            sum((row[j] * vec[j] for j in range(self.n)), self.offset[i])
-            for i, row in enumerate(self.matrix)
-        ]
+        return [sum(map(operator.mul, row, vec), c) for row, c in zip(self.matrix, self.offset)]
 
 
 @dataclass(frozen=True)
@@ -165,6 +163,7 @@ class MultiDecomposition:
 
     n: int
     terms: tuple[MultiTerm, ...]
+    _int_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = tuple(
@@ -178,6 +177,12 @@ class MultiDecomposition:
             raise ValueError("duplicate (form, exponent) pair")
         ordered = sorted(normalized, key=lambda t: (-t.exponent, t.form.coefficients, t.form.constant))
         object.__setattr__(self, "terms", tuple(ordered))
+        # c * form^e as m * (B_0 + sum_j B_j x_j)^e / den: the form over its
+        # own denominator b, and c / b^e over den, one denominator for all
+        forms = [_clear_denominators((t.form.constant, *t.form.coefficients)) for t in ordered]
+        ms, den = _clear_denominators([t.coeff / b**t.exponent for t, (_, b) in zip(ordered, forms)])
+        scaled = tuple((m, ints, t.exponent) for m, (ints, _), t in zip(ms, forms, ordered))
+        object.__setattr__(self, "_int_form", (den, scaled))
 
     @classmethod
     def of(cls, n: int, items) -> "MultiDecomposition":
@@ -202,25 +207,21 @@ class MultiDecomposition:
         return iter(self.terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point, computed in integers.  With the
-        point written as N_j / D and a form as (B_0 + sum_j B_j x_j) / b
-        over its own denominator, c * form^e is
-        c_num * (B_0 D + sum_j B_j N_j)^e / (c_den * (b D)^e); the terms are
-        summed over the product of their denominators, and one Fraction is
-        made at the end."""
-        vec = [_frac(v) for v in point]
-        if len(vec) != self.n:
+        """Exact value at a rational point, computed in integers.  The
+        forms are cleared once, when the decomposition is built (c * form^e
+        as m * (B_0 + sum_j B_j x_j)^e / den); with the point as N_j / D and
+        E the largest exponent, the value is one Fraction,
+        sum m * (B_0 D + sum_j B_j N_j)^e * D^(E - e) / (den * D^E)."""
+        if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
-        nums, d = _clear_denominators(vec)
+        nums, d = _clear_denominators(list(map(_frac, point)))
         nums.insert(0, d)
-        num, den = 0, 1
-        for t in self.terms:
-            ints, b = _clear_denominators((t.form.constant, *t.form.coefficients))
-            value = sum(v * x for v, x in zip(ints, nums))
-            t_den = t.coeff.denominator * (b * d) ** t.exponent
-            num = num * t_den + t.coeff.numerator * value**t.exponent * den
-            den *= t_den
-        return Fraction(num, den)
+        den, scaled = self._int_form
+        top = scaled[0][2] if scaled else 0
+        num = 0
+        for m, ints, e in scaled:
+            num += m * sum(map(operator.mul, ints, nums)) ** e * d ** (top - e)
+        return Fraction(num, den * d**top)
 
     def expand(self) -> MultiPoly:
         """The dense polynomial by the multinomial theorem: with the form
@@ -276,19 +277,16 @@ def project_to_axis(
     ends = (*change.offset, *(row[axis] for row in change.matrix))
     ints, den = _clear_denominators(ends)
     point, step = ints[: bb.n], ints[bb.n :]
-    if origin is None:
-        origin = bb.eval([Fraction(v, den) for v in point])
-    points = [(0, origin)]
-    for t in range(1, bb.degree_bound + 1):
-        point = [v + s for v, s in zip(point, step)]
-        points.append((t, bb.eval([Fraction(v, den) for v in point])))
+    points = [] if origin is None else [(0, origin)]
+    for t in range(len(points), bb.degree_bound + 1):
+        # integral points go to the box as ints, which BlackBox.eval converts
+        vals = [v + t * s for v, s in zip(point, step)]
+        points.append((t, bb.eval(vals if den == 1 else [Fraction(v, den) for v in vals])))
     return interpolate(points)
 
 
 def _assemble(
-    bb: BlackBox,
-    change: AffineChange,
-    backend: Callable[[UniPoly], Decomposition],
+    bb: BlackBox, change: AffineChange, backend: Callable[[UniPoly], Decomposition]
 ) -> MultiDecomposition | None:
     """One reconstruction attempt; None means the substituted polynomial is
     identically zero on every axis (checked against the box afterwards).
@@ -299,9 +297,7 @@ def _assemble(
     agree on the keys; a term's substituted form 1 + sum_j p_j x_j takes
     p_j from axis j's table and is pulled back through the inverse."""
     origin = bb.eval(change.offset)
-    projections = [
-        project_to_axis(bb, change, axis, origin) for axis in range(bb.n)
-    ]
+    projections = [project_to_axis(bb, change, axis, origin) for axis in range(bb.n)]
     if all(p.is_zero() for p in projections):
         return None
     axes: list[dict[tuple[Fraction, int], Fraction]] = []
@@ -324,10 +320,7 @@ def _assemble(
         p_vec = [table[c, e] for table in axes]
         # q = p M^-1 is never zero: every p_j = -1/a with a != 0, and the
         # inverse M^-1 is invertible (AffineChange.of checks M is)
-        q = [
-            sum(p_vec[i] * change.inverse[i][j] for i in range(bb.n))
-            for j in range(bb.n)
-        ]
+        q = [sum(map(operator.mul, p_vec, col)) for col in zip(*change.inverse)]
         const = 1 - sum(qj * lj for qj, lj in zip(q, change.offset))
         terms.append((c, LinearForm(const, tuple(q)), e))
     return MultiDecomposition.of(bb.n, terms)
@@ -364,9 +357,7 @@ def multi_build(
             except (ReconstructionFailed, IrrationalNodeDetected, ZeroPolynomial) as exc:
                 last = exc
                 continue
-            result = (
-                MultiDecomposition(bb.n, ()) if candidate is None else candidate
-            )
+            result = MultiDecomposition(bb.n, ()) if candidate is None else candidate
             points = (
                 [Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE)) for _ in range(bb.n)]
                 for _ in range(_CHECK_POINTS)

@@ -81,11 +81,21 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Quotient a/b for integer polynomials with b | a; primitive output."""
-    quo, rem = UniPoly(a).quo_rem(UniPoly(b))
-    if not rem.is_zero():
+    """Quotient a/b for primitive integer polynomials with b | a, by long
+    division in integers: by Gauss's lemma the quotient is primitive and
+    integral, so every step divides exactly."""
+    r = list(a)
+    quo = []
+    for shift in range(len(a) - len(b), -1, -1):
+        top, rem = divmod(r.pop(), b[-1])
+        if rem:
+            raise ValueError("division was not exact")
+        quo.append(top)
+        for j in range(len(b) - 1):
+            r[shift + j] -= top * b[j]
+    if any(r):
         raise ValueError("division was not exact")
-    return to_primitive_int(quo)
+    return quo[::-1]
 
 
 def poly_gcd_int(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -21,6 +21,7 @@ from affinepowers import (  # noqa: E402
     DimensionMismatch,
     MultiDecomposition,
     MultiPoly,
+    multi_build,
     project_to_axis,
 )
 from affinepowers.multipoly import LinearForm  # noqa: E402
@@ -169,6 +170,51 @@ class TestNestedForm:
         assert p.evaluate(point) == want == fraction_loop(p, point)
 
 
+class TestIntegerPoints:
+    """The D = 1 path: the level above the rows runs them inline, and the
+    power tables reach only the largest gap and row low."""
+
+    CASES = [
+        # n = 1: one row, lowest exponent 3 (low > 0), gaps of 5 and 9
+        MultiPoly(1, {(17,): F(2, 3), (8,): -4, (3,): 1}),
+        # n = 2: rows with low > 0 under x^7 and x^2, gaps of 5 and 2 above them
+        MultiPoly(2, {(7, 9): 3, (7, 4): F(-1, 2), (2, 6): 5, (0, 11): -7, (0, 2): 1}),
+        # n = 3: gaps of 3 and 6 at both outer levels, rows starting at y^4 and z^5
+        MultiPoly(3, {(9, 4, 8): 1, (9, 0, 5): F(5, 6), (3, 6, 0): -2, (3, 0, 7): 4, (0, 0, 0): 9}),
+        # n = 4: two levels recurse above the inline one
+        MultiPoly(4, {(5, 2, 0, 3): -1, (5, 0, 4, 1): F(7, 3), (1, 3, 3, 9): 2, (0, 0, 0, 4): 6}),
+        # a single row: every term shares x^4 y^2
+        MultiPoly(3, {(4, 2, 9): 3, (4, 2, 6): F(-8, 5), (4, 2, 2): 1}),
+        # constants
+        MultiPoly.constant(1, F(-7, 3)),
+        MultiPoly.constant(4, 12),
+    ]
+    POINTS = [
+        (-3, 5, -2, 7),
+        (2**32 + 1, -(2**31) + 7, 2**33, -1),
+        (0, -1, 1, 0),
+        (-(10**6), 10**6, -999983, 123457),
+    ]
+
+    @pytest.mark.parametrize("p", CASES, ids=range(len(CASES)))
+    def test_against_fraction_loop(self, p):
+        for point in self.POINTS:
+            ints = point[: p.n]
+            assert p.evaluate(list(ints)) == fraction_loop(p, ints)
+            assert p.evaluate([F(v) for v in ints]) == fraction_loop(p, ints)
+
+    def test_dense_box_reads_one_power_per_outer_variable(self):
+        p = LinearForm.of(2, [1, -3, 5]).to_multipoly() ** 6
+        p.evaluate([1, 2, 3])
+        assert p._int_form[2] == [1, 1, 0]
+
+    def test_sparse_box_reads_gaps_and_lows(self):
+        p = self.CASES[2]
+        p.evaluate([1, 2, 3])
+        # x gaps 9 - 3 and 3 - 0; y gaps 4, 6 and 0; z lows 8, 5, 0, 7 and 0
+        assert p._int_form[2] == [6, 6, 8]
+
+
 class TestSympyOracle:
     def test_poly_eval_on_seeded_polynomials(self):
         sympy = pytest.importorskip("sympy")
@@ -225,6 +271,59 @@ class TestCachedForm:
         p.evaluate([F(1, 2), 3])
         assert p == q
         assert hash(p) == hash(q)
+
+    def test_decomposition_evaluate_leaves_equality_hash_and_repr(self):
+        terms = [(F(3, 7), LinearForm.of(F(1, 2), [F(2, 3), -1]), 5), (4, LinearForm.of(1, [1, 2]), 3)]
+        md = MultiDecomposition.of(2, terms)
+        twin = MultiDecomposition.of(2, terms)
+        before = (repr(md), hash(md))
+        for point in ([2, -3], [F(1, 2), F(-5, 3)]):
+            first = md.evaluate(point)
+            assert md.evaluate(point) == first == decomposition_loop(md, point)
+        assert md == twin
+        assert (repr(md), hash(md)) == before == (repr(twin), hash(twin))
+
+
+class FractionOnlyBox:
+    """A polynomial black box whose evaluator refuses anything but a list
+    of Fractions, to check what BlackBox.eval hands it."""
+
+    def __init__(self, p):
+        self.p = p
+        self.calls = 0
+
+    def __call__(self, point):
+        assert type(point) is list
+        assert all(type(v) is Fraction for v in point), point
+        self.calls += 1
+        return fraction_loop(self.p, point)
+
+
+class TestBoxReceivesFractions:
+    def test_project_to_axis(self):
+        p = MultiPoly(2, {(3, 1): F(2, 5), (0, 2): -1, (1, 0): 4})
+        func = FractionOnlyBox(p)
+        box = BlackBox(2, 4, func)
+        # integral and fractional substitutions: the points reach the box
+        # as ints and as Fraction(v, den)
+        for change in (
+            AffineChange.of([[1, 2], [3, -1]], [5, -7]),
+            AffineChange.of([[F(1, 2), 2], [3, F(-1, 3)]], [F(5, 4), -7]),
+        ):
+            proj = project_to_axis(box, change, 0)
+            for t in range(-2, 3):
+                assert proj.evaluate(F(t)) == fraction_loop(p, change.apply([t, 0]))
+        assert func.calls == 10
+
+    def test_multi_build(self):
+        planted = MultiDecomposition.of(
+            2, [(3, LinearForm.of(1, [2, -1]), 11), (F(-1, 2), LinearForm.of(2, [1, 3]), 9)]
+        )
+        func = FractionOnlyBox(planted.expand())
+        got = multi_build(BlackBox(2, 11, func), rng_seed=4, backend="big_exponents")
+        assert got == planted
+        # the shared origin, 11 points per axis and the 50-point spot check
+        assert func.calls == 1 + 2 * 11 + 50
 
 
 def decomposition_loop(md, point):

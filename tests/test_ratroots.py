@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from affinepowers import UniPoly, ZeroPolynomial
+from affinepowers import ratroots
 from affinepowers.ratroots import rational_roots_with_cofactor, to_primitive_int
 
 F = Fraction
@@ -102,3 +103,55 @@ class TestRootsWithCofactor:
             assert len(cof) - 1 == 2 * irr
             assert UniPoly(cof) == P(1, 1, 1) ** irr
             assert sum(roots.values()) + len(cof) - 1 == f.degree
+
+
+def fraction_quotient(a, b):
+    """The quotient a / b by UniPoly.quo_rem in Fractions, made primitive."""
+    quo, rem = P(*a).quo_rem(P(*b))
+    assert rem.is_zero()
+    return to_primitive_int(quo)
+
+
+class TestExactDiv:
+    """ratroots._exact_div divides primitive integer polynomials in integers;
+    it must give the quotient of the Fraction route."""
+
+    CASES = [
+        # (3x - 2)^3 (x^2 + 1) by (3x - 2)^2: a divisor with lead 9
+        ([-2, 3], 3, [1, 0, 1], 2),
+        # (2x + 5)^2 (7x^2 - 3) by 2x + 5
+        ([5, 2], 2, [-3, 0, 7], 1),
+        # (x - 1)^4 (5x + 1) by (x - 1)^3: a monic divisor
+        ([-1, 1], 4, [1, 5], 3),
+        # (4x^2 + 4x - 1)^2 (6x - 1) by its square root, lead 4
+        ([-1, 4, 4], 2, [-1, 6], 1),
+    ]
+
+    @pytest.mark.parametrize("base, power, rest, k", CASES)
+    def test_matches_fraction_route(self, base, power, rest, k):
+        a = (P(*base) ** power * P(*rest)).coeffs
+        b = (P(*base) ** k).coeffs
+        a = [int(c) for c in a]
+        b = [int(c) for c in b]
+        got = ratroots._exact_div(a, b)
+        assert got == fraction_quotient(a, b)
+        assert all(type(c) is int for c in got)
+
+    def test_squarefree_part_of_random_leads(self):
+        # the call of rational_roots_with_cofactor: cs / gcd(cs, cs')
+        rng = random.Random(31)
+        for _ in range(20):
+            f = P(rng.randint(1, 5))
+            for _ in range(rng.randint(1, 3)):
+                factor = P(rng.randint(-9, 9), rng.randint(1, 6))
+                f = f * factor ** rng.randint(1, 3)
+            f = f * P(rng.randint(1, 4), 0, rng.randint(1, 4))
+            cs = to_primitive_int(f)
+            g = ratroots.poly_gcd_int(cs, ratroots._deriv(cs))
+            assert ratroots._exact_div(cs, g) == fraction_quotient(cs, g)
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ValueError):
+            ratroots._exact_div([1, 0, 1], [-1, 1])  # x^2 + 1 by x - 1
+        with pytest.raises(ValueError):
+            ratroots._exact_div([1, 0, 2], [1, 2])  # 2x^2 + 1 by 2x + 1

@@ -11,12 +11,12 @@ on: each outer level lists (gap to the next lower exponent, inner table), and
 the innermost is one dense row of integer numerators c*den in x_n (den the
 lcm of the coefficient denominators).  The powers of N_j are built only as
 far as the scheme reads them, the largest gap at level j or the largest row
-low for x_n: [1, N_j] for a dense box.  At an integer point (D = 1) in
-n >= 2 variables a row entry costs one multiply and one add, and the level
-above the rows runs each row's loop inline, so calls recurse only above
-that level (n >= 3).  Other points N_1/D, ..., N_n/D take the D path: one
-call per row and two multiplies per row entry, with the powers of D that
-homogenise the sum entering only at the row entries.
+low for x_n: [1, N_j] for a dense box.  At an integer point (D = 1) a row
+entry costs one multiply and one add, and the level above the rows runs
+each row's loop inline, so calls recurse only above that level (n >= 3).
+Other points N_1/D, ..., N_n/D take the D path: one call per row and two
+multiplies per row entry, with the powers of D that homogenise the sum
+entering only at the row entries.
 """
 
 from __future__ import annotations
@@ -60,29 +60,23 @@ def _nest(items, rest: int, reads: list[int]):
     return tuple((gap, _nest(sub, rest - e, reads)) for gap, (e, sub) in zip(gaps, groups))
 
 
-def _horner(table, tables: list[list[int]], x: int, d_pow: list[int]) -> int:
-    """Value of a _nest table at N / D: tables[j] the powers of the j-th
-    remaining variable's numerator, x the last one, d_pow the powers of D."""
+def _horner(table, tables: list[list[int]], x: int, d_pow: list[int] | None) -> int:
+    """Value of a _nest table: tables[j] the powers of the j-th remaining
+    variable's numerator, x the last one, d_pow the powers of D, or None
+    for an integer point (D = 1), where the level above the rows runs them
+    inline."""
     pw = tables[0]
+    acc = 0
     if len(tables) == 1:
         row, r, low = table
-        acc = 0
-        for c, dk in zip(row, d_pow[r:]):
-            acc = acc * x + c * dk
+        if d_pow is None:
+            for c in row:
+                acc = acc * x + c
+        else:
+            for c, dk in zip(row, d_pow[r:]):
+                acc = acc * x + c * dk
         return acc * pw[low]
-    inner = tables[1:]
-    acc = 0
-    for gap, sub in table:
-        acc = (acc + _horner(sub, inner, x, d_pow)) * pw[gap]
-    return acc
-
-
-def _horner_int(table, tables: list[list[int]], x: int) -> int:
-    """Value of a _nest table in two or more variables at an integer point
-    (D = 1), as _horner: the level above the rows runs them inline."""
-    pw = tables[0]
-    acc = 0
-    if len(tables) == 2:
+    if len(tables) == 2 and d_pow is None:
         lows = tables[1]
         for gap, (row, _, low) in table:
             v = 0
@@ -92,7 +86,7 @@ def _horner_int(table, tables: list[list[int]], x: int) -> int:
         return acc
     inner = tables[1:]
     for gap, sub in table:
-        acc = (acc + _horner_int(sub, inner, x)) * pw[gap]
+        acc = (acc + _horner(sub, inner, x, d_pow)) * pw[gap]
     return acc
 
 
@@ -198,9 +192,9 @@ class MultiPoly:
         f(point) = sum (c*den) * prod N_j^e_j * D^(deg-|e|) / (den * D^deg),
         by the Horner scheme of the module docstring over the table that
         _integer_form builds on the first call and keeps on the instance.
-        At an integer point in n >= 2 variables each row runs acc*N_n + c
-        inline in the level above it; otherwise the D path runs
-        acc*N_n + (c*den)*D^(deg-|e|), one call per row.
+        At an integer point each row runs acc*N_n + c, inline in the level
+        above it; otherwise the D path runs acc*N_n + (c*den)*D^(deg-|e|),
+        one call per row.
         """
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
@@ -211,8 +205,8 @@ class MultiPoly:
         if table is None:
             return Fraction(0)
         tables = [_powers(x, top) for x, top in zip(nums, reads)]
-        if d == 1 and self.n > 1:
-            return Fraction(_horner_int(table, tables, nums[-1]), den)
+        if d == 1:
+            return Fraction(_horner(table, tables, nums[-1], None), den)
         d_pow = _powers(d, deg)
         return Fraction(_horner(table, tables, nums[-1], d_pow), den * d_pow[deg])
 

@@ -119,7 +119,10 @@ class AffineChange:
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
         vec = [_frac(v) for v in point]
-        return [sum(map(operator.mul, row, vec), c) for row, c in zip(self.matrix, self.offset)]
+        return [
+            sum((row[j] * vec[j] for j in range(self.n)), self.offset[i])
+            for i, row in enumerate(self.matrix)
+        ]
 
 
 @dataclass(frozen=True)
@@ -224,17 +227,16 @@ class MultiDecomposition:
         return Fraction(num, den * d**top)
 
     def expand(self) -> MultiPoly:
-        """The dense polynomial by the multinomial theorem: with the form
-        b_0 + sum_j b_j x_j written as (B_0 + sum_j B_j x_j) / den over
-        integers, c * form^e is c / den^e times the sum over k_0 + ... +
-        k_n = e of e! / (k_0! ... k_n!) * prod B_j^k_j * x^(k_1, ..., k_n)."""
+        """The dense polynomial by the multinomial theorem: with c * form^e
+        cleared to m * (B_0 + sum_j B_j x_j)^e / den as for evaluate, it is
+        m / den times the sum over k_0 + ... + k_n = e of
+        e! / (k_0! ... k_n!) * prod B_j^k_j * x^(k_1, ..., k_n)."""
         out: dict[tuple[int, ...], Fraction] = {}
-        for t in self.terms:
-            e = t.exponent
-            ints, den = _clear_denominators((t.form.constant, *t.form.coefficients))
+        den, scaled = self._int_form
+        for m, ints, e in scaled:
             live = [(j, _powers(b, e)) for j, b in enumerate(ints) if b]
             fact = [math.factorial(k) for k in range(e + 1)]
-            scale = t.coeff / den**e
+            scale = Fraction(m, den)
             for ks in _compositions(e, len(live)):
                 v = fact[e]
                 for k in ks:
@@ -286,7 +288,9 @@ def project_to_axis(
 
 
 def _assemble(
-    bb: BlackBox, change: AffineChange, backend: Callable[[UniPoly], Decomposition]
+    bb: BlackBox,
+    change: AffineChange,
+    backend: Callable[[UniPoly], Decomposition],
 ) -> MultiDecomposition | None:
     """One reconstruction attempt; None means the substituted polynomial is
     identically zero on every axis (checked against the box afterwards).
@@ -297,7 +301,9 @@ def _assemble(
     agree on the keys; a term's substituted form 1 + sum_j p_j x_j takes
     p_j from axis j's table and is pulled back through the inverse."""
     origin = bb.eval(change.offset)
-    projections = [project_to_axis(bb, change, axis, origin) for axis in range(bb.n)]
+    projections = [
+        project_to_axis(bb, change, axis, origin) for axis in range(bb.n)
+    ]
     if all(p.is_zero() for p in projections):
         return None
     axes: list[dict[tuple[Fraction, int], Fraction]] = []
@@ -320,7 +326,10 @@ def _assemble(
         p_vec = [table[c, e] for table in axes]
         # q = p M^-1 is never zero: every p_j = -1/a with a != 0, and the
         # inverse M^-1 is invertible (AffineChange.of checks M is)
-        q = [sum(map(operator.mul, p_vec, col)) for col in zip(*change.inverse)]
+        q = [
+            sum(p_vec[i] * change.inverse[i][j] for i in range(bb.n))
+            for j in range(bb.n)
+        ]
         const = 1 - sum(qj * lj for qj, lj in zip(q, change.offset))
         terms.append((c, LinearForm(const, tuple(q)), e))
     return MultiDecomposition.of(bb.n, terms)
@@ -357,7 +366,9 @@ def multi_build(
             except (ReconstructionFailed, IrrationalNodeDetected, ZeroPolynomial) as exc:
                 last = exc
                 continue
-            result = MultiDecomposition(bb.n, ()) if candidate is None else candidate
+            result = (
+                MultiDecomposition(bb.n, ()) if candidate is None else candidate
+            )
             points = (
                 [Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE)) for _ in range(bb.n)]
                 for _ in range(_CHECK_POINTS)

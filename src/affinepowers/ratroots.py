@@ -82,17 +82,13 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Quotient a/b for primitive integer polynomials with b | a, by long
-    division in integers: by Gauss's lemma the quotient is primitive and
-    integral, so every step divides exactly."""
-    r = list(a)
-    quo = []
+    division in integers (by Gauss's lemma every step divides exactly)."""
+    r, quo = list(a), []
     for shift in range(len(a) - len(b), -1, -1):
-        top, rem = divmod(r.pop(), b[-1])
-        if rem:
-            raise ValueError("division was not exact")
+        top = r[shift + len(b) - 1] // b[-1]
         quo.append(top)
-        for j in range(len(b) - 1):
-            r[shift + j] -= top * b[j]
+        for j, c in enumerate(b, shift):
+            r[j] -= top * c
     if any(r):
         raise ValueError("division was not exact")
     return quo[::-1]

@@ -24,6 +24,7 @@ from affinepowers import (  # noqa: E402
     multi_build,
     project_to_axis,
 )
+from affinepowers import multipoly  # noqa: E402
 from affinepowers.multipoly import LinearForm  # noqa: E402
 
 F = Fraction
@@ -171,8 +172,9 @@ class TestNestedForm:
 
 
 class TestIntegerPoints:
-    """The D = 1 path: the level above the rows runs them inline, and the
-    power tables reach only the largest gap and row low."""
+    """The D = 1 path: the level above the rows runs them inline (a lone
+    row at n = 1), and the power tables reach only the largest gap and row
+    low."""
 
     CASES = [
         # n = 1: one row, lowest exponent 3 (low > 0), gaps of 5 and 9
@@ -202,6 +204,26 @@ class TestIntegerPoints:
             ints = point[: p.n]
             assert p.evaluate(list(ints)) == fraction_loop(p, ints)
             assert p.evaluate([F(v) for v in ints]) == fraction_loop(p, ints)
+
+    @pytest.mark.parametrize("p", CASES, ids=range(len(CASES)))
+    def test_integer_points_take_the_d1_path(self, p, monkeypatch):
+        # every call of _horner, recursive ones too, sees d_pow None at an
+        # integer point (n = 1 included) and a power table of D otherwise
+        seen = []
+        real = multipoly._horner
+
+        def spy(table, tables, x, d_pow):
+            seen.append(d_pow is None)
+            return real(table, tables, x, d_pow)
+
+        monkeypatch.setattr(multipoly, "_horner", spy)
+        point = self.POINTS[0][: p.n]
+        p.evaluate(list(point))
+        p.evaluate([F(v) for v in point])
+        assert seen and all(seen)
+        seen.clear()
+        p.evaluate([F(v, 2) for v in point])
+        assert seen and not any(seen)
 
     def test_dense_box_reads_one_power_per_outer_variable(self):
         p = LinearForm.of(2, [1, -3, 5]).to_multipoly() ** 6

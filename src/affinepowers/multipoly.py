@@ -34,8 +34,7 @@ def _nest(items, rest: int, reads: list[int]):
     """Horner table of (exponent tuple, integer) pairs that share their
     leading exponents, sorted by decreasing exponents; rest is the total
     degree less the shared exponents.  reads[j] is raised to the largest
-    power of the j-th variable that the table reads: its largest gap, or
-    for the last variable its largest row low.
+    power of x_j that the table reads: a gap, or for x_n a row low.
 
     With one variable left the table is a dense row (numerators from the top
     exponent down to the lowest, 0 in the gaps, the D exponent rest - top of
@@ -193,8 +192,8 @@ class MultiPoly:
         by the Horner scheme of the module docstring over the table that
         _integer_form builds on the first call and keeps on the instance.
         At an integer point each row runs acc*N_n + c, inline in the level
-        above it; otherwise the D path runs acc*N_n + (c*den)*D^(deg-|e|),
-        one call per row.
+        above it when n >= 2; otherwise the D path runs
+        acc*N_n + (c*den)*D^(deg-|e|), one call per row.
         """
         if len(point) != self.n:
             raise DimensionMismatch("point length != variable count")
@@ -205,10 +204,8 @@ class MultiPoly:
         if table is None:
             return Fraction(0)
         tables = [_powers(x, top) for x, top in zip(nums, reads)]
-        if d == 1:
-            return Fraction(_horner(table, tables, nums[-1], None), den)
-        d_pow = _powers(d, deg)
-        return Fraction(_horner(table, tables, nums[-1], d_pow), den * d_pow[deg])
+        d_pow = None if d == 1 else _powers(d, deg)
+        return Fraction(_horner(table, tables, nums[-1], d_pow), den * d**deg)
 
     def _integer_form(self):
         """(den, deg, largest power read per variable, nested table), with

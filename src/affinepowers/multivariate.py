@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -166,7 +166,6 @@ class MultiDecomposition:
 
     n: int
     terms: tuple[MultiTerm, ...]
-    _int_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = tuple(
@@ -180,12 +179,6 @@ class MultiDecomposition:
             raise ValueError("duplicate (form, exponent) pair")
         ordered = sorted(normalized, key=lambda t: (-t.exponent, t.form.coefficients, t.form.constant))
         object.__setattr__(self, "terms", tuple(ordered))
-        # c * form^e as m * (B_0 + sum_j B_j x_j)^e / den: the form over its
-        # own denominator b, and c / b^e over den, one denominator for all
-        forms = [_clear_denominators((t.form.constant, *t.form.coefficients)) for t in ordered]
-        ms, den = _clear_denominators([t.coeff / b**t.exponent for t, (_, b) in zip(ordered, forms)])
-        scaled = tuple((m, ints, t.exponent) for m, (ints, _), t in zip(ms, forms, ordered))
-        object.__setattr__(self, "_int_form", (den, scaled))
 
     @classmethod
     def of(cls, n: int, items) -> "MultiDecomposition":
@@ -210,33 +203,44 @@ class MultiDecomposition:
         return iter(self.terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point, computed in integers.  The
-        forms are cleared once, when the decomposition is built (c * form^e
-        as m * (B_0 + sum_j B_j x_j)^e / den); with the point as N_j / D and
-        E the largest exponent, the value is one Fraction,
-        sum m * (B_0 D + sum_j B_j N_j)^e * D^(E - e) / (den * D^E)."""
-        if len(point) != self.n:
-            raise DimensionMismatch("point length != variable count")
-        nums, d = _clear_denominators(list(map(_frac, point)))
-        nums.insert(0, d)
-        den, scaled = self._int_form
+        """Exact value at a rational point, computed in integers (_evaluator)."""
+        return self._evaluator()(point)
+
+    def _evaluator(self) -> Callable[[Sequence], Fraction]:
+        """The exact value as a function of the point, with the forms
+        cleared once for all its points and not kept on the answer:
+        c * form^e is m * (B_0 + sum_j B_j x_j)^e / den (the form over its
+        own denominator b, c / b^e over den).  At N_j / D, E the largest
+        exponent, it is sum m * (B_0 D + sum_j B_j N_j)^e * D^(E - e) / (den * D^E)."""
+        forms = [_clear_denominators((t.form.constant, *t.form.coefficients)) for t in self.terms]
+        ms, den = _clear_denominators([t.coeff / b**t.exponent for t, (_, b) in zip(self.terms, forms)])
+        scaled = [(m, ints, t.exponent) for m, (ints, _), t in zip(ms, forms, self.terms)]
         top = scaled[0][2] if scaled else 0
-        num = 0
-        for m, ints, e in scaled:
-            num += m * sum(map(operator.mul, ints, nums)) ** e * d ** (top - e)
-        return Fraction(num, den * d**top)
+
+        def value(point: Sequence) -> Fraction:
+            if len(point) != self.n:
+                raise DimensionMismatch("point length != variable count")
+            nums, d = _clear_denominators(list(map(_frac, point)))
+            nums.insert(0, d)
+            num = 0
+            for m, ints, e in scaled:
+                num += m * sum(map(operator.mul, ints, nums)) ** e * d ** (top - e)
+            return Fraction(num, den * d**top)
+
+        return value
 
     def expand(self) -> MultiPoly:
-        """The dense polynomial by the multinomial theorem: with c * form^e
-        cleared to m * (B_0 + sum_j B_j x_j)^e / den as for evaluate, it is
-        m / den times the sum over k_0 + ... + k_n = e of
-        e! / (k_0! ... k_n!) * prod B_j^k_j * x^(k_1, ..., k_n)."""
+        """The dense polynomial by the multinomial theorem: with the form
+        b_0 + sum_j b_j x_j written as (B_0 + sum_j B_j x_j) / den over
+        integers, c * form^e is c / den^e times the sum over k_0 + ... +
+        k_n = e of e! / (k_0! ... k_n!) * prod B_j^k_j * x^(k_1, ..., k_n)."""
         out: dict[tuple[int, ...], Fraction] = {}
-        den, scaled = self._int_form
-        for m, ints, e in scaled:
+        for t in self.terms:
+            e = t.exponent
+            ints, den = _clear_denominators((t.form.constant, *t.form.coefficients))
             live = [(j, _powers(b, e)) for j, b in enumerate(ints) if b]
             fact = [math.factorial(k) for k in range(e + 1)]
-            scale = Fraction(m, den)
+            scale = t.coeff / den**e
             for ks in _compositions(e, len(live)):
                 v = fact[e]
                 for k in ks:
@@ -271,7 +275,7 @@ def project_to_axis(
     t = 0..d, d the degree bound: d + 1 black-box queries, or d when the
     caller passes origin, the value f(change.offset) at t = 0 that every
     axis shares.  The points offset + t * column run as one integer
-    progression over their common denominator."""
+    progression over their common denominator, passed as ints when it is 1."""
     if not 0 <= axis < bb.n:
         raise ValueError("axis out of range")
     if change.n != bb.n:
@@ -281,7 +285,6 @@ def project_to_axis(
     point, step = ints[: bb.n], ints[bb.n :]
     points = [] if origin is None else [(0, origin)]
     for t in range(len(points), bb.degree_bound + 1):
-        # integral points go to the box as ints, which BlackBox.eval converts
         vals = [v + t * s for v, s in zip(point, step)]
         points.append((t, bb.eval(vals if den == 1 else [Fraction(v, den) for v in vals])))
     return interpolate(points)
@@ -373,7 +376,8 @@ def multi_build(
                 [Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE)) for _ in range(bb.n)]
                 for _ in range(_CHECK_POINTS)
             )
-            if all(bb.eval(point) == result.evaluate(point) for point in points):
+            value = result._evaluator()
+            if all(bb.eval(point) == value(point) for point in points):
                 return result
             last = ReconstructionFailed("candidate failed the random spot check")
         raise ReconstructionFailed(

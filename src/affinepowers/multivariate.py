@@ -203,7 +203,7 @@ class MultiDecomposition:
         return iter(self.terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point, computed in integers (_evaluator)."""
+        """Exact value at a rational point; the forms are cleared per call (_evaluator)."""
         return self._evaluator()(point)
 
     def _evaluator(self) -> Callable[[Sequence], Fraction]:

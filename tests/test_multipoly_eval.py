@@ -304,6 +304,18 @@ class TestCachedForm:
             assert md.evaluate(point) == first == decomposition_loop(md, point)
         assert md == twin
         assert (repr(md), hash(md)) == before == (repr(twin), hash(twin))
+        # the cleared forms live in the evaluator, not on the answer
+        assert vars(md).keys() == {"n", "terms"}
+
+    def test_one_evaluator_for_many_points(self):
+        md = MultiDecomposition.of(
+            3, [(F(-2, 9), LinearForm.of(F(3, 4), [1, F(-5, 6), 2]), 7), (1, LinearForm.of(0, [0, 1, 3]), 7)]
+        )
+        value = md._evaluator()
+        for point in ([1, 2, 3], [-(10**6), 10**6, 7], [F(1, 3), F(-2, 5), 0]):
+            assert value(point) == md.evaluate(point) == decomposition_loop(md, point)
+        with pytest.raises(DimensionMismatch):
+            value([1, 2])
 
 
 class FractionOnlyBox:

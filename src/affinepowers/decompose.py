@@ -240,40 +240,9 @@ def _ceil_half(n: int) -> int:
 # -- single-pass reconstruction (large exponents / large gaps) ------------
 
 
-class _Scan:
-    """The power solutions of one equation over ranges that share their
-    start, each exponent scanned once: a range reaching past the exponents
-    scanned so far extends the scan by one sde.power_solutions call over
-    the rest, and a narrower one is cut from it.  Once a call raises
-    IrrationalNodeDetected, every range reaching its exponent raises it
-    again, as a call over that range would; only the error's exponent and
-    message are kept, not its traceback."""
-
-    def __init__(self, e_min: int):
-        self.hi = e_min - 1
-        self.pairs: list[tuple[Fraction, int]] = []
-        self.irrational: tuple[int, str] | None = None
-
-    def __call__(self, eq: sde_mod.PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
-        if e_max > self.hi and (self.irrational is None or e_max < self.irrational[0]):
-            try:
-                self.pairs += sde_mod.power_solutions(eq, self.hi + 1, e_max)
-                self.hi = e_max
-            except IrrationalNodeDetected as exc:
-                self.irrational = exc.exponent, str(exc)
-        if self.irrational is not None and self.irrational[0] <= e_max:
-            raise IrrationalNodeDetected(self.irrational[1], exponent=self.irrational[0])
-        return [(b, e) for b, e in self.pairs if e <= e_max]
-
-
-def _single_pass(
-    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, powers=None
-) -> Decomposition:
-    """powers(eq, e_min, e_max) gives the power solutions (a _Scan, or
-    sde.power_solutions by default)."""
+def _single_pass(f: UniPoly, eq: sde_mod.PendingSDE) -> Decomposition:
     r = eq.order
-    powers = powers or sde_mod.power_solutions
-    pairs = powers(eq, _ceil_half((r + 1) ** 2), f.degree + (r * r) // 2)
+    pairs = eq.power_solutions(_ceil_half((r + 1) ** 2), f.degree + (r * r) // 2)
     if not pairs:
         raise ReconstructionFailed("no admissible power solutions in range")
     return _verify(_fit(f, [(b, {e: 1}) for b, e in pairs]), f)
@@ -295,7 +264,7 @@ def decompose_big_gaps(f: UniPoly) -> Decomposition:
     nodes; guaranteed when all exponents and all same-node exponent gaps
     exceed 5 s^2 / 2."""
     _require_nonzero(f)
-    return _single_pass(f, sde_mod.find_min_sde(f, 0))
+    return _single_pass(f, sde_mod.find_min_sde(f, 0, lazy=True))
 
 
 # -- iterated reconstruction for distinct nodes ---------------------------
@@ -317,25 +286,20 @@ def decompose_distinct_nodes(
     against the first r candidates.
     """
     _require_nonzero(f)
-    return _peel(f, sde_mod.find_min_sde(f, 0), stats)
+    return _peel(f, sde_mod.find_min_sde(f, 0, lazy=True), stats)
 
 
-def _peel(
-    f: UniPoly, eq: sde_mod.SDE | sde_mod.PendingSDE, stats: list | None = None, powers=None
-) -> Decomposition:
-    """powers serves the first pass, as in _single_pass; later passes scan
-    their own equations."""
+def _peel(f: UniPoly, eq: sde_mod.PendingSDE, stats: list | None = None) -> Decomposition:
     residual = f
     collected: list[tuple[Fraction, Fraction, int]] = []
     for iteration in range(f.degree + 2):
         if residual.is_zero():
             dec = Decomposition.of(collected)
             return _require_distinct_nodes(_verify(dec, f))
-        eq = eq if iteration == 0 else sde_mod.find_min_sde(residual, 0)
+        eq = eq if iteration == 0 else sde_mod.find_min_sde(residual, 0, lazy=True)
         t = eq.order
         deg = residual.degree
-        scan = powers if iteration == 0 and powers else sde_mod.power_solutions
-        pairs = scan(eq, _ceil_half((t + 1) ** 2), deg + ((deg + 2) ** 2) // 8)
+        pairs = eq.power_solutions(_ceil_half((t + 1) ** 2), deg + ((deg + 2) ** 2) // 8)
         if stats is not None:
             stats.append(
                 {
@@ -491,35 +455,34 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
     name of the strategy that produced it.
 
     Every strategy runs on one shift-0 equation of f, held unlifted
-    (sde.PendingSDE), as are the equations of the other widths.  A forced
+    (sde.PendingSDE) as every strategy holds its equations.  A forced
     equation ((a) in the sde module docstring) whose lead has degree 0, or
     degree >= 2 and no root mod p (d), is refused without its lift: by
     small_intervals at its width, and by big_gaps and distinct_nodes over
     each scanned exponent run where the norm N(t) built from the lead mod p
     is nonzero at every t (c).  Anything else lifts the equation and runs
-    the exact path, with the same answer or error.  The big_gaps answer
-    is tagged big_exponents when its nodes are distinct, and its error
-    counts for both.  Its power solutions and those of distinct_nodes'
-    first pass, whose ranges share their start, come from one _Scan that
-    scans each exponent once, and width 0 of small_intervals reuses that
-    scan's split of the equation's top coefficient.  If every strategy
+    the exact path, with the same answer or error.  The big_gaps answer is
+    tagged big_exponents when its nodes are distinct, and its error counts
+    for both.  Its power solutions and those of distinct_nodes' first pass,
+    whose ranges share their start, come from the equation's one scan
+    (PendingSDE.power_solutions), and width 0 of small_intervals reuses
+    that scan's split of the equation's top coefficient.  If every strategy
     fails and any of them detected an irrational node, that error wins (the
     input decomposes only over an extension field); otherwise
     ReconstructionFailed.
     """
     _require_nonzero(f)
     eq = sde_mod.find_min_sde(f, 0, lazy=True)
-    scan = _Scan(_ceil_half((eq.order + 1) ** 2))
     irrational: IrrationalNodeDetected | None = None
     last: ReconstructionFailed | None = None
     try:
-        for tag, run, args in (
-            ("big_gaps", _single_pass, (f, eq, scan)),
-            ("distinct_nodes", _peel, (f, eq, None, scan)),
-            ("small_intervals", _width_scan, (f, eq)),
+        for tag, run in (
+            ("big_gaps", _single_pass),
+            ("distinct_nodes", _peel),
+            ("small_intervals", _width_scan),
         ):
             try:
-                dec = run(*args)
+                dec = run(f, eq)
             except IrrationalNodeDetected as exc:
                 irrational = exc
             except ReconstructionFailed as exc:
@@ -534,4 +497,4 @@ def decompose_auto(f: UniPoly) -> tuple[Decomposition, str]:
             "no strategy produced a verified decomposition"
         ) from last.with_traceback(None)
     finally:
-        irrational = last = eq = scan = args = None  # an error's traceback holds this frame: clear errors, equation and scan
+        irrational = last = eq = None  # an error's traceback holds this frame: clear errors and equation

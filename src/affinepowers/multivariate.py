@@ -373,7 +373,7 @@ def multi_build(
                 MultiDecomposition(bb.n, ()) if candidate is None else candidate
             )
             points = (
-                [Fraction(rng.randint(-_CHECK_RANGE, _CHECK_RANGE)) for _ in range(bb.n)]
+                [rng.randint(-_CHECK_RANGE, _CHECK_RANGE) for _ in range(bb.n)]
                 for _ in range(_CHECK_POINTS)
             )
             value = result._evaluator()

@@ -37,9 +37,10 @@ first dependent column; one stops before it only at a prime dividing every
 maximal minor of columns that are independent over Q, and there are
 finitely many such primes.
 
-The dispatcher holds the equation unlifted (PendingSDE) and refuses modulo
-p where it can, with the prime of the modular pass that found it or a later
-one of ratroots._PRIMES at which (a) holds too:
+The decompose strategies hold their equations unlifted (PendingSDE) and
+read power solutions only through PendingSDE.power_solutions, which
+refuses modulo p where it can, with the prime of the modular pass that
+found the equation or a later one of ratroots._PRIMES where (a) holds too:
   (a) forced: the first n_rows columns are independent mod p, so fc =
       n_rows + 1.  They are then independent over Q and fc depends on them
       by counting, so the kernel mod p is the lifted vector reduced, up to
@@ -481,7 +482,7 @@ class PendingSDE:
     forced is condition (a) of the module docstring; only a forced equation
     is held unlifted, and only it answers rootless and refuses, from its
     vector modulo the pass's prime or a later one of ratroots._PRIMES
-    (decided_at).
+    (_decision).
     """
 
     def __init__(self, order: int, shift: int, profile=None, cols=None, f=None, lifted: SDE | None = None):
@@ -489,6 +490,7 @@ class PendingSDE:
         self.forced = lifted is None
         self._pass = profile, cols, f
         self._sde = lifted
+        self._scan: tuple = None, 0, [], None  # start, last exponent scanned, pairs, irrational
 
     def exact(self) -> SDE:
         """The lifted equation.  A forced one lifts over every row, so it is
@@ -541,12 +543,6 @@ class PendingSDE:
         when they do not decide it."""
         return self._decision is not None
 
-    @property
-    def decided_at(self) -> int | None:
-        """The prime at which (d) proved P_order rootless, None when no
-        prime did."""
-        return self._decision[0] if self._decision else None
-
     def refuses(self, e_min: int, e_max: int) -> bool:
         """True when power_solutions over e_min..e_max is proved empty, and
         free of irrational nodes, without the lift: e_min >= order (one run,
@@ -561,6 +557,29 @@ class PendingSDE:
         return norm is not None and all(
             _falling_eval_mod(norm, e - self.order + 1, p) for e in range(e_min, e_max + 1)
         )
+
+    def power_solutions(self, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+        """The module's power_solutions of exact(), or [] where refuses()
+        proves the range empty.  Ranges sharing the first call's start scan
+        each exponent once: one reaching past the exponents scanned so far
+        scans the rest, a narrower one is cut from them, and a new start
+        begins again.  Once a scan raises IrrationalNodeDetected, each range
+        reaching its exponent raises it again, as a scan over it would; only
+        the error's exponent and message are kept, not its traceback."""
+        start, hi, pairs, irrational = self._scan
+        if start != e_min:
+            start, hi, pairs, irrational = e_min, e_min - 1, [], None
+        if e_max > hi and (irrational is None or e_max < irrational[0]):
+            try:
+                if not self.refuses(hi + 1, e_max):
+                    pairs = pairs + power_solutions(self.exact(), hi + 1, e_max)
+                hi = e_max
+            except IrrationalNodeDetected as exc:
+                irrational = exc.exponent, str(exc)
+        self._scan = start, hi, pairs, irrational
+        if irrational is not None and irrational[0] <= e_max:
+            raise IrrationalNodeDetected(irrational[1], exponent=irrational[0])
+        return [(b, e) for b, e in pairs if e <= e_max]
 
 
 # -- power solutions ------------------------------------------------------
@@ -678,10 +697,9 @@ def _power_image(s: SDE, b: Fraction, e: int) -> list[int]:
     return q
 
 
-def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
+def power_solutions(s: SDE, e_min: int, e_max: int) -> list[tuple[Fraction, int]]:
     """All pairs (b, e) with e_min <= e <= e_max such that (x - b)^e with
-    rational b satisfies the equation, sorted by (e, b).  A PendingSDE is
-    lifted unless it refuses the range (PendingSDE.refuses).
+    rational b satisfies the equation, sorted by (e, b).
 
     Raises IrrationalNodeDetected, with the exponent as its exponent
     attribute, when some admissible node is provably irrational, i.e. the
@@ -702,10 +720,6 @@ def power_solutions(s: SDE | PendingSDE, e_min: int, e_max: int) -> list[tuple[F
         raise ValueError("e_min must be at least 1")
     if e_min > e_max:
         return []
-    if isinstance(s, PendingSDE):
-        if s.refuses(e_min, e_max):
-            return []
-        s = s.exact()
     table = _node_table(s)
     runs = [(e, e) for e in range(e_min, min(s.order, e_max + 1))]
     if e_max >= s.order:

@@ -689,8 +689,9 @@ class TestAuto:
 
 class TestSharedScan:
     """decompose_auto scans its shift-0 equation's exponents once for
-    big_gaps and the first distinct_nodes pass, and width 0 reuses the split
-    of P_order, unless the equation is refused modulo p unlifted."""
+    big_gaps and the first distinct_nodes pass (PendingSDE.power_solutions),
+    and width 0 reuses the split of P_order, unless the equation is refused
+    modulo p unlifted."""
 
     def test_each_exponent_scanned_once_and_one_split(self, monkeypatch):
         import affinepowers.ratroots as ratroots_mod
@@ -729,23 +730,20 @@ class TestSharedScan:
             eq = equations[0]
             lo, deg = -(-((eq.order + 1) ** 2) // 2), f.degree
             single, peel = deg + eq.order**2 // 2, deg + (deg + 2) ** 2 // 8
-            if f is IRRATIONAL_13:
-                # raised within the single-pass range: the peel is not scanned
-                want = [(eq, lo, single)]
-            elif f.degree == 7:
-                # answered by the single pass, whose range alone is scanned
-                want = [(eq, lo, single)]
-            else:
-                want = [(eq, lo, single), (eq, single + 1, peel)]
-            assert scans == want
             if f.degree == 20:
-                # refused modulo p (its P_order is a constant): the shift-0
-                # equation is never lifted, so nothing splits its lead
+                # refused modulo p (its P_order is a constant) over both
+                # ranges: nothing is scanned, the shift-0 equation is never
+                # lifted, and nothing splits its lead
                 assert eq.rootless and eq._sde is None
-            else:
-                # the scan and width 0 share one split of the shift-0 P_order
-                lead = eq.exact().polys[-1]
-                assert [p for p in splits if p is lead] == [lead]
+                assert scans == [] and eq._scan[:2] == (lo, peel)
+                continue
+            # IRRATIONAL_13 raises within the single-pass range, and the
+            # degree-7 input is answered by the single pass: the peel is not
+            # scanned
+            assert scans == [(eq.exact(), lo, single)] and scans[0][0] is eq.exact()
+            # the scan and width 0 share one split of the shift-0 P_order
+            lead = eq.exact().polys[-1]
+            assert [p for p in splits if p is lead] == [lead]
 
     def test_irrational_error_names_its_exponent(self):
         with pytest.raises(IrrationalNodeDetected) as info:
@@ -756,25 +754,40 @@ class TestSharedScan:
         )
 
     @pytest.mark.parametrize("first", [1, 9, 12, 13, 30])
-    def test_cut_and_extended_ranges_match_one_call(self, first):
+    def test_cut_and_extended_ranges_match_one_call(self, first, monkeypatch):
         # the node condition at exponent 13 is irrational: every range
         # reaching it raises the error a call over it raises, and narrower
         # ones get that call's pairs, whichever range the scan saw first
-        import affinepowers.decompose as dmod
         import affinepowers.sde as sde_mod
 
-        eq = find_min_sde(D((1, 1, 9)).expand() + IRRATIONAL_13, 0)
-        scan = dmod._Scan(1)
+        eq = find_min_sde(D((1, 1, 9)).expand() + IRRATIONAL_13, 0, lazy=True)
+        scan, scanned = sde_mod.power_solutions, []
+
+        def spy_scan(s, e_min, e_max):
+            scanned.append((e_min, e_max))
+            return scan(s, e_min, e_max)
 
         def call(solver, e_max):
             try:
-                return solver(eq, 1, e_max)
+                return solver(1, e_max)
             except IrrationalNodeDetected as exc:
                 return type(exc), str(exc), exc.exponent
 
+        monkeypatch.setattr(sde_mod, "power_solutions", spy_scan)
         for e_max in (first, 1, 9, 12, 13, 30, 10):
-            assert call(scan, e_max) == call(sde_mod.power_solutions, e_max)
-        assert scan.irrational[0] == 13 and call(scan, 12) == [(F(1), 9)]
+            assert call(eq.power_solutions, e_max) == call(lambda lo, hi: scan(eq.exact(), lo, hi), e_max)
+        assert eq._scan[3][0] == 13 and call(eq.power_solutions, 12) == [(F(1), 9)]
+        # one scan raised at 13; the others, which returned, cover
+        # exponents 1-12 once each
+        raised = [r for r in scanned if r[0] <= 13 <= r[1]]
+        returned = [e for lo, hi in scanned if (lo, hi) not in raised for e in range(lo, hi + 1)]
+        assert len(raised) == 1 and returned == list(range(1, 13))
+
+    def test_a_new_start_begins_the_memo_again(self):
+        eq = find_min_sde(D((1, 1, 9)).expand() + IRRATIONAL_13, 0, lazy=True)
+        assert eq.power_solutions(1, 12) == [(F(1), 9)]
+        assert eq.power_solutions(10, 12) == [] and eq._scan[:2] == (10, 12)
+        assert eq.power_solutions(9, 9) == [(F(1), 9)] and eq._scan[:2] == (9, 9)
 
 
 class TestOrderCap:

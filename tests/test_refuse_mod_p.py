@@ -1,9 +1,10 @@
 """Refusals decided modulo p against the path that lifts every equation.
 
-decompose_auto and decompose_small_intervals hold their equations unlifted
-(sde.PendingSDE) and refuse a forced one from its vector mod p when its lead
-has no rational root (degree 0, or degree >= 2 and no root mod p) and, for
-the power solutions, the norm N(t) is nonzero mod p over the scanned run.
+Every strategy of the decompose module holds its equations unlifted
+(sde.PendingSDE) and refuses a forced one from its vector mod p when its
+lead has no rational root (degree 0, or degree >= 2 and no root mod p) and,
+for the power solutions, the norm N(t) is nonzero mod p over the scanned
+run.
 The reference here lifts every equation at once, which is the exact path;
 both must give the same answer, or an error of the same type with the same
 str(), exponent and messages along __cause__, also with lists of small
@@ -27,8 +28,14 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from affinepowers import Decomposition, UniPoly, ratroots, sde  # noqa: E402
-from affinepowers.decompose import decompose_auto, decompose_small_intervals  # noqa: E402
-from affinepowers.errors import DeltaExhausted, ReconstructionFailed  # noqa: E402
+from affinepowers.decompose import (  # noqa: E402
+    decompose_auto,
+    decompose_big_exponents,
+    decompose_big_gaps,
+    decompose_distinct_nodes,
+    decompose_small_intervals,
+)
+from affinepowers.errors import DeltaExhausted, IrrationalNodeDetected, ReconstructionFailed  # noqa: E402
 
 F = Fraction
 
@@ -142,6 +149,54 @@ def test_generic_refusals_both_ways(prime):
         assert 3 <= verdicts.count(True) <= len(verdicts) - 3
 
 
+NAMED = [decompose_big_exponents, decompose_big_gaps, decompose_distinct_nodes]
+NAMED_IDS = ["big_exponents", "big_gaps", "distinct_nodes"]
+
+
+@pytest.mark.parametrize("solver", NAMED, ids=NAMED_IDS)
+def test_named_strategies_refuse_without_the_lift(solver, monkeypatch):
+    # generic degree 20: its shift-0 equation is forced with a constant
+    # lead, so each strategy called on its own refuses it unlifted
+    equations = []
+
+    def spy(*args, **kwargs):
+        equations.append(FIND_MIN_SDE(*args, **kwargs))
+        return equations[-1]
+
+    monkeypatch.setattr(sde, "find_min_sde", spy)
+    assert outcome(solver, _pinned_generic(20)) == [
+        (ReconstructionFailed, "no admissible power solutions in range", None)
+    ]
+    assert len(equations) == 1
+    assert equations[0].forced and equations[0].rootless and equations[0]._sde is None
+
+
+# (x - sqrt 2)^13 + (x + sqrt 2)^13, and that plus 3 (x - 1)^9
+IRRATIONAL_13 = UniPoly([0, 1664, 0, 18304, 0, 41184, 0, 27456, 0, 5720, 0, 312, 0, 2])
+IRRATIONAL_PAIR = UniPoly([-3, 1691, -108, 18556, -378, 41562, -252, 27564, -27, 5723, 0, 312, 0, 2])
+
+
+@pytest.mark.parametrize("solver", NAMED, ids=NAMED_IDS)
+def test_named_strategies_match_never_refusing(solver):
+    # generic degrees 8-60 with two seeds each, and the irrational inputs:
+    # the outcome with the modular refusals is the one of the exact path,
+    # where refuses never holds
+    inputs = [generic(deg, random.Random(seed)) for deg in range(8, 61) for seed in (deg, 1000 + deg)]
+    inputs += [IRRATIONAL_13, IRRATIONAL_PAIR]
+    got = [outcome(solver, f) for f in inputs]
+    with mock.patch.object(sde.PendingSDE, "refuses", lambda eq, e_min, e_max: False):
+        want = [outcome(solver, f) for f in inputs]
+    assert got == want
+    for chain in want[-2:]:
+        assert [(t, e) for t, _, e in chain] == [(IrrationalNodeDetected, 13)]
+
+
+def decided_at(eq):
+    """The prime at which (d) proved eq's lead rootless (the first entry of
+    its decision), None when no prime did."""
+    return eq._decision[0] if eq._decision else None
+
+
 def _forced_generic(primes):
     """The forced shift-0 and shift-1 equations of generic degrees 8-30,
     found with the primes patched in."""
@@ -166,8 +221,8 @@ def test_later_primes_both_decide_and_fail_to_decide():
         for eq in _forced_generic(primes):
             if eq.lead_degree < 2:
                 continue
-            decided_later += eq.decided_at not in (None, eq._pass[0].p)
-            undecided += eq.decided_at is None
+            decided_later += decided_at(eq) not in (None, eq._pass[0].p)
+            undecided += decided_at(eq) is None
             f = eq._pass[2]
             got, want = both_paths(primes, decompose_auto, f)
             assert got == want
@@ -190,7 +245,7 @@ def test_prime_where_not_forced_is_skipped(monkeypatch):
             later = ratroots._primes_after(profile.p)
             forced_at = [q for q in later if sde._forced_profile(q, cols[:-1]) is not None]
             read_at.clear()
-            decided = eq.decided_at
+            decided = decided_at(eq)
             # the pass's prime, then each later prime where it is forced, up
             # to the one that decided
             tried = [profile.p] + forced_at
@@ -276,15 +331,15 @@ def test_rational_roots_match_sympy(f):
 def test_rootless_verdict_matches_sympy(prime, f, shift):
     # a lead the certificate calls rootless, at whichever prime of the list
     # decided it, has no rational root, and the lead's degree mod p is its
-    # exact degree; decided_at is set exactly when it is rootless
+    # exact degree; a deciding prime is set exactly when it is rootless
     with patched_primes(prime):
         eq = sde.find_min_sde(f, shift, max_order=12, lazy=True)
         hypothesis.assume(eq is not None and eq.forced)
         lead = eq.exact().polys[eq.order]
         assert eq.lead_degree == lead.degree
-        assert (eq.decided_at is not None) == eq.rootless
+        assert (decided_at(eq) is not None) == eq.rootless
         if eq.rootless:
-            assert eq.decided_at in (eq._pass[0].p, *ratroots._primes_after(eq._pass[0].p))
+            assert decided_at(eq) in (eq._pass[0].p, *ratroots._primes_after(eq._pass[0].p))
             assert sympy_roots(ratroots.to_primitive_int(lead)) == {}
 
 
@@ -293,7 +348,7 @@ def test_unforced_equation_has_no_deciding_prime():
     # lifted by find_min_sde
     f = UniPoly.affine_power(1, 1, 12) + UniPoly.affine_power(1, -2, 11)
     eq = sde.find_min_sde(f, 0, lazy=True)
-    assert not eq.forced and not eq.rootless and eq.decided_at is None
+    assert not eq.forced and not eq.rootless and decided_at(eq) is None
 
 
 # -- the quadratic roots modulo p -----------------------------------------------

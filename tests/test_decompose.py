@@ -697,9 +697,10 @@ class TestSharedScan:
         import affinepowers.ratroots as ratroots_mod
         import affinepowers.sde as sde_mod
 
-        scans, splits, equations = [], [], []
-        scan, split, derive = (
+        scans, refusals, splits, equations = [], [], [], []
+        scan, refuses, split, derive = (
             sde_mod.power_solutions,
+            sde_mod.PendingSDE.refuses,
             ratroots_mod.rational_roots_with_cofactor,
             sde_mod.find_min_sde,
         )
@@ -707,6 +708,10 @@ class TestSharedScan:
         def spy_scan(s, e_min, e_max):
             scans.append((s, e_min, e_max))
             return scan(s, e_min, e_max)
+
+        def spy_refuses(eq, e_min, e_max):
+            refusals.append((eq, e_min, e_max))
+            return refuses(eq, e_min, e_max)
 
         def spy_split(f):
             splits.append(f)
@@ -717,10 +722,12 @@ class TestSharedScan:
             return equations[-1]
 
         monkeypatch.setattr(sde_mod, "power_solutions", spy_scan)
+        monkeypatch.setattr(sde_mod.PendingSDE, "refuses", spy_refuses)
         monkeypatch.setattr(ratroots_mod, "rational_roots_with_cofactor", spy_split)
         monkeypatch.setattr(sde_mod, "find_min_sde", spy_derive)
         for f in (_generic_degree_20(), IRRATIONAL_13, D((1, 2, 7)).expand()):
             scans.clear()
+            refusals.clear()
             splits.clear()
             equations.clear()
             try:
@@ -732,14 +739,17 @@ class TestSharedScan:
             single, peel = deg + eq.order**2 // 2, deg + (deg + 2) ** 2 // 8
             if f.degree == 20:
                 # refused modulo p (its P_order is a constant) over both
-                # ranges: nothing is scanned, the shift-0 equation is never
+                # ranges, the peel's only over the exponents past the single
+                # pass's: nothing is scanned, the shift-0 equation is never
                 # lifted, and nothing splits its lead
                 assert eq.rootless and eq._sde is None
+                assert refusals == [(eq, lo, single), (eq, single + 1, peel)]
                 assert scans == [] and eq._scan[:2] == (lo, peel)
                 continue
             # IRRATIONAL_13 raises within the single-pass range, and the
             # degree-7 input is answered by the single pass: the peel is not
             # scanned
+            assert refusals == [(eq, lo, single)]
             assert scans == [(eq.exact(), lo, single)] and scans[0][0] is eq.exact()
             # the scan and width 0 share one split of the shift-0 P_order
             lead = eq.exact().polys[-1]

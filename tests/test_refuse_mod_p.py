@@ -36,6 +36,7 @@ from affinepowers.decompose import (  # noqa: E402
     decompose_small_intervals,
 )
 from affinepowers.errors import DeltaExhausted, IrrationalNodeDetected, ReconstructionFailed  # noqa: E402
+from test_decompose import IRRATIONAL_13  # noqa: E402
 
 F = Fraction
 
@@ -171,8 +172,7 @@ def test_named_strategies_refuse_without_the_lift(solver, monkeypatch):
     assert equations[0].forced and equations[0].rootless and equations[0]._sde is None
 
 
-# (x - sqrt 2)^13 + (x + sqrt 2)^13, and that plus 3 (x - 1)^9
-IRRATIONAL_13 = UniPoly([0, 1664, 0, 18304, 0, 41184, 0, 27456, 0, 5720, 0, 312, 0, 2])
+# IRRATIONAL_13 plus 3 (x - 1)^9
 IRRATIONAL_PAIR = UniPoly([-3, 1691, -108, 18556, -378, 41562, -252, 27564, -27, 5723, 0, 312, 0, 2])
 
 
@@ -180,15 +180,13 @@ IRRATIONAL_PAIR = UniPoly([-3, 1691, -108, 18556, -378, 41562, -252, 27564, -27,
 def test_named_strategies_match_never_refusing(solver):
     # generic degrees 8-60 with two seeds each, and the irrational inputs:
     # the outcome with the modular refusals is the one of the exact path,
-    # where refuses never holds
+    # where no equation is forced, so refuses never holds
     inputs = [generic(deg, random.Random(seed)) for deg in range(8, 61) for seed in (deg, 1000 + deg)]
-    inputs += [IRRATIONAL_13, IRRATIONAL_PAIR]
-    got = [outcome(solver, f) for f in inputs]
-    with mock.patch.object(sde.PendingSDE, "refuses", lambda eq, e_min, e_max: False):
-        want = [outcome(solver, f) for f in inputs]
-    assert got == want
-    for chain in want[-2:]:
-        assert [(t, e) for t, _, e in chain] == [(IrrationalNodeDetected, 13)]
+    outcomes = [both_paths(None, solver, f) for f in inputs + [IRRATIONAL_13, IRRATIONAL_PAIR]]
+    for got, want in outcomes:
+        assert got == want
+    for _, want in outcomes[-2:]:
+        assert [(t, e) for t, _, e in want] == [(IrrationalNodeDetected, 13)]
 
 
 def decided_at(eq):
